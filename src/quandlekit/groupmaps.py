@@ -1,16 +1,18 @@
 """Bijections of a group's carrier and their algebra.
 
-PointMap is the shared substrate: automorphisms, antiautomorphisms, the
-inversion map, translations, and the two-sided maps f_{a,b}(x) = a*x*b are
-all point maps over {0..n-1}.  Classification and enumeration live here;
-the same table laws are reused verbatim for quandles.
+PointMap is the public form of one map: automorphisms, antiautomorphisms,
+the inversion map, translations, and the two-sided maps f_{a,b}(x) = a*x*b
+are all point maps over {0..n-1}.  Inside the engine a set of maps is one
+compact stack (see ``_compact``), deduplicated, searched and sorted through
+one byte key per row.  Classification and enumeration live here; the same
+table laws are reused verbatim for quandles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +123,76 @@ class ClassifiedMap:
         return {"images": [int(v) for v in self.images], "kind": self.kind}
 
 
+# --- compact map stacks ---
+#
+# A set of maps on {0..n-1} is a C-contiguous (m, n) image array of the
+# narrowest unsigned type, big-endian when wider than a byte, so the bytes of
+# a row compare in the same order as its images.  A row read as one np.void
+# value is then its key: every dedupe, membership test and sort is a 1-D
+# np.unique or searchsorted over keys, in lexicographic image order.
+
+
+def _image_dtype(n: int) -> np.dtype:
+    if n <= 1 << 8:
+        return np.dtype(np.uint8)
+    return np.dtype(">u2") if n <= 1 << 16 else np.dtype(">u4")
+
+
+def _compact(rows) -> np.ndarray:
+    """The compact (m, n) stack of integer image rows of length n, in order."""
+    arr = np.asarray(rows)
+    n = int(arr.shape[-1])
+    return np.ascontiguousarray(arr.reshape(-1, n), dtype=_image_dtype(n))
+
+
+def _keys(stack: np.ndarray) -> np.ndarray:
+    """One fixed-width np.void key per row of a stack.
+
+    The stack is made compact first: numpy hands back native byte order from
+    ``concatenate`` and friends, and little-endian bytes would not sort.
+    """
+    stack = _compact(stack)
+    width = stack.dtype.itemsize * stack.shape[1]
+    return stack.view(np.dtype((np.void, width))).reshape(stack.shape[0])
+
+
+def _unique_rows(stack: np.ndarray) -> np.ndarray:
+    """The distinct rows of a compact stack, lexicographically sorted."""
+    if not len(stack):
+        return stack
+    stack = _compact(stack)
+    _, first = np.unique(_keys(stack), return_index=True)
+    return stack[first]
+
+
+def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Membership mask of ``keys`` in an ascending key array."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    pos[pos == sorted_keys.size] = 0
+    return sorted_keys[pos] == keys
+
+
+def _point_maps(stack: np.ndarray) -> List[PointMap]:
+    """PointMaps for the rows of a stack whose rows are known bijections."""
+    rows = stack.astype(np.int64)
+    rows.setflags(write=False)
+    out = []
+    for row in rows:
+        pm = PointMap.__new__(PointMap)
+        pm.images = row
+        out.append(pm)
+    return out
+
+
+def _stack_of(maps: Sequence) -> np.ndarray:
+    """The compact stack of PointMaps (or of maps with ``images``), in order."""
+    if not maps:
+        return np.empty((0, 0), dtype=np.uint8)
+    return _compact([m.images for m in maps])
+
+
 # --- table laws (shared with quandles) ---
 
 
@@ -217,12 +289,47 @@ def _extend_hom(G: FiniteGroup, gens: Sequence[int], gen_images: Sequence[int]):
     return part
 
 
-_AUT_CACHE: Dict[FiniteGroup, Tuple[Tuple[int, ...], ...]] = {}
+class _AutEntry(NamedTuple):
+    """Aut(G) and AAut(G) of one group: sorted compact stacks and their maps."""
+
+    aut: np.ndarray
+    aut_maps: Tuple[ClassifiedMap, ...]
+    aaut: np.ndarray
+    aaut_maps: Tuple[ClassifiedMap, ...]
 
 
-def _aut_images(G: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
-    if G in _AUT_CACHE:
-        return _AUT_CACHE[G]
+_AUT_CACHE: Dict[FiniteGroup, _AutEntry] = {}
+
+
+def _aut_entry(G: FiniteGroup) -> _AutEntry:
+    if G not in _AUT_CACHE:
+        aut = _unique_rows(_aut_stack(G))
+        aut.setflags(write=False)
+        aut_maps = _classified(G, aut, [AUTOMORPHISM] * len(aut))
+        _AUT_CACHE[G] = _AutEntry(aut, aut_maps, *_aaut_of(G, aut))
+    return _AUT_CACHE[G]
+
+
+def _classified(
+    G: FiniteGroup, stack: np.ndarray, kinds: Sequence[str]
+) -> Tuple[ClassifiedMap, ...]:
+    return tuple(ClassifiedMap(pm, kind, G) for pm, kind in zip(_point_maps(stack), kinds))
+
+
+def _aaut_of(G: FiniteGroup, aut: np.ndarray) -> Tuple[np.ndarray, Tuple[ClassifiedMap, ...]]:
+    """AAut(G) = {phi o inversion | phi in Aut(G)}, sorted and verified."""
+    aaut = _unique_rows(aut[:, G.inverse])
+    aaut.setflags(write=False)
+    reverses = reversing_mask(G.table, aaut)
+    if not reverses.all():
+        bad = tuple(int(v) for v in aaut[int(np.argmin(reverses))])
+        raise NotAutomorphism("composition with inversion lost the reversal law", bad)
+    kinds = np.where(preserving_mask(G.table, aaut), AUTOMORPHISM, ANTIAUTOMORPHISM)
+    return aaut, _classified(G, aaut, [str(k) for k in kinds])
+
+
+def _aut_stack(G: FiniteGroup) -> np.ndarray:
+    """Aut(G) by generator-image backtracking, as an unsorted compact stack."""
     if G.n > config.MAX_AUT_GROUP_ORDER:
         raise CapExceeded("automorphism enumeration", G.n, config.MAX_AUT_GROUP_ORDER)
     gens = _greedy_generators(G)
@@ -244,11 +351,8 @@ def _aut_images(G: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
         found.append(np.array([G.identity], dtype=np.int64))
     else:
         descend(0, [])
-    stack = np.array(found, dtype=np.int64)
-    keep = preserving_mask(G.table, stack)
-    result = tuple(sorted(tuple(map(int, row)) for row in stack[keep]))
-    _AUT_CACHE[G] = result
-    return result
+    stack = _compact(found)
+    return stack[preserving_mask(G.table, stack)]
 
 
 def aut_oracle(G: FiniteGroup) -> List[ClassifiedMap]:
@@ -265,19 +369,12 @@ def enumerate_aut(G: FiniteGroup, oracle: bool = False) -> List[ClassifiedMap]:
     """Complete Aut(G), lexicographically sorted by images."""
     if oracle:
         return aut_oracle(G)
-    return [ClassifiedMap(PointMap(row), AUTOMORPHISM, G) for row in _aut_images(G)]
+    return list(_aut_entry(G).aut_maps)
 
 
 def enumerate_aaut(G: FiniteGroup) -> List[ClassifiedMap]:
     """Complete AAut(G) = {phi o inversion | phi in Aut(G)}, sorted, verified."""
-    rows = sorted(tuple(map(int, np.array(row)[G.inverse])) for row in _aut_images(G))
-    out = []
-    for row in rows:
-        images = np.array(row, dtype=np.int64)
-        if not reverses_table(G.table, images):
-            raise NotAutomorphism("composition with inversion lost the reversal law", row)
-        out.append(classify(G, PointMap(images)))
-    return out
+    return list(_aut_entry(G).aaut_maps)
 
 
 # --- closure of map sets ---
@@ -290,33 +387,34 @@ def closure_of_point_maps(
 
     Cayley-graph breadth-first search: each round composes only the frontier
     with the generators (inverses included, so every word is reachable by
-    right multiplication alone).
+    right multiplication alone).  Inverse-closed generators make the graph
+    undirected, so a product of the current level lies in the previous, the
+    current or the next level, and only the last two levels are searched.
     """
     if not maps:
         raise ValueError("closure needs at least one map")
-    n = maps[0].n
-    gen_rows: Dict[bytes, np.ndarray] = {}
-    for m in maps:
-        gen_rows[m.images.tobytes()] = m.images
-        inv = m.inverse().images
-        gen_rows.setdefault(inv.tobytes(), inv)
-    gens = np.array(list(gen_rows.values()), dtype=np.int64)
-    identity = np.arange(n, dtype=np.int64)
-    closed = identity[None, :]
-    known = {identity.tobytes()}
-    frontier = closed
-    while frontier.size:
-        products = np.unique(frontier[:, gens].reshape(-1, n), axis=0)
-        fresh = [row for row in products if row.tobytes() not in known]
-        if not fresh:
+    gens = _stack_of(maps)
+    n = gens.shape[1]
+    gens = _unique_rows(np.concatenate([gens, np.argsort(gens, axis=1)]))
+    frontier = _compact(np.arange(n))
+    levels = [frontier]
+    current = _keys(frontier)
+    previous = current[:0]
+    total = 1
+    while True:
+        products = _unique_rows(frontier[:, gens].reshape(-1, n))
+        keys = _keys(products)
+        fresh = ~(_in_sorted(keys, current) | _in_sorted(keys, previous))
+        count = int(fresh.sum())
+        if not count:
             break
-        if len(known) + len(fresh) > cap:
-            raise CapExceeded("map closure", len(known) + len(fresh), cap)
-        frontier = np.array(fresh)
-        known.update(row.tobytes() for row in frontier)
-        closed = np.concatenate([closed, frontier])
-    order = np.lexsort(closed.T[::-1])
-    return [PointMap(row) for row in closed[order]]
+        if total + count > cap:
+            raise CapExceeded("map closure", total + count, cap)
+        total += count
+        frontier = products[fresh]
+        levels.append(frontier)
+        previous, current = current, keys[fresh]
+    return _point_maps(_unique_rows(np.concatenate(levels)))
 
 
 # --- map families ---
@@ -332,41 +430,40 @@ def left_translation(G: FiniteGroup, a: int) -> PointMap:
     return PointMap(G.table[a])
 
 
+def _inner_stack(G: FiniteGroup) -> np.ndarray:
+    """Inn(G) as a sorted compact stack: the distinct maps x -> g*x*g^-1."""
+    t = G.table
+    return _unique_rows(_compact(t[t, G.inverse[:, None]]))  # [g, x] = g*x*g^-1
+
+
 def inner_auts(G: FiniteGroup) -> List[ClassifiedMap]:
     """Conjugation maps x -> g*x*g^-1, deduplicated, sorted."""
-    rows = {tuple(map(int, G.table[G.table[g, :], G.inverse[g]])) for g in range(G.n)}
-    return [ClassifiedMap(PointMap(row), AUTOMORPHISM, G) for row in sorted(rows)]
+    inner = _inner_stack(G)
+    return list(_classified(G, inner, [AUTOMORPHISM] * len(inner)))
 
 
 def out_coset_reps(G: FiniteGroup) -> List[ClassifiedMap]:
     """One representative per coset of Inn(G) in Aut(G): the least member."""
-    auts = enumerate_aut(G)
-    inner = [m.map for m in inner_auts(G)]
-    seen = set()
-    reps = []
-    for cm in auts:  # already lex sorted, so the first unseen member leads its coset
-        if cm.map in seen:
-            continue
-        coset = {inn.compose(cm.map) for inn in inner}
-        seen |= coset
-        reps.append(cm)
-    return reps
+    entry = _aut_entry(G)
+    inner = _inner_stack(G)
+    # [i, j] = inner_i o aut_j; aut_j leads its coset when no member sorts before it.
+    coset = _keys(inner[:, entry.aut].reshape(-1, G.n)).reshape(len(inner), len(entry.aut))
+    first = np.searchsorted(_keys(entry.aut), coset).min(axis=0)
+    return [cm for j, cm in enumerate(entry.aut_maps) if first[j] == j]
 
 
-def _commuting_filter(pool: List[ClassifiedMap], base: np.ndarray) -> List[ClassifiedMap]:
-    if not pool:
-        return []
-    stack = np.array([cm.images for cm in pool])
-    mask = (stack[:, base] == base[stack]).all(axis=1)
-    return [cm for cm, keep in zip(pool, mask) if keep]
+def _centralizer(stack: np.ndarray, maps: List[ClassifiedMap], base: np.ndarray):
+    """The maps whose rows in the cached ``stack`` commute with ``base``."""
+    keep = np.flatnonzero((stack[:, base] == base[stack]).all(axis=1))
+    return [maps[i] for i in keep]
 
 
 def centralizer_in_aut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _commuting_filter(enumerate_aut(G), phi.images)
+    return _centralizer(_aut_entry(G).aut, enumerate_aut(G), phi.images)
 
 
 def centralizer_in_aaut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _commuting_filter(enumerate_aaut(G), phi.images)
+    return _centralizer(_aut_entry(G).aaut, enumerate_aaut(G), phi.images)
 
 
 def is_central_automorphism(G: FiniteGroup, theta: ClassifiedMap) -> bool:
@@ -398,8 +495,7 @@ def build_H(G: FiniteGroup) -> List[PointMap]:
 
 def build_F(G: FiniteGroup) -> List[PointMap]:
     """F = {f_{a,b} | a, b in G} as distinct point maps, sorted; |F| = n^2/|Z|."""
-    flat = _all_f_ab_stack(G).reshape(G.n * G.n, G.n)
-    return [PointMap(row) for row in np.unique(flat, axis=0)]
+    return _point_maps(_unique_rows(_compact(_all_f_ab_stack(G))))
 
 
 def build_F_prime(G: FiniteGroup, phi: ClassifiedMap) -> List[PointMap]:
@@ -409,8 +505,7 @@ def build_F_prime(G: FiniteGroup, phi: ClassifiedMap) -> List[PointMap]:
     f_{a,b} f_{c,d} = f_{ac,db}, so no further closure pass is needed.
     """
     fixed = np.asarray(list(fix_set(G, phi)), dtype=np.int64)
-    flat = _all_f_ab_stack(G)[fixed].reshape(fixed.size * G.n, G.n)
-    return [PointMap(row) for row in np.unique(flat, axis=0)]
+    return _point_maps(_unique_rows(_compact(_all_f_ab_stack(G)[fixed])))
 
 
 def verify_F_iso(G: FiniteGroup) -> Verdict:
@@ -425,7 +520,7 @@ def verify_F_iso(G: FiniteGroup) -> Verdict:
     quotient, projection = quotient_by_normal(product, normal)
 
     stack = _all_f_ab_stack(G).reshape(G.n * G.n, G.n)  # row a*n+b is f_{a,b}
-    unique_rows = np.unique(stack, axis=0)
+    f_size = len(np.unique(_keys(stack)))
     well_defined = True
     bad_pair = None
     for k in range(quotient.n):
@@ -446,9 +541,9 @@ def verify_F_iso(G: FiniteGroup) -> Verdict:
         make_iff(
             "f-structure/bijective",
             inputs,
-            lhs=len(unique_rows) == quotient.n,
+            lhs=f_size == quotient.n,
             rhs=True,
-            notes=f"|F| = {len(unique_rows)}, |(GxG^op)/N| = {quotient.n}",
+            notes=f"|F| = {f_size}, |(GxG^op)/N| = {quotient.n}",
         ),
     ]
     # Homomorphism: on coset representatives, composition of maps matches

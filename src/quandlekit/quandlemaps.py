@@ -20,6 +20,12 @@ from .errors import CapExceeded, CarrierMismatch
 from .groupmaps import (
     ClassifiedMap,
     PointMap,
+    _compact,
+    _in_sorted,
+    _keys,
+    _point_maps,
+    _stack_of,
+    _unique_rows,
     closure_of_point_maps,
     preserves_table,
     preserving_mask,
@@ -246,13 +252,12 @@ def induced(Q: Quandle, gmap: ClassifiedMap, target: str) -> bool:
 def closure_group(maps: Sequence[PointMap]):
     """Closure under composition/inverse plus its abstract group table."""
     closed = closure_of_point_maps(maps, cap=config.MAX_CLOSURE_SIZE)
-    index = {m.as_tuple(): i for i, m in enumerate(closed)}
-    arr = np.array([m.as_tuple() for m in closed], dtype=np.int64)
-    table = np.empty((len(closed), len(closed)), dtype=np.int64)
-    composed = arr[:, arr]  # [i, j] = m_i o m_j
-    for i in range(len(closed)):
-        for j in range(len(closed)):
-            table[i, j] = index[tuple(map(int, composed[i, j]))]
+    arr = _stack_of(closed)
+    keys = _keys(arr)  # ascending: the closure comes back sorted
+    composed = _keys(arr[:, arr].reshape(-1, arr.shape[1]))  # [i, j] = m_i o m_j
+    if not _in_sorted(composed, keys).all():
+        raise AssertionError("closure is not closed under composition; engine bug")
+    table = np.searchsorted(keys, composed).reshape(len(closed), len(closed))
     return closed, FiniteGroup(table, name=f"maps<{len(closed)}>")
 
 
@@ -278,30 +283,22 @@ class SemidirectReport:
         }
 
 
-def _rows_of(maps: Sequence[PointMap]) -> np.ndarray:
-    return np.array(sorted({m.as_tuple() for m in maps}), dtype=np.int64)
-
-
-def _row_set(arr: np.ndarray) -> set:
-    return {row.tobytes() for row in arr}
-
-
 def _is_map_group(arr: np.ndarray) -> bool:
     """Whether a deduplicated stack of maps is closed under composition/inverse.
 
     A nonempty set closed under both necessarily contains the identity, so
-    this is the full subgroup test.  Membership checks run through one
-    sorted-unique pass instead of per-row lookups.
+    this is the full subgroup test.  The rows are keyed once (see
+    ``groupmaps._keys``); every product and every inverse is then looked up
+    among the sorted distinct keys.
     """
-    m, n = arr.shape
-    base = np.unique(arr, axis=0)
+    stack = _compact(arr)
+    m, n = stack.shape
+    base = np.unique(_keys(stack))
     if len(base) != m:
         return False
-    composed = arr[:, arr].reshape(-1, n)
-    if len(np.unique(np.concatenate([base, composed]), axis=0)) != m:
+    if not _in_sorted(_keys(stack[:, stack].reshape(-1, n)), base).all():
         return False
-    inverses = np.argsort(arr, axis=1)
-    return len(np.unique(np.concatenate([base, inverses]), axis=0)) == m
+    return bool(_in_sorted(_keys(np.argsort(stack, axis=1)), base).all())
 
 
 def semidirect_verify(
@@ -317,8 +314,8 @@ def semidirect_verify(
     the closure size is certified from the clauses plus distinctness of the
     n o c products instead of being materialized.
     """
-    N = _rows_of(normal_candidates)
-    C = _rows_of(complement_candidates)
+    N = _unique_rows(_stack_of(normal_candidates))
+    C = _unique_rows(_stack_of(complement_candidates))
     n = Q.n
 
     def fail(clause: str, closure_size: int = 0, inter: bool = False) -> SemidirectReport:
@@ -332,28 +329,27 @@ def semidirect_verify(
         if not _is_map_group(arr):
             return fail(f"{label} part is not a group of maps")
 
-    nset = _row_set(N)
-    for c in C:
-        cinv = np.argsort(c)
-        conjugated = c[N[:, cinv]]  # c o f o c^-1 for each f
-        if any(row.tobytes() not in nset for row in conjugated):
-            return fail("complement does not normalize the normal part")
+    nkeys, ckeys = _keys(N), _keys(C)  # both ascending
+    cinv = np.argsort(C, axis=1)
+    # [j, i] = c_j o f_i o c_j^-1 for every complement member c_j
+    conjugated = C[np.arange(len(C))[:, None, None], N[:, cinv].transpose(1, 0, 2)]
+    if not _in_sorted(_keys(conjugated.reshape(-1, n)), nkeys).all():
+        return fail("complement does not normalize the normal part")
 
-    inter = nset & _row_set(C)
-    identity = np.arange(n, dtype=np.int64).tobytes()
-    intersection_trivial = inter <= {identity}
+    inter = ckeys[_in_sorted(ckeys, nkeys)]
+    intersection_trivial = bool((inter == _keys(np.arange(n))).all())
     if not intersection_trivial:
         return fail("intersection is not trivial", inter=False)
 
     products = N[:, C].reshape(-1, n)  # f o c for all pairs
-    distinct = len(_row_set(products))
+    distinct = len(np.unique(_keys(products)))
     expected = len(N) * len(C)
     if distinct != expected:
         return fail("n o c products collide", closure_size=distinct, inter=True)
 
     if expected <= config.MAX_SEMIDIRECT_BFS:
         closed = closure_of_point_maps(
-            [PointMap(r) for r in N] + [PointMap(r) for r in C],
+            _point_maps(N) + _point_maps(C),
             cap=max(config.MAX_CLOSURE_SIZE, expected),
         )
         closure_size = len(closed)
@@ -375,17 +371,16 @@ def semidirect_verify(
 
 def inn_out_report(Q: Quandle) -> Tuple[int, int, int]:
     """(inn size, aut size, out index), with Inn normal in Aut verified."""
-    inner = inn_group(Q)
-    auts = enumerate_quandle_auts(Q)
-    aut_rows = {m.map.as_tuple() for m in auts}
-    inn_rows = {m.as_tuple() for m in inner}
-    if not inn_rows <= aut_rows:
+    inner = _stack_of(inn_group(Q))
+    auts = _stack_of(enumerate_quandle_auts(Q))
+    inn_keys = np.unique(_keys(inner))
+    if not _in_sorted(inn_keys, np.unique(_keys(auts))).all():
         raise AssertionError("Inn(Q) escaped Aut(Q); engine bug")
-    for a in auts:
-        inv = a.map.inverse()
-        for s in inner:
-            if a.map.compose(s).compose(inv).as_tuple() not in inn_rows:
-                raise AssertionError("Inn(Q) is not normal in Aut(Q); engine bug")
+    # [j, i] = a_j o s_i o a_j^-1 for every automorphism a_j and inner map s_i
+    ainv = np.argsort(auts, axis=1)
+    conjugated = auts[np.arange(len(auts))[:, None, None], inner[:, ainv].transpose(1, 0, 2)]
+    if not _in_sorted(_keys(conjugated.reshape(-1, Q.n)), inn_keys).all():
+        raise AssertionError("Inn(Q) is not normal in Aut(Q); engine bug")
     if len(auts) % len(inner) != 0:
         raise AssertionError("|Aut| not divisible by |Inn|")
     return len(inner), len(auts), len(auts) // len(inner)

@@ -130,6 +130,25 @@ class TestCensus:
         ids = {check["theorem_id"] for check in report["checks"]}
         assert ids == set(CHECK_IDS)
 
+    def test_engine_fault_in_one_check_fails_one_verdict(self, monkeypatch):
+        from quandlekit import harness
+
+        original = harness.check_core
+
+        def broken(G):
+            if G.name == "Z3":
+                raise AssertionError("search produced a non-morphism; engine bug")
+            return original(G)
+
+        monkeypatch.setattr(harness, "check_core", broken)
+        report = run_census([cyclic(3), symmetric(3)])
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["summary"]["failed"] == 1
+        (bad,) = [check for check in report["checks"] if not check["holds"]]
+        assert (bad["theorem_id"], bad["inputs"]) == ("core", "Z3")
+        assert bad["notes"].startswith("check raised AssertionError: ")
+        assert any(c["theorem_id"] == "core" and c["inputs"] == "S3" for c in report["checks"])
+
 
 class TestVerdictMechanics:
     def test_iff_failure_keeps_the_counterexample(self):

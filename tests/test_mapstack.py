@@ -1,0 +1,216 @@
+"""The compact map-stack substrate against plain frozenset-of-tuples references.
+
+Inside the engine a set of maps is a compact image stack keyed by one byte
+string per row; these tests pin every keyed operation to the obvious
+set-of-tuples computation it replaces, including the order of the results.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quandlekit import (
+    ANTIAUTOMORPHISM,
+    AUTOMORPHISM,
+    CATALOG_SPECS,
+    CapExceeded,
+    PointMap,
+    classify,
+    closure_group,
+    closure_of_point_maps,
+    dihedral_quandle,
+    enumerate_aaut,
+    enumerate_aut,
+    inn_group,
+    named_group,
+    run_census,
+)
+from quandlekit.groupmaps import preserves_table
+from quandlekit.quandlemaps import _is_map_group
+
+# sha256 of json.dumps(run_census([Z3, Z4, S3, D4, Q8]), sort_keys=True), as
+# produced by the per-row implementation the keyed stacks replaced.
+GOLDEN_CENSUS_SHA256 = "d597c451d7d454cc9e8085101e08ac0d3168340a983b4ac6c97614b70a1f7f37"
+
+# |Aut(G)| for every catalog group of order <= 12, from the classification of
+# small groups: phi(n) for Z_n, |GL(2,p)| for the elementary abelian groups,
+# n * phi(n) for the dihedral group of order 2n, 24 for Q8.
+AUT_ORDERS = {
+    "Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6, "Z8": 4, "Z9": 6,
+    "Z10": 4, "Z11": 10, "Z12": 4, "Z2xZ2": 6, "Z3xZ3": 48, "D3": 6, "D4": 8,
+    "D5": 20, "D6": 12, "S3": 6, "Q8": 24,
+}
+
+
+# --- references: sets of tuples, no arrays ---
+
+
+def compose(f, g):
+    """f after g."""
+    return tuple(f[x] for x in g)
+
+
+def inverse(f):
+    inv = [0] * len(f)
+    for x, y in enumerate(f):
+        inv[y] = x
+    return tuple(inv)
+
+
+def reference_closure(gens, cap):
+    """Breadth-first closure over frozensets, the same rounds and cap test."""
+    n = len(gens[0])
+    step = frozenset(gens) | frozenset(inverse(g) for g in gens)
+    identity = tuple(range(n))
+    known = frozenset([identity])
+    frontier = frozenset([identity])
+    while frontier:
+        fresh = frozenset(compose(f, g) for f in frontier for g in step) - known
+        if not fresh:
+            break
+        if len(known) + len(fresh) > cap:
+            raise CapExceeded("map closure", len(known) + len(fresh), cap)
+        known |= fresh
+        frontier = fresh
+    return sorted(known)
+
+
+def reference_is_map_group(rows):
+    members = frozenset(rows)
+    return (
+        len(members) == len(rows)
+        and all(compose(a, b) in members for a in rows for b in rows)
+        and all(inverse(a) in members for a in rows)
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except CapExceeded as exc:
+        return "cap", str(exc)
+
+
+def perms(max_n=7):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=4)
+    )
+
+
+# --- closure ---
+
+
+class TestClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(gens=perms(), cap=st.integers(1, 200))
+    def test_closure_and_cap_match_the_frozenset_reference(self, gens, cap):
+        want = outcome(reference_closure, gens, cap)
+        got = outcome(lambda: [m.as_tuple() for m in closure_of_point_maps(
+            [PointMap(g) for g in gens], cap=cap)])
+        assert got == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(gens=perms())
+    def test_cap_fires_at_the_same_sizes(self, gens):
+        size = len(reference_closure(gens, cap=10**6))
+        for cap in sorted({1, size // 3, size // 2, size - 1, size}):
+            if cap < 1:
+                continue
+            want = outcome(reference_closure, gens, cap)
+            got = outcome(lambda: [m.as_tuple() for m in closure_of_point_maps(
+                [PointMap(g) for g in gens], cap=cap)])
+            assert got == want, cap
+
+    def test_wide_images_sort_by_value(self):
+        """n = 300 uses two-byte keys; images 250..299 straddle 255/256."""
+        n = 300
+
+        def cycle(*points):
+            images = list(range(n))
+            for a, b in zip(points, points[1:] + points[:1]):
+                images[a] = b
+            return tuple(images)
+
+        gens = [cycle(250, 256, 299), cycle(250, 256), cycle(255, 257, 270, 290)]
+        got = [m.as_tuple() for m in closure_of_point_maps([PointMap(g) for g in gens])]
+        assert len(got) == 24  # Sym{250, 256, 299} x C4
+        assert got == reference_closure(gens, cap=10**6)
+        assert all(m.images.dtype == np.int64 for m in closure_of_point_maps(
+            [PointMap(g) for g in gens]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(gens=perms(max_n=5))
+    def test_closure_group_table_matches_the_dict_lookup(self, gens):
+        closed, G = closure_group([PointMap(g) for g in gens])
+        rows = [m.as_tuple() for m in closed]
+        index = {row: i for i, row in enumerate(rows)}
+        want = [[index[compose(a, b)] for b in rows] for a in rows]
+        assert G.table.tolist() == want
+
+    def test_closure_group_of_inner_maps_keeps_its_table(self):
+        closed, G = closure_group(inn_group(dihedral_quandle(5)))
+        rows = [m.as_tuple() for m in closed]
+        index = {row: i for i, row in enumerate(rows)}
+        assert G.table.tolist() == [[index[compose(a, b)] for b in rows] for a in rows]
+
+
+# --- subgroup test ---
+
+
+class TestMapGroup:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_is_map_group_matches_the_frozenset_reference(self, data):
+        gens = data.draw(perms())
+        group = reference_closure(gens, cap=10**6)
+        if len(group) > 720:
+            group = group[:720]
+        pick = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=8))
+        rows = data.draw(st.sampled_from([group, pick, group + pick[:1], group[1:] or group]))
+        assert _is_map_group(np.array(rows, dtype=np.int64)) == reference_is_map_group(rows)
+
+
+# --- Aut(G) and AAut(G) ---
+
+
+SMALL_CATALOG = [spec for spec in CATALOG_SPECS if named_group(spec).n <= 12]
+
+
+class TestAutCache:
+    @pytest.mark.parametrize("spec", SMALL_CATALOG)
+    def test_aut_and_aaut_equal_the_per_map_definition(self, spec):
+        G = named_group(spec)
+        auts = enumerate_aut(G)
+        rows = [cm.map.as_tuple() for cm in auts]
+        assert len(rows) == AUT_ORDERS[spec]
+        assert rows == sorted(set(rows))
+        assert all(cm.kind == AUTOMORPHISM and preserves_table(G.table, cm.images) for cm in auts)
+        # AAut(G): every phi o inversion, sorted, each kind decided by classify
+        want = sorted(tuple(row[int(G.inverse[x])] for x in range(G.n)) for row in rows)
+        aauts = enumerate_aaut(G)
+        assert [cm.map.as_tuple() for cm in aauts] == want
+        assert [cm.kind for cm in aauts] == [classify(G, PointMap(row)).kind for row in want]
+        assert {cm.kind for cm in aauts} == ({AUTOMORPHISM} if G.is_abelian else {ANTIAUTOMORPHISM})
+
+    def test_lists_are_fresh_and_maps_immutable(self):
+        G = named_group("S3")
+        first, second = enumerate_aut(G), enumerate_aut(G)
+        assert first is not second and first == second
+        first.pop()
+        assert len(enumerate_aut(G)) == 6
+        for cm in enumerate_aaut(G) + second:
+            assert not cm.images.flags.writeable
+            assert cm.images.dtype == np.int64
+
+
+# --- the whole census ---
+
+
+def test_small_census_is_byte_identical_to_the_per_row_engine():
+    report = run_census([named_group(s) for s in ("Z3", "Z4", "S3", "D4", "Q8")])
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_CENSUS_SHA256
