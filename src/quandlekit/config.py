@@ -13,7 +13,7 @@ MAX_ORDER = 5040
 # Bail out of automorphism-group enumeration for groups past this order.
 MAX_AUT_GROUP_ORDER = 64
 
-# Bail out of quandle map enumeration (the backtracking engine) past this.
+# Bail out of quandle map enumeration (the table isomorphism engine) past this.
 MAX_QUANDLE_ENUM_ORDER = 12
 
 # The all-permutations oracle materialises n! maps at once.

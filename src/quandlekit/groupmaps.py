@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import config
 from .errors import CapExceeded, NotAutomorphism, NotBijective
-from .groups import FiniteGroup, Subset, direct_product, opposite, quotient_by_normal
+from .groups import (
+    FiniteGroup,
+    Subset,
+    _generator_levels,
+    direct_product,
+    opposite,
+    quotient_by_normal,
+)
 from .verdicts import Verdict, combine, make_iff
 
 __all__ = [
@@ -218,6 +225,102 @@ def reversing_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (lhs == rhs).all(axis=(1, 2))
 
 
+def _profiles(t: np.ndarray) -> np.ndarray:
+    """Per-point counts that every table isomorphism preserves, shaped (n, 5).
+
+    For x: the a with t[a,x] = a, the b with t[x,b] = b, the a with
+    t[a,x] = x, the b with t[x,b] = x, and the a with t[t[a,x],x] = a.
+    """
+    idx = np.arange(t.shape[0])
+    col, row = idx[:, None], idx[None, :]
+    return np.stack(
+        [
+            (t == col).sum(axis=0),
+            (t == row).sum(axis=1),
+            (t == row).sum(axis=0),
+            (t == col).sum(axis=1),
+            (t[t, row] == col).sum(axis=0),
+        ],
+        axis=1,
+    )
+
+
+def _table_isos(t1: np.ndarray, t2: np.ndarray, first_only: bool = False) -> np.ndarray:
+    """All bijections f with f(t1[a,b]) = t2[f(a), f(b)], as a sorted compact stack.
+
+    The search branches only on the images of t1's greedy least-index
+    generators g_1..g_k (see ``groups._generator_levels``).  Level i holds
+    every partial map on the closure S_i of g_1..g_i at once: each row tries
+    every image of g_i whose profile (``_profiles``) matches, derives the
+    rest of S_i through t2, and survives when it is injective on S_i and
+    obeys the law on S_i x S_i.  Every point below g_{i+1} lies in S_i, so
+    the lexicographic order of generator images is that of the maps: rows
+    kept in parent order, candidates ascending, come out sorted.  With
+    ``first_only`` the levels are walked depth first, one parent at a time,
+    and the first leaf (the lexicographically least map) is the answer.
+    """
+    n = int(t1.shape[0])
+    dtype = _image_dtype(n)
+    t2 = np.asarray(t2).astype(dtype)
+    prof1, prof2 = _profiles(t1), _profiles(t2)
+    block = max(1, (1 << 22) // max(1, n * n))  # rows per block, as in _check_q3
+    steps = []  # per level: g, its candidates, derivations, S_{i-1}, new points, S_i
+    seen = np.empty(0, dtype=np.int64)
+    for g, batches in _generator_levels(t1):
+        fresh = np.concatenate([[g], *(xs for xs, _, _ in batches)]).astype(np.int64)
+        members = np.concatenate([seen, fresh])
+        cands = np.flatnonzero((prof2 == prof1[g]).all(axis=1)).astype(dtype)
+        steps.append((g, cands, batches, seen, fresh, members))
+        seen = members
+
+    def extend(level: int, parents: np.ndarray) -> np.ndarray:
+        """The children of ``parents`` at one level, in parent order, candidates ascending."""
+        g, cands, batches, seen, fresh, members = steps[level]
+        free = (parents[:, seen, None] != cands).all(axis=1)  # [row, candidate]
+        rows, picks = np.nonzero(free)
+        kids = parents[rows]
+        kids[:, g] = cands[picks]
+        for xs, a, b in batches:
+            kids[:, xs] = t2[kids[:, a], kids[:, b]]
+        images = np.sort(kids[:, members], axis=1)
+        kids = kids[(images[:, 1:] != images[:, :-1]).all(axis=1)]
+        new, old = kids[:, fresh], kids[:, members]
+        ok = (kids[:, t1[np.ix_(fresh, members)]] == t2[new[:, :, None], old[:, None, :]]).all(
+            axis=(1, 2)
+        )
+        ok &= (kids[:, t1[np.ix_(members, fresh)]] == t2[old[:, :, None], new[:, None, :]]).all(
+            axis=(1, 2)
+        )
+        return kids[ok]
+
+    def first_leaf(root: np.ndarray) -> np.ndarray:
+        path = [[extend(0, root), 0]]  # per level: the children of one parent, next index
+        while path:
+            kids, i = path[-1]
+            if i == len(kids):
+                path.pop()
+                continue
+            path[-1][1] += 1
+            if len(path) == len(steps):
+                return kids[i : i + 1]
+            path.append([extend(len(path), kids[i : i + 1]), 0])
+        return root[:0]
+
+    stack = np.zeros((1, n), dtype=dtype)  # the one map on the empty set
+    if first_only and steps:
+        stack = first_leaf(stack)
+    else:
+        for level, (_, cands, *_) in enumerate(steps):
+            per_block = max(1, block // max(1, len(cands)))
+            parts = [extend(level, stack[i : i + per_block]) for i in range(0, len(stack), per_block)]
+            stack = np.concatenate(parts) if parts else stack
+    for i in range(0, len(stack), block):
+        rows = stack[i : i + block]
+        if not (rows[:, t1] == t2[rows[:, :, None], rows[:, None, :]]).all():
+            raise AssertionError("search produced a non-morphism; engine bug")
+    return _compact(stack)
+
+
 def classify(G: FiniteGroup, pm: PointMap) -> ClassifiedMap:
     """Decide which law a bijection satisfies, by full scan.
 
@@ -243,52 +346,6 @@ def inversion_map(G: FiniteGroup) -> ClassifiedMap:
 # --- Aut(G) enumeration ---
 
 
-def _greedy_generators(G: FiniteGroup) -> List[int]:
-    """Minimal-ish generating set: repeatedly add the least uncovered element."""
-    gens: List[int] = []
-    covered = {G.identity}
-    while len(covered) < G.n:
-        gens.append(min(set(range(G.n)) - covered))
-        covered = set(G.subgroup_closure(gens))
-    return gens
-
-
-def _extend_hom(G: FiniteGroup, gens: Sequence[int], gen_images: Sequence[int]):
-    """Close a partial generator assignment under the homomorphism law.
-
-    Returns the full images array, or None on conflict.  Every product of
-    known elements forces the image of the product; the worklist runs until
-    the assignment covers the subgroup generated so far.
-    """
-    t = G.table
-    part = np.full(G.n, -1, dtype=np.int64)
-    part[G.identity] = G.identity
-    known = [G.identity]
-    for g, img in zip(gens, gen_images):
-        if part[g] == -1:
-            part[g] = img
-            known.append(g)
-        elif part[g] != img:
-            return None
-    i = 0
-    while i < len(known):
-        u = known[i]
-        j = 0
-        while j < len(known):
-            v = known[j]
-            for x, y in ((u, v), (v, u)):
-                p = int(t[x, y])
-                q = int(t[part[x], part[y]])
-                if part[p] == -1:
-                    part[p] = q
-                    known.append(p)
-                elif part[p] != q:
-                    return None
-            j += 1
-        i += 1
-    return part
-
-
 class _AutEntry(NamedTuple):
     """Aut(G) and AAut(G) of one group: sorted compact stacks and their maps."""
 
@@ -303,7 +360,7 @@ _AUT_CACHE: Dict[FiniteGroup, _AutEntry] = {}
 
 def _aut_entry(G: FiniteGroup) -> _AutEntry:
     if G not in _AUT_CACHE:
-        aut = _unique_rows(_aut_stack(G))
+        aut = _aut_stack(G)
         aut.setflags(write=False)
         aut_maps = _classified(G, aut, [AUTOMORPHISM] * len(aut))
         _AUT_CACHE[G] = _AutEntry(aut, aut_maps, *_aaut_of(G, aut))
@@ -329,30 +386,10 @@ def _aaut_of(G: FiniteGroup, aut: np.ndarray) -> Tuple[np.ndarray, Tuple[Classif
 
 
 def _aut_stack(G: FiniteGroup) -> np.ndarray:
-    """Aut(G) by generator-image backtracking, as an unsorted compact stack."""
+    """Aut(G) as a sorted compact stack: the isomorphisms of G's table onto itself."""
     if G.n > config.MAX_AUT_GROUP_ORDER:
         raise CapExceeded("automorphism enumeration", G.n, config.MAX_AUT_GROUP_ORDER)
-    gens = _greedy_generators(G)
-    orders = G.element_orders
-    candidates = [np.nonzero(orders == orders[g])[0] for g in gens]
-    found: List[np.ndarray] = []
-
-    def descend(depth: int, images: List[int]) -> None:
-        if depth == len(gens):
-            part = _extend_hom(G, gens, images)
-            if part is not None and -1 not in part and len(set(map(int, part))) == G.n:
-                found.append(part)
-            return
-        for c in candidates[depth]:
-            if _extend_hom(G, gens[: depth + 1], images + [int(c)]) is not None:
-                descend(depth + 1, images + [int(c)])
-
-    if not gens:  # trivial group
-        found.append(np.array([G.identity], dtype=np.int64))
-    else:
-        descend(0, [])
-    stack = _compact(found)
-    return stack[preserving_mask(G.table, stack)]
+    return _table_isos(G.table, G.table)
 
 
 def aut_oracle(G: FiniteGroup) -> List[ClassifiedMap]:
@@ -519,7 +556,7 @@ def verify_F_iso(G: FiniteGroup) -> Verdict:
     normal = [a * G.n + int(G.inverse[a]) for a in G.center()]
     quotient, projection = quotient_by_normal(product, normal)
 
-    stack = _all_f_ab_stack(G).reshape(G.n * G.n, G.n)  # row a*n+b is f_{a,b}
+    stack = _compact(_all_f_ab_stack(G))  # row a*n+b is f_{a,b}
     f_size = len(np.unique(_keys(stack)))
     well_defined = True
     bad_pair = None

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,9 @@ __all__ = [
 
 # --- table validation ---
 
+# One batch of derived points: xs[k] = table[a[k], b[k]].
+Derivation = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def _check_closure(table: np.ndarray) -> None:
     n = table.shape[0]
@@ -62,18 +65,59 @@ def _check_closure(table: np.ndarray) -> None:
         raise NotClosed(a, b, int(table[a, b]))
 
 
-def _check_associativity(table: np.ndarray) -> None:
-    """Full O(n^3) scan, chunked over the left operand to bound memory."""
+def _generator_levels(table: np.ndarray) -> List[Tuple[int, List[Derivation]]]:
+    """Greedy least-index generators of a closed table, with what each adds.
+
+    Generator g_i is the least point outside the closure S_{i-1} of the
+    earlier ones under the table's product.  Its level lists the other new
+    points of S_i as batches (xs, a, b) with xs = table[a, b] elementwise,
+    where every a and b lies in S_{i-1}, is g_i or appears in an earlier
+    batch of the level, so applying the batches in order derives S_i.
+    """
     n = table.shape[0]
-    chunk = max(1, (1 << 22) // (n * n))
-    for a0 in range(0, n, chunk):
-        rows = table[a0 : a0 + chunk]
-        left = table[table[a0 : a0 + chunk], :]  # (a*b)*c
-        right = rows[:, table]  # a*(b*c)
-        bad = left != right
-        if bad.any():
-            i, b, c = map(int, np.argwhere(bad)[0])
-            raise NotAssociative(a0 + i, b, c)
+    inside = np.zeros(n, dtype=bool)
+    order = np.empty(n, dtype=np.int64)  # members in the order they were reached
+    size = 0
+    levels: List[Tuple[int, List[Derivation]]] = []
+    while size < n:
+        g = int(np.argmin(inside))
+        inside[g] = True
+        order[size] = g
+        size += 1
+        batches: List[Derivation] = []
+        i = size - 1
+        while i < size:  # every pair of members meets when the later one is reached
+            known = order[: i + 1]
+            reached = np.full_like(known, order[i])
+            for a, b in ((reached, known), (known, reached)):
+                products = table[a, b]
+                fresh = np.flatnonzero(~inside[products])
+                if fresh.size:
+                    xs, first = np.unique(products[fresh], return_index=True)
+                    inside[xs] = True
+                    order[size : size + xs.size] = xs
+                    size += xs.size
+                    batches.append((xs, a[fresh[first]], b[fresh[first]]))
+            i += 1
+        levels.append((g, batches))
+    return levels
+
+
+def _check_associativity(table: np.ndarray) -> None:
+    """Light's test: (x*y)*z = x*(y*z) for all x, z and every generator y.
+
+    The y that pass for all x, z are closed under the product, so passing on
+    a generating set means the whole table is associative.
+    """
+    n = table.shape[0]
+    chunk = max(1, (1 << 22) // n)
+    for y, _ in _generator_levels(table):
+        for x0 in range(0, n, chunk):
+            rows = table[x0 : x0 + chunk]
+            bad = table[rows[:, y], :] != rows[:, table[y]]  # [x, z]
+            if bad.any():
+                i, z = map(int, np.argwhere(bad)[0])
+                raise NotAssociative(x0 + i, y, z)
 
 
 def _find_identity(table: np.ndarray) -> int:
@@ -261,15 +305,14 @@ def quotient_by_normal(G: FiniteGroup, normal: Iterable[int]):
     members = _require_subgroup(G, list(normal))
     inside = np.zeros(G.n, dtype=bool)
     inside[members] = True
-    for g in range(G.n):
-        conj = G.table[G.table[g, members], G.inverse[g]]
-        bad = ~inside[conj]
-        if bad.any():
-            raise NotNormal(g, int(members[np.argwhere(bad)[0][0]]))
+    conj = G.table[G.table[:, members], G.inverse[:, None]]  # [g, j] = g*m_j*g^-1
+    bad = ~inside[conj]
+    if bad.any():
+        g, j = map(int, np.argwhere(bad)[0])
+        raise NotNormal(g, int(members[j]))
     labels = G.table[:, members].min(axis=1)
     reps = np.unique(labels)
-    rep_index = {int(r): i for i, r in enumerate(reps)}
-    projection = np.array([rep_index[int(labels[a])] for a in range(G.n)], dtype=np.int64)
+    projection = np.searchsorted(reps, labels)
     qtable = projection[G.table[np.ix_(reps, reps)]]
     quotient = FiniteGroup(qtable, name=f"{G.name}/N{len(members)}")
     projection.setflags(write=False)

@@ -1,17 +1,22 @@
 """Quandle morphism enumeration and group structure of map sets.
 
-The backtracking engine enumerates bijections f with f(x *1 y) =
-f(x) *2 f(y) between two tables; automorphisms are the case t1 = t2 = op,
-antiautomorphisms the case t2 = op transposed.  Assignments propagate
-eagerly: the moment both arguments of a table cell have images, the cell's
-image is forced, so most of the map is determined by a few choices.
+One engine, ``groupmaps._table_isos``, enumerates the bijections f with
+f(x *1 y) = f(x) *2 f(y) between two tables; automorphisms are the case
+t1 = t2 = op, antiautomorphisms the case t2 = op transposed.  It branches
+only on the images of t1's greedy generators, filtered by a per-point
+profile every isomorphism preserves, and derives the rest of each map
+through the target table, a whole level of partial maps at a time.  Its
+first-hit mode walks the same levels depth first, so ``find_table_iso``
+returns the lexicographically least isomorphism without enumerating the
+rest.  Each enumeration is cached once per quandle as a sorted compact
+stack together with its read-only ``QuandleMap`` objects.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .groupmaps import (
     _keys,
     _point_maps,
     _stack_of,
+    _table_isos,
     _unique_rows,
     closure_of_point_maps,
     preserves_table,
@@ -80,108 +86,32 @@ def is_quandle_anti(Q: Quandle, pm: PointMap) -> bool:
     return reverses_table(Q.op, pm.images)
 
 
-# --- backtracking engine over table isomorphisms ---
-
-
-def _search_table_isos(
-    t1: np.ndarray, t2: np.ndarray, first_only: bool = False
-) -> List[Tuple[int, ...]]:
-    """All bijections f with f(t1[x,y]) = t2[f(x),f(y)], as sorted tuples.
-
-    Branching picks the unassigned point with the most constraints whose
-    value is already determined; with ``first_only`` it picks the least
-    unassigned index and explores candidates ascending, so the first hit is
-    the lexicographically least solution.
-    """
-    n = int(t1.shape[0])
-    part = np.full(n, -1, dtype=np.int64)  # source -> target
-    taken = np.full(n, -1, dtype=np.int64)  # target -> source
-    assigned: List[int] = []
-    solutions: List[Tuple[int, ...]] = []
-
-    def try_assign(x: int, w: int) -> Optional[List[int]]:
-        """Force (x -> w) and all consequences; returns the undo list or None."""
-        added: List[int] = []
-        queue = [(x, w)]
-        ok = True
-        while queue:
-            a, b = queue.pop()
-            if part[a] != -1:
-                if part[a] != int(b):
-                    ok = False
-                    break
-                continue
-            if taken[b] != -1:
-                ok = False
-                break
-            part[a] = b
-            taken[b] = a
-            assigned.append(a)
-            added.append(a)
-            for v in assigned:
-                pv = part[v]
-                queue.append((int(t1[a, v]), int(t2[b, pv])))
-                queue.append((int(t1[v, a]), int(t2[pv, b])))
-        if ok:
-            return added
-        undo(added)
-        return None
-
-    def undo(added: List[int]) -> None:
-        for a in reversed(added):
-            taken[part[a]] = -1
-            part[a] = -1
-            assigned.pop()
-
-    def pick_branch_point() -> int:
-        free = np.nonzero(part == -1)[0]
-        if first_only:
-            return int(free[0])
-        known = part != -1
-        score = known[t1[free][:, known]].sum(axis=1) + known[t1[known][:, free]].sum(axis=0)
-        return int(free[int(np.argmax(score))])
-
-    def descend() -> bool:
-        if len(assigned) == n:
-            solutions.append(tuple(int(v) for v in part))
-            return first_only
-        x = pick_branch_point()
-        for w in range(n):
-            if taken[w] != -1:
-                continue
-            added = try_assign(x, w)
-            if added is not None:
-                done = descend()
-                undo(added)
-                if done:
-                    return True
-        return False
-
-    descend()
-    stack = np.array(sorted(solutions), dtype=np.int64).reshape(len(solutions), n)
-    lhs = stack[:, t1]
-    rhs = t2[stack[:, :, None], stack[:, None, :]]
-    if not (lhs == rhs).all():
-        raise AssertionError("search produced a non-morphism; engine bug")
-    return [tuple(map(int, row)) for row in stack]
+# --- enumeration through the table isomorphism engine ---
 
 
 def find_table_iso(t1: np.ndarray, t2: np.ndarray) -> Optional[np.ndarray]:
     """Lexicographically least table isomorphism, or None."""
     if t1.shape != t2.shape:
         return None
-    hits = _search_table_isos(np.asarray(t1), np.asarray(t2), first_only=True)
-    return np.array(hits[0], dtype=np.int64) if hits else None
+    hits = _table_isos(np.asarray(t1), np.asarray(t2), first_only=True)
+    return hits[0].astype(np.int64) if len(hits) else None
 
 
 def _is_trivial_table(op: np.ndarray) -> bool:
     return bool((op == np.arange(op.shape[0])[:, None]).all())
 
 
-_ENUM_CACHE: Dict[Tuple[Quandle, str], Tuple[Tuple[int, ...], ...]] = {}
+class _Enumerated(NamedTuple):
+    """Aut(Q) or the antiautomorphisms of Q: the sorted stack and its maps."""
+
+    stack: np.ndarray
+    maps: Tuple[QuandleMap, ...]
 
 
-def _enumerate(Q: Quandle, kind: str) -> Tuple[Tuple[int, ...], ...]:
+_ENUM_CACHE: Dict[Tuple[Quandle, str], _Enumerated] = {}
+
+
+def _enumerate(Q: Quandle, kind: str) -> _Enumerated:
     key = (Q, kind)
     if key not in _ENUM_CACHE:
         if Q.n > config.MAX_QUANDLE_ENUM_ORDER:
@@ -193,7 +123,10 @@ def _enumerate(Q: Quandle, kind: str) -> Tuple[Tuple[int, ...], ...]:
             target = Q.op
         else:
             target = np.ascontiguousarray(Q.op.T)
-        _ENUM_CACHE[key] = tuple(_search_table_isos(Q.op, target))
+        stack = _table_isos(Q.op, target)
+        stack.setflags(write=False)
+        maps = tuple(QuandleMap(pm, kind, Q) for pm in _point_maps(stack))
+        _ENUM_CACHE[key] = _Enumerated(stack, maps)
     return _ENUM_CACHE[key]
 
 
@@ -201,15 +134,14 @@ def enumerate_quandle_auts(Q: Quandle, oracle: bool = False) -> List[QuandleMap]
     """Complete Aut(Q), lexicographically sorted."""
     if oracle:
         return quandle_aut_oracle(Q)
-    return [QuandleMap(PointMap(r), "automorphism", Q) for r in _enumerate(Q, "automorphism")]
+    return list(_enumerate(Q, "automorphism").maps)
 
 
 def enumerate_quandle_antis(Q: Quandle, oracle: bool = False) -> List[QuandleMap]:
     """Complete set of antiautomorphisms of Q, lexicographically sorted."""
     if oracle:
         return quandle_anti_oracle(Q)
-    rows = _enumerate(Q, "antiautomorphism")
-    return [QuandleMap(PointMap(r), "antiautomorphism", Q) for r in rows]
+    return list(_enumerate(Q, "antiautomorphism").maps)
 
 
 def _oracle_rows(op: np.ndarray, reverse: bool) -> List[Tuple[int, ...]]:
@@ -372,7 +304,7 @@ def semidirect_verify(
 def inn_out_report(Q: Quandle) -> Tuple[int, int, int]:
     """(inn size, aut size, out index), with Inn normal in Aut verified."""
     inner = _stack_of(inn_group(Q))
-    auts = _stack_of(enumerate_quandle_auts(Q))
+    auts = _enumerate(Q, "automorphism").stack
     inn_keys = np.unique(_keys(inner))
     if not _in_sorted(inn_keys, np.unique(_keys(auts))).all():
         raise AssertionError("Inn(Q) escaped Aut(Q); engine bug")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quandlekit import (
     ConstructionSpecError,
     NoIdentity,
+    NoInverse,
     NotAssociative,
     NotNormal,
     NotSubgroup,
@@ -35,6 +36,42 @@ class TestValidation:
             group_from_table(table)
         a, b, c = exc.value.witness
         assert table[table[a, b], c] != table[a, table[b, c]]
+
+    def test_break_away_from_the_generators_is_caught_with_replayable_witness(self):
+        """Light's test only multiplies through generators; the break is elsewhere."""
+        table = cyclic(12).table.copy()
+        table[5][7] = 1  # 7 is not one of the greedy generators [0, 1] of Z12
+        with pytest.raises(NotAssociative) as exc:
+            group_from_table(table)
+        a, b, c = exc.value.witness
+        assert table[table[a, b], c] != table[a, table[b, c]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.sampled_from(["Z4", "Z6", "S3", "D4", "Q8", "Z2xZ2"]),
+        data=st.data(),
+    )
+    def test_generator_check_agrees_with_the_full_triple_scan(self, spec, data):
+        table = named_group(spec).table.copy()
+        n = table.shape[0]
+        a, b, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        table[a][b] = v
+        associative = all(
+            table[table[x, y], z] == table[x, table[y, z]]
+            for x in range(n)
+            for y in range(n)
+            for z in range(n)
+        )
+        try:
+            group_from_table(table)
+        except NotAssociative as exc:
+            x, y, z = exc.witness
+            assert table[table[x, y], z] != table[x, table[y, z]]
+            assert not associative
+        except (NoIdentity, NoInverse):
+            assert associative
+        else:
+            assert associative
 
     def test_out_of_range_entry(self):
         from quandlekit import NotClosed

@@ -1,7 +1,11 @@
 """Quandle maps: enumeration vs oracle, isomorphism search, inner structure."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit import (
     PointMap,
@@ -23,6 +27,7 @@ from quandlekit import (
     symmetric,
     trivial,
 )
+from quandlekit.groupmaps import _profiles
 from quandlekit.quandlemaps import _is_map_group
 
 # |Aut(R_n)| = n * phi(n): the affine maps x -> ax + b with a invertible.
@@ -71,6 +76,61 @@ class TestEnumerationAgainstOracle:
         assert len(enumerate_quandle_auts(trivial(4))) == 24
         assert enumerate_quandle_antis(trivial(4)) == []
         assert len(enumerate_quandle_antis(trivial(1))) == 1
+
+
+def _relabel(op, perm):
+    """The table with x renamed perm[x]: out[perm x, perm y] = perm[op[x, y]]."""
+    out = np.empty_like(op)
+    out[perm[:, None], perm[None, :]] = perm[op]
+    return out
+
+
+def _oracle_isos(t1, t2):
+    """Every bijection f with f(t1[a,b]) = t2[f a, f b], by scanning all n! maps."""
+    n = t1.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    keep = (perms[:, t1] == t2[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+    return sorted(tuple(map(int, row)) for row in perms[keep])
+
+
+class TestTableIsoEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_first_hit_is_the_least_oracle_isomorphism(self, quandle_corpus, data):
+        small = [Q for _, Q in quandle_corpus if Q.n <= 7]
+        Q = data.draw(st.sampled_from(small))
+        perm = np.array(data.draw(st.permutations(range(Q.n))), dtype=np.int64)
+        target = _relabel(Q.op, perm)
+        iso = find_table_iso(Q.op, target)
+        assert iso is not None
+        assert tuple(map(int, iso)) == _oracle_isos(Q.op, target)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_profiles_follow_the_relabelling(self, quandle_corpus, data):
+        Q = data.draw(st.sampled_from([Q for _, Q in quandle_corpus]))
+        perm = np.array(data.draw(st.permutations(range(Q.n))), dtype=np.int64)
+        assert np.array_equal(_profiles(_relabel(Q.op, perm))[perm], _profiles(Q.op))
+
+    def test_first_hit_stays_depth_first(self):
+        """Aut(T_12) has 12! members; only a depth-first walk returns at once."""
+        op = trivial(12).op
+        assert np.array_equal(find_table_iso(op, op), np.arange(12))
+
+    def test_enumerations_are_sorted_and_distinct(self, quandle_corpus):
+        for label, Q in quandle_corpus:
+            if Q.n > 7 and (Q.op == np.arange(Q.n)[:, None]).all():
+                continue  # Aut of a trivial quandle past the oracle order is refused
+            for maps in (enumerate_quandle_auts(Q), enumerate_quandle_antis(Q)):
+                rows = [m.map.as_tuple() for m in maps]
+                assert rows == sorted(set(rows)), label
+
+    def test_enumerated_stack_is_cached_and_read_only(self):
+        Q = dihedral_quandle(6)
+        first, second = enumerate_quandle_auts(Q), enumerate_quandle_auts(Q)
+        assert first is not second and first == second
+        assert all(a is b for a, b in zip(first, second))
+        assert all(not m.images.flags.writeable for m in first)
 
 
 class TestMembershipPredicates:
