@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--quandle", help="construction spec (see `quandle`)")
     pa.add_argument("--anti", action="store_true", help="enumerate antiautomorphisms")
     pa.add_argument(
-        "--oracle", action="store_true", help="force the n! oracle and cross-check the backtracker"
+        "--oracle", action="store_true", help="cross-check the enumeration against the n! oracle"
     )
     pa.add_argument("--limit", type=int, default=10, help="how many maps to print (default 10)")
     _add_group_source(pa, own_file=True)
@@ -257,24 +257,22 @@ def cmd_verify(args) -> int:
 def cmd_census(args) -> int:
     report = run_census()
     summary = report["summary"]
+    line = (
+        "census: {total} verdicts, {holds} hold, {failed} failed, "
+        "{vacuous} vacuous, {skipped} skipped".format(**summary)
+    )
     if args.format == "json":
         payload = json.dumps(report, indent=2)
     else:
-        lines = []
-        for check in report["checks"]:
-            if not check["holds"]:
-                lines.append(f"FAIL {check['theorem_id']} :: {check['inputs']}: {check['notes']}")
-        lines.append(
-            "census: {total} verdicts, {holds} hold, {failed} failed, "
-            "{vacuous} vacuous, {skipped} skipped".format(**summary)
-        )
-        payload = "\n".join(lines)
+        lines = [
+            f"FAIL {check['theorem_id']} :: {check['inputs']}: {check['notes']}"
+            for check in report["checks"]
+            if not check["holds"]
+        ]
+        payload = "\n".join(lines + [line])
     _emit(payload, args.output)
     if args.output:
-        print(
-            "census: {total} verdicts, {holds} hold, {failed} failed, "
-            "{vacuous} vacuous, {skipped} skipped".format(**summary)
-        )
+        print(line)
     return 0 if summary["failed"] == 0 else 1
 
 

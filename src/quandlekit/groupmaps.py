@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -215,11 +215,16 @@ def reverses_table(table: np.ndarray, images: np.ndarray) -> bool:
 
 def preserving_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Boolean mask over a (m, n) stack of image arrays satisfying the law."""
+    if not len(stack):
+        return np.zeros(0, dtype=bool)
     lhs = stack[:, table]
     rhs = table[stack[:, :, None], stack[:, None, :]]
     return (lhs == rhs).all(axis=(1, 2))
 
+
 def reversing_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    if not len(stack):
+        return np.zeros(0, dtype=bool)
     lhs = stack[:, table]
     rhs = table[stack[:, :, None], stack[:, None, :]].transpose(0, 2, 1)
     return (lhs == rhs).all(axis=(1, 2))
@@ -258,11 +263,15 @@ def _table_isos(t1: np.ndarray, t2: np.ndarray, first_only: bool = False) -> np.
     kept in parent order, candidates ascending, come out sorted.  With
     ``first_only`` the levels are walked depth first, one parent at a time,
     and the first leaf (the lexicographically least map) is the answer.
+    An isomorphism carries each point's profile to its image's, so tables
+    whose profile rows differ as multisets have none, and no search runs.
     """
     n = int(t1.shape[0])
     dtype = _image_dtype(n)
     t2 = np.asarray(t2).astype(dtype)
     prof1, prof2 = _profiles(t1), _profiles(t2)
+    if not np.array_equal(prof1[np.lexsort(prof1.T)], prof2[np.lexsort(prof2.T)]):
+        return np.empty((0, n), dtype=dtype)
     block = max(1, (1 << 22) // max(1, n * n))  # rows per block, as in _check_q3
     steps = []  # per level: g, its candidates, derivations, S_{i-1}, new points, S_i
     seen = np.empty(0, dtype=np.int64)
@@ -355,16 +364,12 @@ class _AutEntry(NamedTuple):
     aaut_maps: Tuple[ClassifiedMap, ...]
 
 
-_AUT_CACHE: Dict[FiniteGroup, _AutEntry] = {}
-
-
 def _aut_entry(G: FiniteGroup) -> _AutEntry:
-    if G not in _AUT_CACHE:
-        aut = _aut_stack(G)
-        aut.setflags(write=False)
-        aut_maps = _classified(G, aut, [AUTOMORPHISM] * len(aut))
-        _AUT_CACHE[G] = _AutEntry(aut, aut_maps, *_aaut_of(G, aut))
-    return _AUT_CACHE[G]
+    """Enumerate Aut(G) and AAut(G); the group keeps the result as ``G._maps``."""
+    aut = _aut_stack(G)
+    aut.setflags(write=False)
+    aut_maps = _classified(G, aut, [AUTOMORPHISM] * len(aut))
+    return _AutEntry(aut, aut_maps, *_aaut_of(G, aut))
 
 
 def _classified(
@@ -406,12 +411,12 @@ def enumerate_aut(G: FiniteGroup, oracle: bool = False) -> List[ClassifiedMap]:
     """Complete Aut(G), lexicographically sorted by images."""
     if oracle:
         return aut_oracle(G)
-    return list(_aut_entry(G).aut_maps)
+    return list(G._maps.aut_maps)
 
 
 def enumerate_aaut(G: FiniteGroup) -> List[ClassifiedMap]:
     """Complete AAut(G) = {phi o inversion | phi in Aut(G)}, sorted, verified."""
-    return list(_aut_entry(G).aaut_maps)
+    return list(G._maps.aaut_maps)
 
 
 # --- closure of map sets ---
@@ -481,7 +486,7 @@ def inner_auts(G: FiniteGroup) -> List[ClassifiedMap]:
 
 def out_coset_reps(G: FiniteGroup) -> List[ClassifiedMap]:
     """One representative per coset of Inn(G) in Aut(G): the least member."""
-    entry = _aut_entry(G)
+    entry = G._maps
     inner = _inner_stack(G)
     # [i, j] = inner_i o aut_j; aut_j leads its coset when no member sorts before it.
     coset = _keys(inner[:, entry.aut].reshape(-1, G.n)).reshape(len(inner), len(entry.aut))
@@ -496,11 +501,11 @@ def _centralizer(stack: np.ndarray, maps: List[ClassifiedMap], base: np.ndarray)
 
 
 def centralizer_in_aut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _centralizer(_aut_entry(G).aut, enumerate_aut(G), phi.images)
+    return _centralizer(G._maps.aut, enumerate_aut(G), phi.images)
 
 
 def centralizer_in_aaut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _centralizer(_aut_entry(G).aaut, enumerate_aaut(G), phi.images)
+    return _centralizer(G._maps.aaut, enumerate_aaut(G), phi.images)
 
 
 def is_central_automorphism(G: FiniteGroup, theta: ClassifiedMap) -> bool:

@@ -230,6 +230,13 @@ class FiniteGroup:
     def is_cyclic(self) -> bool:
         return bool((self.element_orders == self.n).any())
 
+    @cached_property
+    def _maps(self):
+        """Aut(G) and AAut(G) as sorted stacks and maps, enumerated on first use."""
+        from .groupmaps import _aut_entry
+
+        return _aut_entry(self)
+
     def center(self) -> "Subset":
         members = np.nonzero((self.table == self.table.T).all(axis=1))[0]
         return Subset(self, tuple(int(z) for z in members))

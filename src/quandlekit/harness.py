@@ -15,7 +15,9 @@ conditions are tested as "every cube is trivial" so that degenerate inputs
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +67,7 @@ from .groupmaps import (
 from .groups import FiniteGroup, named_group
 from .quandles import inn_group
 from .quandlemaps import (
+    SemidirectReport,
     closure_of_point_maps,
     enumerate_quandle_antis,
     enumerate_quandle_auts,
@@ -104,30 +107,12 @@ CATALOG_SPECS = (
 
 M_RANGE = tuple(range(-2, 4))
 
-CHECK_IDS = (
-    "conj-semidirect",
-    "conj-out",
-    "conj-aaut",
-    "conj-no-anti",
-    "alex",
-    "alex-semidirect",
-    "f-structure",
-    "core",
-    "core-corollaries",
-    "dihedral-no-anti",
-    "core-semidirect",
-    "core-abelian-aut",
-    "q-family",
-    "p-family-aut",
-    "p-family-anti",
-)
-
 
 def default_catalog() -> List[FiniteGroup]:
     return [named_group(spec) for spec in CATALOG_SPECS]
 
 
-# --- small helpers ---
+# --- the claim vocabulary ---
 
 
 def _center_mask(G: FiniteGroup) -> np.ndarray:
@@ -158,12 +143,43 @@ def _claim(
     )
 
 
-def _first_failure(mask: np.ndarray, stack: np.ndarray, expect: bool = True) -> Optional[dict]:
-    bad = np.nonzero(mask != expect)[0]
+def _first_failure(mask: np.ndarray, stack: np.ndarray) -> Optional[dict]:
+    """The first row of the stack whose mask entry is False, or None."""
+    bad = np.flatnonzero(~mask)
     if bad.size == 0:
         return None
     i = int(bad[0])
     return {"index": i, "images": [int(v) for v in stack[i]]}
+
+
+def _members(
+    theorem_id: str, inputs: str, table: np.ndarray, stack: np.ndarray, notes: str,
+    vacuous: bool = False,
+) -> Verdict:
+    """Every row of the stack preserves the table; fails on the first row that does not."""
+    mask = preserving_mask(table, stack)
+    return _claim(theorem_id, inputs, bool(mask.all()), counterexample=_first_failure(mask, stack),
+                  notes=notes, vacuous=vacuous)
+
+
+def _forward(
+    theorem_id: str, inputs: str, mask: np.ndarray, stack: np.ndarray, rhs: bool, notes: str,
+    vacuous: bool = False,
+) -> Verdict:
+    """Some row is in the mask => rhs; fails on the first such row."""
+    return make_implies(theorem_id, inputs, lhs=bool(mask.any()), rhs=rhs, vacuous=vacuous,
+                        counterexample=_first_failure(~mask, stack), notes=notes)
+
+
+def _emptiness(
+    theorem_id: str, inputs: str, found: np.ndarray, notes: str, partial: bool = False
+) -> Verdict:
+    """No map of the claimed kind exists; fails on the first row of ``found``."""
+    empty = not len(found)
+    return Verdict(
+        theorem_id, inputs, "emptiness", holds=empty, lhs=empty, rhs=True, partial=partial,
+        counterexample=None if empty else {"images": [int(v) for v in found[0]]}, notes=notes,
+    )
 
 
 def _per_map_iff(
@@ -188,6 +204,14 @@ def _per_map_iff(
     )
 
 
+def _semidirect(theorem_id: str, inputs: str, report: SemidirectReport) -> Verdict:
+    return _claim(
+        theorem_id, inputs, report.verdict, counterexample=report.failing_clause,
+        notes=f"closure {report.closure_size} = {report.normal_part_size} x "
+        f"{report.complement_size} ({report.mode})",
+    )
+
+
 def _cubes_trivial(G: FiniteGroup, members: Sequence[int]) -> bool:
     return all(G.power(x, 3) == G.identity for x in members)
 
@@ -203,22 +227,11 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
     Q = conj_m(G, m)
     H = build_H(G)
     auts = enumerate_aut(G)
-    hstack, astack = _stack(H), _stack(auts)
     parts = [
-        _claim(
-            f"{tid}/H-members",
-            inputs,
-            bool(preserving_mask(Q.op, hstack).all()),
-            counterexample=_first_failure(preserving_mask(Q.op, hstack), hstack),
-            notes="every central translation t_a is an automorphism of Conj_m(G)",
-        ),
-        _claim(
-            f"{tid}/aut-members",
-            inputs,
-            bool(preserving_mask(Q.op, astack).all()),
-            counterexample=_first_failure(preserving_mask(Q.op, astack), astack),
-            notes="every group automorphism is an automorphism of Conj_m(G)",
-        ),
+        _members(f"{tid}/H-members", inputs, Q.op, _stack(H),
+                 "every central translation t_a is an automorphism of Conj_m(G)"),
+        _members(f"{tid}/aut-members", inputs, Q.op, _stack(auts),
+                 "every group automorphism is an automorphism of Conj_m(G)"),
     ]
     centre = np.asarray(list(G.center()), dtype=np.int64)
     conj_ok = True
@@ -242,16 +255,7 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
         )
     )
     report = semidirect_verify(H, [cm.map for cm in auts], Q)
-    parts.append(
-        _claim(
-            f"{tid}/semidirect",
-            inputs,
-            report.verdict,
-            counterexample=report.failing_clause,
-            notes=f"closure {report.closure_size} = {report.normal_part_size} x "
-            f"{report.complement_size} ({report.mode})",
-        )
-    )
+    parts.append(_semidirect(f"{tid}/semidirect", inputs, report))
     return combine(tid, inputs, "subgroup-embedding", parts)
 
 
@@ -298,15 +302,14 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
     inn_size, aut_size, out_index = inn_out_report(Q)
     inn = _stack(inn_group(Q))
     products = _stack(H)[:, _stack(reps)].reshape(-1, G.n)  # t_a o rep, a-major
-    member_ok = bool(preserving_mask(Q.op, products).all())
     # A product's coset tag is the least s o p over s in Inn(Q), as a rank
     # among all the s o p keys; distinct cosets have distinct tags.
     _, rank = np.unique(_keys(inn[:, products].reshape(-1, G.n)), return_inverse=True)
     tags = rank.reshape(len(inn), len(products)).min(axis=0)
     injective = len(np.unique(tags)) == len(products)
     parts = [
-        _claim(f"{tid}/members", inputs, bool(member_ok),
-               notes="every t_a o rep is an automorphism of Conj(G)"),
+        _members(f"{tid}/members", inputs, Q.op, products,
+                 "every t_a o rep is an automorphism of Conj(G)"),
         _claim(f"{tid}/coset-injective", inputs, injective,
                notes=f"{len(products)} products land in distinct Inn(Conj(G))-cosets"),
         _claim(f"{tid}/lagrange", inputs, out_index % expected == 0 if expected else False,
@@ -343,45 +346,28 @@ def check_conj_aaut_intersection(G: FiniteGroup, m: int) -> Verdict:
 
 
 def check_conj_no_anti(G: FiniteGroup, m: int) -> Verdict:
-    """Conj_m(G) admits no antiautomorphism at all (|G| >= 2)."""
+    """Conj_m(G) admits no antiautomorphism at all (|G| >= 2).
+
+    Above the enumeration cap only the AAut(G)-induced maps are scanned, and
+    the verdict is marked partial.
+    """
     tid = "conj-no-anti"
     inputs = f"{G.name}, m={m}"
     if G.n < 2:
         return make_skipped(tid, inputs, "emptiness", "stated for |G| >= 2 only")
     Q = conj_m(G, m)
     if G.n <= config.MAX_ORACLE_ORDER:
-        antis = quandle_anti_oracle(Q)
-        mode = "oracle over all n! bijections"
-    elif G.n <= config.MAX_QUANDLE_ENUM_ORDER:
-        antis = enumerate_quandle_antis(Q)
-        mode = "complete backtracking enumeration"
-    else:
-        stack = _stack(enumerate_aaut(G))
-        hits = reversing_mask(Q.op, stack)
-        found = _first_failure(~hits, stack)
-        return Verdict(
-            tid,
-            inputs,
-            "emptiness",
-            holds=not bool(hits.any()),
-            lhs=not bool(hits.any()),
-            rhs=True,
-            counterexample=found if hits.any() else None,
-            notes="restricted scan over AAut(G)-induced maps only; the full "
-            "bijection claim is not verified at this order",
-        )
-    ce = None
-    if antis:
-        ce = {"images": [int(v) for v in antis[0].images]}
-    return Verdict(
-        tid,
-        inputs,
-        "emptiness",
-        holds=not antis,
-        lhs=not antis,
-        rhs=True,
-        counterexample=ce,
-        notes=mode,
+        return _emptiness(tid, inputs, _stack(quandle_anti_oracle(Q)),
+                          "oracle over all n! bijections")
+    if G.n <= config.MAX_QUANDLE_ENUM_ORDER:
+        return _emptiness(tid, inputs, _stack(enumerate_quandle_antis(Q)),
+                          "complete backtracking enumeration")
+    stack = _stack(enumerate_aaut(G))
+    return _emptiness(
+        tid, inputs, stack[reversing_mask(Q.op, stack)],
+        "restricted scan over AAut(G)-induced maps only; the full "
+        "bijection claim is not verified at this order",
+        partial=True,
     )
 
 
@@ -393,39 +379,29 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     tid = "alex"
     inputs = f"{G.name}, phi={_map_label(phi)}"
     Q = alex(G, phi)
-    caaut = centralizer_in_aaut(G, phi)
-    caut = centralizer_in_aut(G, phi)
-    aa_stack = _stack(caaut)
-    a_stack = _stack(caut)
-    phi_central = is_central_automorphism(G, phi)
-    auto_mask = preserving_mask(Q.op, aa_stack) if caaut else np.empty(0, dtype=bool)
-    anti_mask = reversing_mask(Q.op, aa_stack) if caaut else np.empty(0, dtype=bool)
+    aa_stack = _stack(centralizer_in_aaut(G, phi))
+    a_stack = _stack(centralizer_in_aut(G, phi))
     parts = [
         _per_map_iff(
             f"{tid}/aaut-induces-auto-iff-central",
             inputs,
-            auto_mask,
-            phi_central,
+            preserving_mask(Q.op, aa_stack),
+            is_central_automorphism(G, phi),
             notes="psi in C_AAut(phi) is an automorphism of Alex(G,phi) iff phi is central",
         ),
-        make_implies(
-            f"{tid}/aaut-induces-anti-implies-abelian",
-            inputs,
-            lhs=bool(anti_mask.any()),
-            rhs=G.is_abelian,
-            vacuous=not caaut,
-            counterexample=_first_failure(~anti_mask, aa_stack) if (anti_mask.any() and not G.is_abelian) else None,
-            notes="forward direction of the printed equivalence; the reverse "
+        _forward(
+            f"{tid}/aaut-induces-anti-implies-abelian", inputs,
+            reversing_mask(Q.op, aa_stack), aa_stack, G.is_abelian,
+            "forward direction of the printed equivalence; the reverse "
             "fails on small abelian groups where Alex has no antiautomorphisms",
+            vacuous=not len(aa_stack),
         ),
-        make_implies(
-            f"{tid}/aut-anti-intersection-implies-abelian",
-            inputs,
-            lhs=bool(reversing_mask(Q.op, a_stack).any()) if caut else False,
-            rhs=G.is_abelian,
-            vacuous=not caut,
-            notes="C_Aut(phi) members acting as antiautomorphisms of Alex "
+        _forward(
+            f"{tid}/aut-anti-intersection-implies-abelian", inputs,
+            reversing_mask(Q.op, a_stack), a_stack, G.is_abelian,
+            "C_Aut(phi) members acting as antiautomorphisms of Alex "
             "exist only over abelian groups (forward direction)",
+            vacuous=not len(a_stack),
         ),
     ]
     return combine(tid, inputs, "iff", parts)
@@ -438,72 +414,39 @@ def check_alex_semidirect(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     Q = alex(G, phi)
     right_translations = [PointMap(G.table[:, b]) for b in range(G.n)]  # f_{1,b}
     cent = [cm.map for cm in centralizer_in_aut(G, phi)]
-    rstack = _stack(right_translations)
-    cstack = _stack(cent)
-    report = semidirect_verify(right_translations, cent, Q)
     parts = [
-        _claim(
-            f"{tid}/gop-members",
-            inputs,
-            bool(preserving_mask(Q.op, rstack).all()),
-            counterexample=_first_failure(preserving_mask(Q.op, rstack), rstack),
-            notes="every right translation f_{1,b} is an automorphism of Alex(G,phi)",
-        ),
-        _claim(
-            f"{tid}/centralizer-members",
-            inputs,
-            bool(preserving_mask(Q.op, cstack).all()),
-            counterexample=_first_failure(preserving_mask(Q.op, cstack), cstack),
-            notes="every member of C_Aut(phi) is an automorphism of Alex(G,phi)",
-        ),
-        _claim(
-            f"{tid}/semidirect",
-            inputs,
-            report.verdict,
-            counterexample=report.failing_clause,
-            notes=f"closure {report.closure_size} = {report.normal_part_size} x "
-            f"{report.complement_size} ({report.mode})",
-        ),
+        _members(f"{tid}/gop-members", inputs, Q.op, _stack(right_translations),
+                 "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
+        _members(f"{tid}/centralizer-members", inputs, Q.op, _stack(cent),
+                 "every member of C_Aut(phi) is an automorphism of Alex(G,phi)"),
+        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(right_translations, cent, Q)),
     ]
     return combine(tid, inputs, "subgroup-embedding", parts)
 
 
-_F_CORE_CACHE: Dict[FiniteGroup, Tuple[bool, bool, int]] = {}
-_F_ISO_CACHE: Dict[FiniteGroup, Verdict] = {}
-
-
-def check_F_props(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
-    """F inside Aut(Core(G)), F' inside Aut(Alex(G, phi)), F = (GxG^op)/N."""
+def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict]:
+    """F inside Aut(Core(G)) and F = (GxG^op)/N, checked once for the group,
+    then F' inside Aut(Alex(G, phi)) for each phi: one verdict per phi."""
     tid = "f-structure"
-    inputs = f"{G.name}, phi={_map_label(phi)}"
-    if G not in _F_CORE_CACHE:
-        F = build_F(G)
-        Qc = core(G)
-        in_aut = bool(preserving_mask(Qc.op, _stack(F)).all())
-        size_ok = len(F) == G.n * G.n // len(G.center())
-        _F_CORE_CACHE[G] = (in_aut, size_ok, len(F))
-    in_aut, size_ok, f_size = _F_CORE_CACHE[G]
-    if G not in _F_ISO_CACHE:
-        _F_ISO_CACHE[G] = verify_F_iso(G)
-    Qa = alex(G, phi)
-    fprime = build_F_prime(G, phi)
-    fp_stack = _stack(fprime)
-    fp_mask = preserving_mask(Qa.op, fp_stack)
-    parts = [
-        _claim(f"{tid}/F-in-core-aut", inputs, in_aut,
-               notes=f"all {f_size} maps f_(a,b) preserve Core(G)"),
-        _claim(f"{tid}/F-size", inputs, size_ok, relationship="iff",
-               notes=f"|F| = {f_size} = |G|^2/|Z(G)|"),
-        _claim(
-            f"{tid}/Fprime-in-alex-aut",
-            inputs,
-            bool(fp_mask.all()),
-            counterexample=_first_failure(fp_mask, fp_stack),
-            notes=f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)",
-        ),
-        _F_ISO_CACHE[G],
-    ]
-    return combine(tid, inputs, "isomorphism", parts)
+    F = build_F(G)
+    in_core = _members(f"{tid}/F-in-core-aut", G.name, core(G).op, _stack(F),
+                       f"all {len(F)} maps f_(a,b) preserve Core(G)")
+    size = _claim(f"{tid}/F-size", G.name, len(F) == G.n * G.n // len(G.center()),
+                  relationship="iff", notes=f"|F| = {len(F)} = |G|^2/|Z(G)|")
+    iso = verify_F_iso(G)
+    out = []
+    for phi in phis:
+        inputs = f"{G.name}, phi={_map_label(phi)}"
+        fprime = build_F_prime(G, phi)
+        parts = [
+            replace(in_core, inputs=inputs),
+            replace(size, inputs=inputs),
+            _members(f"{tid}/Fprime-in-alex-aut", inputs, alex(G, phi).op, _stack(fprime),
+                     f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)"),
+            iso,
+        ]
+        out.append(combine(tid, inputs, "isomorphism", parts))
+    return out
 
 
 # --- Core checks ---
@@ -519,19 +462,13 @@ def check_core(G: FiniteGroup) -> Verdict:
     a_stack = _stack(enumerate_aut(G))
     rhs = G.exponent in (1, 3)
     exp_note = "exponent divides 3 (the proofs need x^3 = e pointwise)"
-    aa_auto = preserving_mask(Q.op, aa_stack)
-    aa_anti = reversing_mask(Q.op, aa_stack)
-    a_anti = reversing_mask(Q.op, a_stack)
     parts = [
-        _claim(
-            f"{tid}/aaut-induce-auto",
-            inputs,
-            bool(aa_auto.all()),
-            counterexample=_first_failure(aa_auto, aa_stack),
-            notes="every antiautomorphism of G is an automorphism of Core(G)",
-        ),
-        _per_map_iff(f"{tid}/aaut-anti-iff-exp3", inputs, aa_anti, rhs, notes=exp_note),
-        _per_map_iff(f"{tid}/aut-anti-iff-exp3", inputs, a_anti, rhs, notes=exp_note),
+        _members(f"{tid}/aaut-induce-auto", inputs, Q.op, aa_stack,
+                 "every antiautomorphism of G is an automorphism of Core(G)"),
+        _per_map_iff(f"{tid}/aaut-anti-iff-exp3", inputs, reversing_mask(Q.op, aa_stack), rhs,
+                     notes=exp_note),
+        _per_map_iff(f"{tid}/aut-anti-iff-exp3", inputs, reversing_mask(Q.op, a_stack), rhs,
+                     notes=exp_note),
     ]
     if rhs:
         union = _unique_rows(np.concatenate([aa_stack, a_stack]))
@@ -560,30 +497,23 @@ def check_core_corollaries(G: FiniteGroup) -> Verdict:
         np.concatenate([_stack(enumerate_aut(G)), _stack(enumerate_aaut(G))])
     )
     anti_mask = reversing_mask(Q.op, union)
-    anti_any = bool(anti_mask.any())
     parts = []
     if G.is_cyclic:
         parts.append(
             make_iff(
                 f"{tid}/cyclic",
                 inputs,
-                lhs=anti_any,
+                lhs=bool(anti_mask.any()),
                 rhs=G.n == 3,
-                counterexample=_first_failure(~anti_mask, union) if anti_any != (G.n == 3) else None,
+                counterexample=_first_failure(~anti_mask, union),
                 notes="checked as the proof states it (antiautomorphism "
                 "nonemptiness), not the printed Aut-intersection wording",
             )
         )
     if len(G.center()) == 1:
         parts.append(
-            _claim(
-                f"{tid}/centerless",
-                inputs,
-                not anti_any,
-                relationship="emptiness",
-                counterexample=_first_failure(~anti_mask, union),
-                notes="no induced map reverses Core(G) when Z(G) is trivial",
-            )
+            _emptiness(f"{tid}/centerless", inputs, union[anti_mask],
+                       "no induced map reverses Core(G) when Z(G) is trivial")
         )
     if not parts:
         return Verdict(
@@ -594,24 +524,22 @@ def check_core_corollaries(G: FiniteGroup) -> Verdict:
 
 
 def check_dihedral_no_anti(n: int) -> Verdict:
-    """R_n has no antiautomorphisms except n = 3, where they are the
-    six automorphisms."""
+    """R_n (n >= 3) has no antiautomorphisms except n = 3, where they are
+    the six automorphisms."""
     tid = "dihedral-no-anti"
     inputs = f"R{n}"
     Q = dihedral_quandle(n)
-    antis = enumerate_quandle_antis(Q)
+    if n < 3:
+        return make_skipped(tid, inputs, "emptiness", "stated for n >= 3 only")
+    antis = _stack(enumerate_quandle_antis(Q))
     if n == 3:
-        auts = enumerate_quandle_auts(Q)
-        ok = len(antis) == 6 and [m.map for m in antis] == [m.map for m in auts]
+        auts = _stack(enumerate_quandle_auts(Q))
         return _claim(
-            tid, inputs, ok, relationship="iff",
+            tid, inputs, len(antis) == 6 and np.array_equal(antis, auts), relationship="iff",
             notes=f"anti set equals the {len(auts)} automorphisms",
         )
-    ce = {"images": [int(v) for v in antis[0].images]} if antis else None
-    return Verdict(
-        tid, inputs, "emptiness", holds=not antis, lhs=not antis, rhs=True,
-        counterexample=ce, notes=f"complete enumeration found {len(antis)} antiautomorphisms",
-    )
+    return _emptiness(tid, inputs, antis,
+                      f"complete enumeration found {len(antis)} antiautomorphisms")
 
 
 def check_core_semidirect(G: FiniteGroup) -> Verdict:
@@ -653,10 +581,10 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
     intersection_trivial = bool((rkeys[_in_sorted(rkeys, f_keys)] == identity_key).all())
 
     parts = [
-        _claim(f"{tid}/F-members", inputs, bool(preserving_mask(Q.op, fstack).all()),
-               notes=f"all {len(F)} maps in F preserve Core(G)"),
-        _claim(f"{tid}/rep-members", inputs, bool(preserving_mask(Q.op, rstack).all()),
-               notes=f"all {len(reps)} Out(G) representatives preserve Core(G)"),
+        _members(f"{tid}/F-members", inputs, Q.op, fstack,
+                 f"all {len(F)} maps in F preserve Core(G)"),
+        _members(f"{tid}/rep-members", inputs, Q.op, rstack,
+                 f"all {len(reps)} Out(G) representatives preserve Core(G)"),
         _claim(f"{tid}/conjugation-identity", inputs, conj_ok, counterexample=conj_bad,
                notes="phi^-1 f_(a,b) phi = f_(phi^-1 a, phi^-1 b) for every automorphism"),
         _claim(f"{tid}/inner-in-F", inputs, inner_in_F,
@@ -742,14 +670,8 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
         Q = ctor(G, base)
     except (WrongMapKind, CompatibilityFail) as exc:
         return make_skipped(tid, inputs, "iff", f"construction rejected: {exc}")
-    caut = centralizer_in_aut(G, base)
-    caaut = centralizer_in_aaut(G, base)
-    a_stack = _stack(caut)
-    aa_stack = _stack(caaut)
-    a_auto = preserving_mask(Q.op, a_stack) if caut else np.empty(0, dtype=bool)
-    a_anti = reversing_mask(Q.op, a_stack) if caut else np.empty(0, dtype=bool)
-    aa_auto = preserving_mask(Q.op, aa_stack) if caaut else np.empty(0, dtype=bool)
-    aa_anti = reversing_mask(Q.op, aa_stack) if caaut else np.empty(0, dtype=bool)
+    a_stack = _stack(centralizer_in_aut(G, base))
+    aa_stack = _stack(centralizer_in_aaut(G, base))
     if i <= 2:
         anti_rhs = G.is_abelian
         anti_note = "an induced antiautomorphism forces G abelian (forward direction)"
@@ -763,36 +685,16 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
         )
     pred, pred_note = _qi_auto_predicate(G, i, base)
     parts = [
-        _claim(
-            f"{tid}/centralizer-in-aut",
-            inputs,
-            bool(a_auto.all()),
-            counterexample=_first_failure(a_auto, a_stack),
-            vacuous=not caut,
-            notes="every member of C_Aut(base) is an automorphism of Q_i",
-        ),
-        make_implies(
-            f"{tid}/aut-anti-implication",
-            inputs,
-            lhs=bool(a_anti.any()),
-            rhs=anti_rhs,
-            vacuous=not caut,
-            counterexample=_first_failure(~a_anti, a_stack) if (a_anti.any() and not anti_rhs) else None,
-            notes=anti_note,
-        ),
-        make_implies(
-            f"{tid}/aaut-anti-implication",
-            inputs,
-            lhs=bool(aa_anti.any()),
-            rhs=anti_rhs,
-            vacuous=not caaut,
-            counterexample=_first_failure(~aa_anti, aa_stack) if (aa_anti.any() and not anti_rhs) else None,
-            notes=anti_note,
-        ),
+        _members(f"{tid}/centralizer-in-aut", inputs, Q.op, a_stack,
+                 "every member of C_Aut(base) is an automorphism of Q_i", vacuous=not len(a_stack)),
+        _forward(f"{tid}/aut-anti-implication", inputs, reversing_mask(Q.op, a_stack), a_stack,
+                 anti_rhs, anti_note, vacuous=not len(a_stack)),
+        _forward(f"{tid}/aaut-anti-implication", inputs, reversing_mask(Q.op, aa_stack), aa_stack,
+                 anti_rhs, anti_note, vacuous=not len(aa_stack)),
         _per_map_iff(
             f"{tid}/aaut-auto-iff",
             inputs,
-            aa_auto,
+            preserving_mask(Q.op, aa_stack),
             pred,
             notes=f"psi in C_AAut(base) induces an automorphism iff {pred_note}",
         ),
@@ -835,10 +737,9 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
     tid = "p-family-anti"
     inputs = f"{G.name}, c={c}"
     idx = np.arange(G.n)
-    auts = [cm for cm in enumerate_aut(G) if cm.images[c] == c]
-    aauts = [cm for cm in enumerate_aaut(G) if cm.images[c] == c]
-    a_stack = _stack(auts)
-    aa_stack = _stack(aauts)
+    a_stack, aa_stack = (
+        s[s[:, c] == c] for s in (_stack(enumerate_aut(G)), _stack(enumerate_aaut(G)))
+    )  # the maps fixing c
     cinv = G.inverse[c]
     comm = G.table[G.table[G.inverse, G.inverse[cinv]], G.table[idx, cinv]]  # [x, c^-1]
     rhs1 = bool((comm == idx).all())
@@ -846,33 +747,98 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
     parts = []
     for i, ctor in enumerate((p1, p2, p3, p4), start=1):
         Q = ctor(G, c)
-        anti_mask = reversing_mask(Q.op, a_stack) if auts else np.empty(0, dtype=bool)
         parts.append(
             _per_map_iff(
                 f"{tid}/P{i}-fixing-aut-anti-iff",
                 inputs,
-                anti_mask,
+                reversing_mask(Q.op, a_stack),
                 rhs1,
                 notes="phi with phi(c) = c reverses P_i iff x = [x, c^-1] for all x",
             )
         )
-        auto_mask = preserving_mask(Q.op, aa_stack) if aauts else np.empty(0, dtype=bool)
         parts.append(
-            make_implies(
-                f"{tid}/P{i}-fixing-aaut-auto-implication",
-                inputs,
-                lhs=bool(auto_mask.any()),
-                rhs=rhs2,
-                vacuous=not aauts,
-                counterexample=_first_failure(~auto_mask, aa_stack) if (auto_mask.any() and not rhs2) else None,
-                notes="psi with psi(c) = c preserving P_i forces c^2 central "
+            _forward(
+                f"{tid}/P{i}-fixing-aaut-auto-implication", inputs,
+                preserving_mask(Q.op, aa_stack), aa_stack, rhs2,
+                "psi with psi(c) = c preserving P_i forces c^2 central "
                 "(forward direction; the reverse fails e.g. on S3 with a transposition)",
+                vacuous=not len(aa_stack),
             )
         )
     return combine(tid, inputs, "iff", parts)
 
 
 # --- dispatch and census ---
+
+
+def _pick(pool: Sequence, index: Optional[int], what: str) -> list:
+    """The whole pool, or its one member at ``index``; an index out of range is a spec error."""
+    if index is None:
+        return list(pool)
+    if not 0 <= index < len(pool):
+        raise ConstructionSpecError(f"{what} {index} is out of range 0..{len(pool) - 1}")
+    return [pool[index]]
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The parameters of one ``run_check`` call; each one left unset sweeps its range."""
+
+    theorem_id: str
+    group: Optional[FiniteGroup]
+    m: Optional[int]
+    n: Optional[int]
+    c: Optional[int]
+    phi_index: Optional[int]
+    psi_index: Optional[int]
+
+    @property
+    def G(self) -> FiniteGroup:
+        if self.group is None:
+            raise ConstructionSpecError(f"{self.theorem_id} needs a group")
+        return self.group
+
+    @property
+    def ms(self) -> List[int]:
+        return [self.m] if self.m is not None else list(M_RANGE)
+
+    @property
+    def ns(self) -> List[int]:
+        return [self.n] if self.n is not None else list(range(3, 11))
+
+    @property
+    def cs(self) -> List[int]:
+        return _pick(range(self.G.n), self.c, "c (an element of G)")
+
+    def phis(self) -> List[ClassifiedMap]:
+        return _pick(enumerate_aut(self.G), self.phi_index, "phi index into Aut(G)")
+
+    def psis(self) -> List[ClassifiedMap]:
+        return _pick(enumerate_aaut(self.G), self.psi_index, "psi index into AAut(G)")
+
+
+# Check id -> its sweep, read-only.  The order is the census order; only
+# dihedral-no-anti reads no group.
+_SWEEPS: Mapping[str, Callable[[_Sweep], List[Verdict]]] = MappingProxyType({
+    "conj-semidirect": lambda s: [check_conj_semidirect(s.G, m) for m in s.ms],
+    "conj-out": lambda s: [check_conj_out(s.G)],
+    "conj-aaut": lambda s: [check_conj_aaut_intersection(s.G, m) for m in s.ms],
+    "conj-no-anti": lambda s: [check_conj_no_anti(s.G, m) for m in s.ms],
+    "alex": lambda s: [check_alex(s.G, phi) for phi in s.phis()],
+    "alex-semidirect": lambda s: [check_alex_semidirect(s.G, phi) for phi in s.phis()],
+    "f-structure": lambda s: check_F_props(s.G, s.phis()),
+    "core": lambda s: [check_core(s.G)],
+    "core-corollaries": lambda s: [check_core_corollaries(s.G)],
+    "dihedral-no-anti": lambda s: [check_dihedral_no_anti(k) for k in s.ns],
+    "core-semidirect": lambda s: [check_core_semidirect(s.G)],
+    "core-abelian-aut": lambda s: [check_core_abelian_full(s.G)],
+    "q-family": lambda s: [check_Qi(s.G, 1, phi) for phi in s.phis()]
+    + [check_Qi(s.G, i, psi) for psi in s.psis() for i in (2, 3, 4)],
+    "p-family-aut": lambda s: [check_Pi_aut(s.G, c) for c in s.cs],
+    "p-family-anti": lambda s: [check_Pi_anti(s.G, c) for c in s.cs],
+})
+
+CHECK_IDS = tuple(_SWEEPS)
 
 
 def run_check(
@@ -886,59 +852,11 @@ def run_check(
     psi_index: Optional[int] = None,
 ) -> List[Verdict]:
     """Run one named check, sweeping any parameter left unspecified."""
-    if theorem_id not in CHECK_IDS:
+    if theorem_id not in _SWEEPS:
         raise ConstructionSpecError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(CHECK_IDS)}"
         )
-    if theorem_id == "dihedral-no-anti":
-        ns = [n] if n is not None else list(range(3, 11))
-        return [check_dihedral_no_anti(k) for k in ns]
-    if G is None:
-        raise ConstructionSpecError(f"{theorem_id} needs a group")
-    ms = [m] if m is not None else list(M_RANGE)
-    cs = [c] if c is not None else list(range(G.n))
-
-    def phis() -> List[ClassifiedMap]:
-        pool = enumerate_aut(G)
-        return [pool[phi_index]] if phi_index is not None else pool
-
-    def psis() -> List[ClassifiedMap]:
-        pool = enumerate_aaut(G)
-        return [pool[psi_index]] if psi_index is not None else pool
-
-    if theorem_id == "conj-semidirect":
-        return [check_conj_semidirect(G, mm) for mm in ms]
-    if theorem_id == "conj-out":
-        return [check_conj_out(G)]
-    if theorem_id == "conj-aaut":
-        return [check_conj_aaut_intersection(G, mm) for mm in ms]
-    if theorem_id == "conj-no-anti":
-        return [check_conj_no_anti(G, mm) for mm in ms]
-    if theorem_id == "alex":
-        return [check_alex(G, phi) for phi in phis()]
-    if theorem_id == "alex-semidirect":
-        return [check_alex_semidirect(G, phi) for phi in phis()]
-    if theorem_id == "f-structure":
-        return [check_F_props(G, phi) for phi in phis()]
-    if theorem_id == "core":
-        return [check_core(G)]
-    if theorem_id == "core-corollaries":
-        return [check_core_corollaries(G)]
-    if theorem_id == "core-semidirect":
-        return [check_core_semidirect(G)]
-    if theorem_id == "core-abelian-aut":
-        return [check_core_abelian_full(G)]
-    if theorem_id == "q-family":
-        out = []
-        for phi in phis():
-            out.append(check_Qi(G, 1, phi))
-        for psi in psis():
-            for i in (2, 3, 4):
-                out.append(check_Qi(G, i, psi))
-        return out
-    if theorem_id == "p-family-aut":
-        return [check_Pi_aut(G, cc) for cc in cs]
-    return [check_Pi_anti(G, cc) for cc in cs]
+    return _SWEEPS[theorem_id](_Sweep(theorem_id, G, m, n, c, phi_index, psi_index))
 
 
 def run_census(catalog: Optional[Sequence[FiniteGroup]] = None) -> dict:

@@ -8,15 +8,15 @@ profile every isomorphism preserves, and derives the rest of each map
 through the target table, a whole level of partial maps at a time.  Its
 first-hit mode walks the same levels depth first, so ``find_table_iso``
 returns the lexicographically least isomorphism without enumerating the
-rest.  Each enumeration is cached once per quandle as a sorted compact
-stack together with its read-only ``QuandleMap`` objects.
+rest.  Each quandle keeps its enumerations, one per kind, as a sorted
+compact stack together with read-only ``QuandleMap`` objects.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,12 +108,9 @@ class _Enumerated(NamedTuple):
     maps: Tuple[QuandleMap, ...]
 
 
-_ENUM_CACHE: Dict[Tuple[Quandle, str], _Enumerated] = {}
-
-
 def _enumerate(Q: Quandle, kind: str) -> _Enumerated:
-    key = (Q, kind)
-    if key not in _ENUM_CACHE:
+    """The maps of one kind on Q, enumerated once and kept in ``Q._maps``."""
+    if kind not in Q._maps:
         if Q.n > config.MAX_QUANDLE_ENUM_ORDER:
             raise CapExceeded("quandle map enumeration", Q.n, config.MAX_QUANDLE_ENUM_ORDER)
         if kind == "automorphism":
@@ -126,8 +123,8 @@ def _enumerate(Q: Quandle, kind: str) -> _Enumerated:
         stack = _table_isos(Q.op, target)
         stack.setflags(write=False)
         maps = tuple(QuandleMap(pm, kind, Q) for pm in _point_maps(stack))
-        _ENUM_CACHE[key] = _Enumerated(stack, maps)
-    return _ENUM_CACHE[key]
+        Q._maps[kind] = _Enumerated(stack, maps)
+    return Q._maps[kind]
 
 
 def enumerate_quandle_auts(Q: Quandle, oracle: bool = False) -> List[QuandleMap]:

@@ -28,6 +28,7 @@ class Verdict:
     counterexample: Any = None
     notes: str = ""
     parts: List["Verdict"] = field(default_factory=list)
+    partial: bool = False  # holds on a restricted scan only; the full claim is unchecked
 
     def __post_init__(self):
         if self.relationship not in RELATIONSHIPS:
@@ -53,6 +54,8 @@ class Verdict:
             "counterexample": self.counterexample,
             "notes": self.notes,
         }
+        if self.partial:
+            out["partial"] = True
         if self.parts:
             out["parts"] = [p.to_json() for p in self.parts]
         return out
@@ -64,6 +67,8 @@ class Verdict:
             status = "skip"
         elif self.vacuous:
             status = "ok (vacuous)"
+        elif self.partial:
+            status = "ok (partial)"
         else:
             status = "ok"
         pieces = [f"{'  ' * indent}[{status}] {self.theorem_id} :: {self.inputs}"]
@@ -204,6 +209,7 @@ REPORT_SCHEMA = {
                 "rhs": {"type": ["boolean", "null"]},
                 "vacuous": {"type": "boolean"},
                 "skipped": {"type": "boolean"},
+                "partial": {"type": "boolean"},
                 "notes": {"type": "string"},
                 "parts": {"type": "array", "items": {"$ref": "#/$defs/verdict"}},
             },

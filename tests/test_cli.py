@@ -118,6 +118,16 @@ class TestVerifyCommand:
         assert main(["verify", "core"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_index_out_of_range_is_a_usage_error(self, capsys):
+        assert main(["verify", "q-family", "--group", "S3", "--psi", "6"]) == 2
+        captured = capsys.readouterr()
+        assert "error: psi index into AAut(G) 6 is out of range 0..5" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_dihedral_claim_below_its_range_is_skipped(self, capsys):
+        assert main(["verify", "dihedral-no-anti", "--n", "1"]) == 0
+        assert "[skip] dihedral-no-anti :: R1" in capsys.readouterr().out
+
     def test_pinned_parameters_are_respected(self, capsys):
         code = main(
             ["verify", "p-family-aut", "--group", "Z4", "--c", "2", "--format", "json"]

@@ -9,6 +9,7 @@ from quandlekit import (
     ANTIAUTOMORPHISM,
     AUTOMORPHISM,
     CapExceeded,
+    FiniteGroup,
     PointMap,
     aut_oracle,
     build_F,
@@ -36,6 +37,7 @@ from quandlekit import (
     symmetric,
     verify_F_iso,
 )
+from quandlekit.groupmaps import preserving_mask, reversing_mask
 
 # Automorphism group orders, frozen from independent runs of the n! oracle
 # (order <= 6) and cross-checked against the generator-image search.
@@ -79,6 +81,20 @@ class TestEnumeration:
         antis = {cm.map for cm in enumerate_aaut(G)}
         assert twisted == antis
         assert len(antis) == len(enumerate_aut(G))
+
+    def test_equal_tables_keep_their_own_maps(self):
+        G1 = cyclic(6)
+        G2 = FiniteGroup(G1.table, name="another Z6")
+        for G in (G1, G2, G1):
+            assert all(cm.group is G for cm in enumerate_aut(G) + enumerate_aaut(G))
+            assert all(cm.group is G for cm in centralizer_in_aaut(G, enumerate_aut(G)[1]))
+
+    def test_law_masks_of_an_empty_stack_are_empty(self):
+        G = symmetric(3)
+        for mask in (preserving_mask, reversing_mask):
+            for empty in (np.empty((0, 0), dtype=np.uint8), np.empty((0, G.n), dtype=np.uint8)):
+                out = mask(G.table, empty)
+                assert out.shape == (0,) and out.dtype == bool
 
     def test_enumerations_are_sorted_and_start_plausibly(self):
         G = symmetric(3)

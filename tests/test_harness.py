@@ -1,5 +1,7 @@
 """Theorem checks: spot runs per check id, census reports, self-tests."""
 
+import itertools
+
 import jsonschema
 import numpy as np
 import pytest
@@ -7,9 +9,12 @@ import pytest
 from quandlekit import (
     CHECK_IDS,
     ConstructionSpecError,
+    PointMap,
     REPORT_SCHEMA,
     Verdict,
+    conj_m,
     cyclic,
+    is_quandle_auto,
     named_group,
     quaternion8,
     run_census,
@@ -17,7 +22,8 @@ from quandlekit import (
     summarize,
     symmetric,
 )
-from quandlekit.verdicts import combine, make_iff, make_implies, make_skipped
+from quandlekit.harness import _members
+from quandlekit.verdicts import combine, make_iff, make_implies, make_skipped, report_json
 
 
 def assert_all_hold(verdicts, context=""):
@@ -108,6 +114,79 @@ class TestRunCheckErrors:
 
     def test_group_free_check_accepts_no_group(self):
         assert_all_hold(run_check("dihedral-no-anti", n=5))
+
+    @pytest.mark.parametrize(
+        "theorem_id, params",
+        [
+            ("alex", {"phi_index": 99}),
+            ("alex", {"phi_index": -1}),
+            ("q-family", {"psi_index": 6}),
+            ("q-family", {"psi_index": -1}),
+            ("p-family-aut", {"c": 99}),
+            ("p-family-anti", {"c": -1}),
+        ],
+    )
+    def test_index_out_of_range_is_rejected(self, theorem_id, params):
+        with pytest.raises(ConstructionSpecError, match="out of range"):
+            run_check(theorem_id, symmetric(3), **params)
+
+    def test_last_valid_indices_run(self):
+        assert len(run_check("alex", symmetric(3), phi_index=5)) == 1
+        assert len(run_check("q-family", symmetric(3), phi_index=0, psi_index=5)) == 4
+        assert len(run_check("p-family-aut", symmetric(3), c=5)) == 1
+
+
+class TestScope:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_dihedral_no_anti_is_skipped_below_three(self, n):
+        (v,) = run_check("dihedral-no-anti", n=n)
+        assert v.holds and v.skipped and "n >= 3" in v.notes
+
+    def test_restricted_conj_no_anti_scan_is_partial(self):
+        (v,) = run_check("conj-no-anti", symmetric(4), m=1)
+        assert v.holds and v.partial and not v.skipped
+        assert v.to_json()["partial"] is True
+        assert v.render_text().startswith("[ok (partial)] conj-no-anti")
+        jsonschema.validate(report_json(["S4"], [v]), REPORT_SCHEMA)
+
+    def test_complete_conj_no_anti_is_not_partial(self):
+        (v,) = run_check("conj-no-anti", symmetric(3), m=1)
+        assert v.holds and not v.partial
+        assert "partial" not in v.to_json()
+
+
+class TestOncePerSweep:
+    def test_f_structure_verifies_the_iso_once_per_sweep(self, monkeypatch):
+        from quandlekit import harness
+
+        run_check("f-structure", symmetric(3), phi_index=0)  # no result outlives its sweep
+        calls = []
+        real = harness.verify_F_iso
+
+        def counted(G):
+            calls.append(G.name)
+            return real(G)
+
+        monkeypatch.setattr(harness, "verify_F_iso", counted)
+        verdicts = run_check("f-structure", symmetric(3))
+        assert len(verdicts) == 6 and calls == ["S3"]
+        assert_all_hold(verdicts)
+        assert len({v.inputs for v in verdicts}) == 6
+        for v in verdicts:
+            assert [p.inputs for p in v.parts[:3]] == [v.inputs] * 3
+
+
+class TestClaimVocabulary:
+    def test_failing_members_claim_carries_the_first_failing_row(self):
+        Q = conj_m(symmetric(3), 1)
+        perms = np.array(list(itertools.permutations(range(Q.n)))[:40], dtype=np.uint8)
+        replays = [is_quandle_auto(Q, PointMap(row)) for row in perms]
+        assert True in replays and False in replays
+        v = _members("t", "Conj(S3)", Q.op, perms, "every row is an automorphism")
+        assert not v.holds and v.lhs is False
+        first = replays.index(False)
+        assert v.counterexample == {"index": first, "images": [int(x) for x in perms[first]]}
+        assert is_quandle_auto(Q, PointMap(v.counterexample["images"])) is False
 
 
 class TestCensus:

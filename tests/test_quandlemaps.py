@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quandlekit import (
     PointMap,
+    Quandle,
     core,
     cyclic,
     dihedral_quandle,
@@ -27,7 +28,7 @@ from quandlekit import (
     symmetric,
     trivial,
 )
-from quandlekit.groupmaps import _profiles
+from quandlekit.groupmaps import _profiles, _table_isos
 from quandlekit.quandlemaps import _is_map_group
 
 # |Aut(R_n)| = n * phi(n): the affine maps x -> ax + b with a invertible.
@@ -124,6 +125,21 @@ class TestTableIsoEngine:
             for maps in (enumerate_quandle_auts(Q), enumerate_quandle_antis(Q)):
                 rows = [m.map.as_tuple() for m in maps]
                 assert rows == sorted(set(rows)), label
+
+    def test_different_profiles_end_the_search_at_once(self):
+        op = trivial(12).op
+        # T_n against its transpose: no bijection exists, and the profiles say so.
+        hits = _table_isos(op, np.ascontiguousarray(op.T))
+        assert hits.shape == (0, 12) and hits.dtype == np.uint8
+        assert find_table_iso(core(cyclic(5)).op, dihedral_quandle(5).op) is not None
+        assert find_table_iso(dihedral_quandle(6).op, trivial(6).op) is None
+
+    def test_equal_tables_keep_their_own_maps(self):
+        Q1 = dihedral_quandle(3)
+        Q2 = Quandle(Q1.op, name="R3 again")
+        for Q in (Q1, Q2, Q1):
+            maps = enumerate_quandle_auts(Q) + enumerate_quandle_antis(Q)
+            assert len(maps) == 12 and all(m.quandle is Q for m in maps)
 
     def test_enumerated_stack_is_cached_and_read_only(self):
         Q = dihedral_quandle(6)
