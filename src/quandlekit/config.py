@@ -24,6 +24,7 @@ MAX_GROUP_ORACLE_ORDER = 6
 # stop once this many distinct elements have been produced.
 MAX_CLOSURE_SIZE = 1_000_000
 
-# Breadth-first product closure used by the semidirect checks; above this
-# we certify the factorisation algebraically instead of materialising it.
+# The semidirect checks decide closure on the |N| * |C| product maps they
+# build (one lookup of every product times a generator) up to this many
+# products; above it they certify the factorisation from the other clauses.
 MAX_SEMIDIRECT_BFS = 4096

@@ -21,6 +21,7 @@ from .errors import CapExceeded, NotAutomorphism, NotBijective
 from .groups import (
     FiniteGroup,
     Subset,
+    _distinct,
     _generator_levels,
     direct_product,
     opposite,
@@ -136,7 +137,7 @@ class ClassifiedMap:
 # narrowest unsigned type, big-endian when wider than a byte, so the bytes of
 # a row compare in the same order as its images.  A row read as one np.void
 # value is then its key: every dedupe, membership test and sort is a 1-D
-# np.unique or searchsorted over keys, in lexicographic image order.
+# sort or searchsorted over keys, in lexicographic image order.
 
 
 def _image_dtype(n: int) -> np.dtype:
@@ -459,6 +460,22 @@ def closure_of_point_maps(
     return _point_maps(_unique_rows(np.concatenate(levels)))
 
 
+def _right_closure_size(P: np.ndarray, T: np.ndarray) -> int:
+    """The number of distinct maps among the identity, P and P o T.
+
+    Let T generate a group K that contains P.  Every member of K is a word
+    in T, built from the identity by right multiplication, so P is all of K
+    exactly when it holds the identity and P o T lies in P: exactly when the
+    count equals the number of distinct rows of P.  Otherwise the count is a
+    lower bound on |K|.  The test is one gather of |P| * |T| rows and one
+    lookup among P's sorted keys; the rows of P need not be distinct.
+    """
+    P = _unique_rows(_compact(P))
+    n = P.shape[1]
+    steps = _keys(np.concatenate([_compact(np.arange(n)), P[:, _compact(T)].reshape(-1, n)]))
+    return len(P) + len(_distinct(steps[~_in_sorted(steps, _keys(P))]))
+
+
 # --- map families ---
 
 
@@ -562,7 +579,7 @@ def verify_F_iso(G: FiniteGroup) -> Verdict:
     quotient, projection = quotient_by_normal(product, normal)
 
     stack = _compact(_all_f_ab_stack(G))  # row a*n+b is f_{a,b}
-    f_size = len(np.unique(_keys(stack)))
+    f_size = len(_distinct(_keys(stack)))
     well_defined = True
     bad_pair = None
     for k in range(quotient.n):

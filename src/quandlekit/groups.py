@@ -51,6 +51,18 @@ __all__ = [
 ]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array (points or row keys), ascending.
+
+    One sort and one neighbour comparison.  A bare ``np.unique`` does the
+    same, but first asks ``np.ma.is_masked``, which imports ``numpy.ma``.
+    """
+    values = np.sort(values)
+    if not values.size:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 # --- table validation ---
 
 # One batch of derived points: xs[k] = table[a[k], b[k]].
@@ -255,7 +267,7 @@ class FiniteGroup:
     def commutator_subgroup(self) -> "Subset":
         t, inv = self.table, self.inverse
         comms = t[t[inv[:, None], inv[None, :]], t]
-        return self.subgroup_closure(map(int, np.unique(comms)))
+        return self.subgroup_closure(map(int, _distinct(comms.ravel())))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
@@ -318,7 +330,7 @@ def quotient_by_normal(G: FiniteGroup, normal: Iterable[int]):
         g, j = map(int, np.argwhere(bad)[0])
         raise NotNormal(g, int(members[j]))
     labels = G.table[:, members].min(axis=1)
-    reps = np.unique(labels)
+    reps = _distinct(labels)
     projection = np.searchsorted(reps, labels)
     qtable = projection[G.table[np.ix_(reps, reps)]]
     quotient = FiniteGroup(qtable, name=f"{G.name}/N{len(members)}")

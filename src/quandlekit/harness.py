@@ -48,6 +48,7 @@ from .groupmaps import (
     _all_f_ab_stack,
     _in_sorted,
     _keys,
+    _right_closure_size,
     _stack_of as _stack,
     _unique_rows,
     build_F,
@@ -64,11 +65,10 @@ from .groupmaps import (
     reversing_mask,
     verify_F_iso,
 )
-from .groups import FiniteGroup, named_group
+from .groups import FiniteGroup, _distinct, _generator_levels, named_group
 from .quandles import inn_group
 from .quandlemaps import (
     SemidirectReport,
-    closure_of_point_maps,
     enumerate_quandle_antis,
     enumerate_quandle_auts,
     inn_out_report,
@@ -306,7 +306,7 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
     # among all the s o p keys; distinct cosets have distinct tags.
     _, rank = np.unique(_keys(inn[:, products].reshape(-1, G.n)), return_inverse=True)
     tags = rank.reshape(len(inn), len(products)).min(axis=0)
-    injective = len(np.unique(tags)) == len(products)
+    injective = len(_distinct(tags)) == len(products)
     parts = [
         _members(f"{tid}/members", inputs, Q.op, products,
                  "every t_a o rep is an automorphism of Conj(G)"),
@@ -545,10 +545,17 @@ def check_dihedral_no_anti(n: int) -> Verdict:
 def check_core_semidirect(G: FiniteGroup) -> Verdict:
     """((G x G^op)/N) rtimes Out(G) embeds in Aut(Core(G)).
 
-    The complement is a transversal of Inn(G), not a subgroup, so the
-    closure clause is certified structurally: F is a group containing
-    Inn(G) as maps, the transversal normalizes it, and the |F| * |Out|
-    products are pairwise distinct automorphisms.
+    The complement is a transversal of Inn(G), not a subgroup.  Below
+    MAX_SEMIDIRECT_BFS products the closure is decided on the set P of the
+    f o rep products.  The representatives and the translations f_(g,1),
+    f_(1,g) by the generators g of G generate it, as
+    f_(a,b) = f_(a,1) o f_(1,b), so P is the closure exactly when it holds
+    the identity and P o T lies in P for those maps T
+    (``groupmaps._right_closure_size``).  The note gives |P| when P is
+    closed and otherwise a lower bound: the distinct maps in P and P o T.
+    Past the cap the closure is certified from the other clauses: F is a
+    group containing Inn(G), Aut(G) normalizes it, and the |F| * |Out|
+    products are distinct automorphisms.
     """
     tid = "core-semidirect"
     inputs = G.name
@@ -573,8 +580,8 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
             break
 
     inner_in_F = bool(_in_sorted(_keys(_stack(inner_auts(G))), f_keys).all())
-    products = fstack[:, rstack].reshape(-1, G.n)  # f o rep
-    distinct = len(np.unique(_keys(products)))
+    products = _unique_rows(fstack[:, rstack].reshape(-1, G.n))  # f o rep, distinct
+    distinct = len(products)
     expected = len(F) * len(reps)
     identity_key = _keys(np.arange(G.n))
     rkeys = _keys(rstack)
@@ -595,10 +602,13 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
                notes=f"{distinct} distinct f o rep products, expected {expected}"),
     ]
     if expected <= config.MAX_SEMIDIRECT_BFS:
-        closed = closure_of_point_maps(F + [cm.map for cm in reps])
+        gens = [g for g, _ in _generator_levels(G.table)]
+        # T: the reps, then f_(g,1) = x -> g*x and f_(1,g) = x -> x*g per generator g
+        steps = np.concatenate([rstack, G.table[gens], G.table[:, gens].T])
+        size = _right_closure_size(products, steps)
         parts.append(
-            _claim(f"{tid}/closure", inputs, len(closed) == expected,
-                   notes=f"materialized closure has {len(closed)} maps"),
+            _claim(f"{tid}/closure", inputs, size == distinct == expected,
+                   notes=f"materialized closure has {size} maps"),
         )
     else:
         parts.append(

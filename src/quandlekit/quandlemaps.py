@@ -29,6 +29,7 @@ from .groupmaps import (
     _in_sorted,
     _keys,
     _point_maps,
+    _right_closure_size,
     _stack_of,
     _table_isos,
     _unique_rows,
@@ -37,7 +38,7 @@ from .groupmaps import (
     preserving_mask,
     reverses_table,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _distinct
 from .quandles import Quandle, inn_group
 
 __all__ = [
@@ -198,7 +199,10 @@ class SemidirectReport:
     closure_size: int
     verdict: bool
     failing_clause: Optional[str] = None
-    mode: str = "materialized"  # or "certified"
+    # "materialized": the closure was decided on the |N| * |C| products, which
+    # are built and looked up; "certified": past MAX_SEMIDIRECT_BFS, it follows
+    # from the other clauses and the distinctness of the products alone.
+    mode: str = "materialized"
 
     def to_json(self) -> dict:
         return {
@@ -222,7 +226,7 @@ def _is_map_group(arr: np.ndarray) -> bool:
     """
     stack = _compact(arr)
     m, n = stack.shape
-    base = np.unique(_keys(stack))
+    base = _distinct(_keys(stack))
     if len(base) != m:
         return False
     if not _in_sorted(_keys(stack[:, stack].reshape(-1, n)), base).all():
@@ -239,9 +243,14 @@ def semidirect_verify(
 
     Clauses: every member is an automorphism of Q; each set is a group; the
     complement normalizes the normal part; the intersection is trivial; the
-    closure of the union has exactly |N| * |C| elements.  Above the BFS cap
-    the closure size is certified from the clauses plus distinctness of the
-    n o c products instead of being materialized.
+    closure of the union has exactly |N| * |C| elements.  The last is
+    decided on the set P of the n o c products once they are |N| * |C|
+    distinct maps.  P holds the identity and P o C = P, as C is a group, so
+    P is the closure exactly when P o N lies in P
+    (``groupmaps._right_closure_size``).  The reported closure size is then
+    |P|, and otherwise a lower bound: the distinct maps in P and P o N.
+    Past MAX_SEMIDIRECT_BFS products the size is certified from the other
+    clauses and the distinctness of the products, with no lookup.
     """
     N = _unique_rows(_stack_of(normal_candidates))
     C = _unique_rows(_stack_of(complement_candidates))
@@ -270,18 +279,13 @@ def semidirect_verify(
     if not intersection_trivial:
         return fail("intersection is not trivial", inter=False)
 
-    products = N[:, C].reshape(-1, n)  # f o c for all pairs
-    distinct = len(np.unique(_keys(products)))
+    products = _unique_rows(N[:, C].reshape(-1, n))  # f o c for all pairs
     expected = len(N) * len(C)
-    if distinct != expected:
-        return fail("n o c products collide", closure_size=distinct, inter=True)
+    if len(products) != expected:
+        return fail("n o c products collide", closure_size=len(products), inter=True)
 
     if expected <= config.MAX_SEMIDIRECT_BFS:
-        closed = closure_of_point_maps(
-            _point_maps(N) + _point_maps(C),
-            cap=max(config.MAX_CLOSURE_SIZE, expected),
-        )
-        closure_size = len(closed)
+        closure_size = _right_closure_size(products, N)
         mode = "materialized"
     else:
         closure_size = expected
@@ -302,8 +306,8 @@ def inn_out_report(Q: Quandle) -> Tuple[int, int, int]:
     """(inn size, aut size, out index), with Inn normal in Aut verified."""
     inner = _stack_of(inn_group(Q))
     auts = _enumerate(Q, "automorphism").stack
-    inn_keys = np.unique(_keys(inner))
-    if not _in_sorted(inn_keys, np.unique(_keys(auts))).all():
+    inn_keys = _distinct(_keys(inner))
+    if not _in_sorted(inn_keys, _keys(auts)).all():  # the enumeration is sorted
         raise AssertionError("Inn(Q) escaped Aut(Q); engine bug")
     # [j, i] = a_j o s_i o a_j^-1 for every automorphism a_j and inner map s_i
     ainv = np.argsort(auts, axis=1)

@@ -160,15 +160,22 @@ def make_skipped(theorem_id: str, inputs: str, relationship: str, reason: str) -
 
 
 def summarize(verdicts: List[Verdict]) -> dict:
-    """Counts over every verdict node, nested parts included."""
+    """Counts over every verdict node, nested parts included.
+
+    ``partial`` is present only when some node is partial, as the flag is.
+    """
     nodes = [v for top in verdicts for v in top.walk()]
-    return {
+    summary = {
         "total": len(nodes),
         "holds": sum(1 for v in nodes if v.holds),
         "failed": sum(1 for v in nodes if not v.holds),
         "vacuous": sum(1 for v in nodes if v.vacuous and v.holds),
         "skipped": sum(1 for v in nodes if v.skipped),
     }
+    partial = sum(1 for v in nodes if v.partial)
+    if partial:
+        summary["partial"] = partial
+    return summary
 
 
 REPORT_VERSION = 1
@@ -193,6 +200,7 @@ REPORT_SCHEMA = {
         "summary": {
             "type": "object",
             "required": ["total", "holds", "failed", "vacuous", "skipped"],
+            "properties": {"partial": {"type": "integer", "minimum": 1}},
             "additionalProperties": {"type": "integer"},
         },
     },

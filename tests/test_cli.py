@@ -144,3 +144,16 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(target.read_text())
         assert report["summary"]["failed"] == 0
+
+
+class TestCensusCommand:
+    @pytest.mark.parametrize(
+        "specs, tail", [(("S3", "S4"), ", 6 partial"), (("S3",), " skipped")]
+    )
+    def test_summary_line_counts_partial_verdicts(self, specs, tail, monkeypatch, capsys):
+        from quandlekit import cli, named_group, run_census
+
+        monkeypatch.setattr(cli, "run_census", lambda: run_census([named_group(s) for s in specs]))
+        assert main(["census", "--format", "text"]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith("census: ") and line.endswith(tail)

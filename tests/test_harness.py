@@ -149,6 +149,18 @@ class TestScope:
         assert v.render_text().startswith("[ok (partial)] conj-no-anti")
         jsonschema.validate(report_json(["S4"], [v]), REPORT_SCHEMA)
 
+    def test_summary_counts_partial_verdicts(self):
+        report = run_census([symmetric(3), symmetric(4)])
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["summary"]["partial"] == 6  # conj-no-anti on S4, one per m
+        flagged = [c for c in report["checks"] if c.get("partial")]
+        assert [(c["theorem_id"], c["inputs"].split(",")[0]) for c in flagged] == [
+            ("conj-no-anti", "S4")
+        ] * 6
+
+    def test_summary_without_partial_verdicts_has_no_partial_key(self):
+        assert "partial" not in run_census([symmetric(3)])["summary"]
+
     def test_complete_conj_no_anti_is_not_partial(self):
         (v,) = run_check("conj-no-anti", symmetric(3), m=1)
         assert v.holds and not v.partial

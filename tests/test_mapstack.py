@@ -7,18 +7,26 @@ set-of-tuples computation it replaces, including the order of the results.
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quandlekit
 from quandlekit import (
     ANTIAUTOMORPHISM,
     AUTOMORPHISM,
     CATALOG_SPECS,
     CapExceeded,
     PointMap,
+    build_F,
+    build_H,
+    centralizer_in_aut,
     classify,
     closure_group,
     closure_of_point_maps,
@@ -27,9 +35,17 @@ from quandlekit import (
     enumerate_aut,
     inn_group,
     named_group,
+    out_coset_reps,
     run_census,
+    run_check,
 )
-from quandlekit.groupmaps import preserves_table
+from quandlekit.groupmaps import _right_closure_size, preserves_table
+from quandlekit.harness import (
+    M_RANGE,
+    check_alex_semidirect,
+    check_conj_semidirect,
+    check_core_semidirect,
+)
 from quandlekit.quandlemaps import _is_map_group
 
 # sha256 of json.dumps(run_census([Z3, Z4, S3, D4, Q8]), sort_keys=True), as
@@ -44,6 +60,8 @@ AUT_ORDERS = {
     "Z10": 4, "Z11": 10, "Z12": 4, "Z2xZ2": 6, "Z3xZ3": 48, "D3": 6, "D4": 8,
     "D5": 20, "D6": 12, "S3": 6, "Q8": 24,
 }
+
+SMALL_CATALOG = [spec for spec in CATALOG_SPECS if named_group(spec).n <= 12]
 
 
 # --- references: sets of tuples, no arrays ---
@@ -174,10 +192,81 @@ class TestMapGroup:
         assert _is_map_group(np.array(rows, dtype=np.int64)) == reference_is_map_group(rows)
 
 
+# --- closure of a product set ---
+
+
+def reference_right_closure_size(P, T):
+    """|{id} u P u P o T| over frozensets."""
+    identity = tuple(range(len(P[0])))
+    return len(frozenset(P) | {identity} | {compose(p, t) for p in P for t in T})
+
+
+def reported_size(verdict, pattern):
+    """The closure size in the notes of a check's closure part."""
+    (note,) = [p.notes for p in verdict.parts if p.theorem_id.endswith(("/semidirect", "/closure"))]
+    return int(re.search(pattern, note).group(1))
+
+
+class TestProductSetClosure:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_count_matches_the_frozenset_reference(self, data):
+        gens = data.draw(perms(max_n=5))
+        group = reference_closure(gens, cap=10**6)
+        P = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=12))
+        T = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
+        got = _right_closure_size(np.array(P), np.array(T))
+        assert got == reference_right_closure_size(P, T)
+        assert _right_closure_size(np.array(group), np.array(gens)) == len(group)
+
+    def test_unclosed_set_counts_past_its_size(self):
+        P = np.array([[0, 1, 2], [1, 0, 2]])  # id and (0 1)
+        assert _right_closure_size(P, np.array([[1, 2, 0]])) > len(P)  # T = {(0 1 2)}
+
+    def test_set_without_the_identity_is_not_closed(self):
+        shift = np.array([[1, 2, 0], [2, 0, 1]])  # the 3-cycles; P o (0 1 2) adds only id
+        assert _right_closure_size(shift, np.array([[1, 2, 0]])) == len(shift) + 1
+
+    @pytest.mark.parametrize("spec", SMALL_CATALOG)
+    def test_semidirect_sizes_equal_the_closure_search(self, spec):
+        G = named_group(spec)
+        auts = [cm.map for cm in enumerate_aut(G)]
+        want = len(closure_of_point_maps(build_H(G) + auts))
+        for m in M_RANGE:
+            assert reported_size(check_conj_semidirect(G, m), r"closure (\d+) =") == want, m
+        right_translations = [PointMap(G.table[:, b]) for b in range(G.n)]
+        for phi in enumerate_aut(G):
+            cent = [cm.map for cm in centralizer_in_aut(G, phi)]
+            want = len(closure_of_point_maps(right_translations + cent))
+            assert reported_size(check_alex_semidirect(G, phi), r"closure (\d+) =") == want
+
+    @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4"])
+    def test_core_semidirect_size_equals_the_closure_search(self, spec):
+        G = named_group(spec)
+        want = len(closure_of_point_maps(build_F(G) + [cm.map for cm in out_coset_reps(G)]))
+        verdict = check_core_semidirect(G)
+        assert reported_size(verdict, r"materialized closure has (\d+) maps") == want
+        assert verdict.holds
+
+    @pytest.mark.parametrize("spec", ["S3", "S4"])
+    def test_semidirect_checks_run_no_closure_search(self, spec, monkeypatch):
+        calls = []
+        real = closure_of_point_maps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("quandlekit") and hasattr(module, "closure_of_point_maps"):
+                monkeypatch.setattr(module, "closure_of_point_maps", counted)
+        G = named_group(spec)
+        for theorem_id in ("conj-semidirect", "alex-semidirect", "core-semidirect"):
+            assert all(v.holds for v in run_check(theorem_id, G))
+        assert calls == []
+
+
 # --- Aut(G) and AAut(G) ---
-
-
-SMALL_CATALOG = [spec for spec in CATALOG_SPECS if named_group(spec).n <= 12]
 
 
 class TestAutCache:
@@ -214,3 +303,19 @@ def test_small_census_is_byte_identical_to_the_per_row_engine():
     report = run_census([named_group(s) for s in ("Z3", "Z4", "S3", "D4", "Q8")])
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_CENSUS_SHA256
+
+
+def test_census_leaves_numpy_ma_unimported():
+    """A bare np.unique asks np.ma.is_masked, which imports numpy.ma mid-census."""
+    code = (
+        "import sys\n"
+        "from quandlekit import named_group, run_census\n"
+        "run_census([named_group('S3'), named_group('D4')])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quandlekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
