@@ -4,15 +4,18 @@ PointMap is the public form of one map: automorphisms, antiautomorphisms,
 the inversion map, translations, and the two-sided maps f_{a,b}(x) = a*x*b
 are all point maps over {0..n-1}.  Inside the engine a set of maps is one
 compact stack (see ``_compact``), deduplicated, searched and sorted through
-one byte key per row.  Classification and enumeration live here; the same
-table laws are reused verbatim for quandles.
+one byte key per row.  Each family (Aut(G), AAut(G), Inn(G), the Out(G)
+representatives, the centralizers, H, F and F') is built once, by a private
+function that returns its stack; the checks read only those stacks, and the
+public list functions are views of them.  Classification and enumeration
+live here; the same table laws are reused verbatim for quandles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -369,13 +372,11 @@ def _aut_entry(G: FiniteGroup) -> _AutEntry:
     """Enumerate Aut(G) and AAut(G); the group keeps the result as ``G._maps``."""
     aut = _aut_stack(G)
     aut.setflags(write=False)
-    aut_maps = _classified(G, aut, [AUTOMORPHISM] * len(aut))
+    aut_maps = _classified(G, aut, itertools.repeat(AUTOMORPHISM))
     return _AutEntry(aut, aut_maps, *_aaut_of(G, aut))
 
 
-def _classified(
-    G: FiniteGroup, stack: np.ndarray, kinds: Sequence[str]
-) -> Tuple[ClassifiedMap, ...]:
+def _classified(G: FiniteGroup, stack: np.ndarray, kinds: Iterable[str]) -> Tuple[ClassifiedMap, ...]:
     return tuple(ClassifiedMap(pm, kind, G) for pm, kind in zip(_point_maps(stack), kinds))
 
 
@@ -489,50 +490,68 @@ def left_translation(G: FiniteGroup, a: int) -> PointMap:
     return PointMap(G.table[a])
 
 
+# Each family below is a private function returning its sorted compact stack;
+# the public list function of the same family is a view of it.
+
+
+def _view(maps: Sequence, stack: np.ndarray, rows: np.ndarray) -> list:
+    """The members of ``maps``, one per row of the sorted ``stack``, whose rows are ``rows``."""
+    return [maps[i] for i in np.searchsorted(_keys(stack), _keys(rows))]
+
+
 def _inner_stack(G: FiniteGroup) -> np.ndarray:
     """Inn(G) as a sorted compact stack: the distinct maps x -> g*x*g^-1."""
     t = G.table
-    return _unique_rows(_compact(t[t, G.inverse[:, None]]))  # [g, x] = g*x*g^-1
+    return _unique_rows(t[t, G.inverse[:, None]])  # [g, x] = g*x*g^-1
 
 
 def inner_auts(G: FiniteGroup) -> List[ClassifiedMap]:
     """Conjugation maps x -> g*x*g^-1, deduplicated, sorted."""
-    inner = _inner_stack(G)
-    return list(_classified(G, inner, [AUTOMORPHISM] * len(inner)))
+    return list(_classified(G, _inner_stack(G), itertools.repeat(AUTOMORPHISM)))
+
+
+def _coset_leaders(inner: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Per row m of a stack, in order, the least member of its coset {s o m | s in inner}.
+
+    ``inner`` is a group of maps, so two rows lie in one coset exactly when
+    they have the same leader.  The members are ranked by key among all the
+    s o m at once, and each column keeps the lowest rank.
+    """
+    cosets = inner[:, stack]  # [s, j] = s o m_j
+    keys = _keys(cosets)
+    rank = np.searchsorted(np.sort(keys), keys).reshape(len(inner), len(stack))
+    return _compact(cosets[rank.argmin(axis=0), np.arange(len(stack))])
+
+
+def _out_reps(G: FiniteGroup) -> np.ndarray:
+    """One representative per coset of Inn(G) in Aut(G), the least member, sorted."""
+    aut = G._maps.aut
+    return aut[(_coset_leaders(_inner_stack(G), aut) == aut).all(axis=1)]
 
 
 def out_coset_reps(G: FiniteGroup) -> List[ClassifiedMap]:
     """One representative per coset of Inn(G) in Aut(G): the least member."""
-    entry = G._maps
-    inner = _inner_stack(G)
-    # [i, j] = inner_i o aut_j; aut_j leads its coset when no member sorts before it.
-    coset = _keys(inner[:, entry.aut].reshape(-1, G.n)).reshape(len(inner), len(entry.aut))
-    first = np.searchsorted(_keys(entry.aut), coset).min(axis=0)
-    return [cm for j, cm in enumerate(entry.aut_maps) if first[j] == j]
+    return _view(enumerate_aut(G), G._maps.aut, _out_reps(G))
 
 
-def _centralizer(stack: np.ndarray, maps: List[ClassifiedMap], base: np.ndarray):
-    """The maps whose rows in the cached ``stack`` commute with ``base``."""
-    keep = np.flatnonzero((stack[:, base] == base[stack]).all(axis=1))
-    return [maps[i] for i in keep]
+def _centralizer(stack: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The rows of a stack that commute with the map ``base``, in order."""
+    return stack[(stack[:, base] == base[stack]).all(axis=1)]
 
 
 def centralizer_in_aut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _centralizer(G._maps.aut, enumerate_aut(G), phi.images)
+    return _view(enumerate_aut(G), G._maps.aut, _centralizer(G._maps.aut, phi.images))
 
 
 def centralizer_in_aaut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _centralizer(G._maps.aaut, enumerate_aaut(G), phi.images)
+    return _view(enumerate_aaut(G), G._maps.aaut, _centralizer(G._maps.aaut, phi.images))
 
 
 def is_central_automorphism(G: FiniteGroup, theta: ClassifiedMap) -> bool:
     """Whether x^-1 * theta(x) lies in Z(G) for every x."""
     if not preserves_table(G.table, theta.images):
         raise NotAutomorphism("central-automorphism test needs an automorphism")
-    vals = G.table[G.inverse, theta.images]
-    central = np.zeros(G.n, dtype=bool)
-    central[list(G.center())] = True
-    return bool(central[vals].all())
+    return bool(G.center_mask[G.table[G.inverse, theta.images]].all())
 
 
 def fix_set(G: FiniteGroup, cm: ClassifiedMap) -> Subset:
@@ -546,25 +565,38 @@ def _all_f_ab_stack(G: FiniteGroup) -> np.ndarray:
     return t[t].transpose(0, 2, 1)
 
 
+def _H_stack(G: FiniteGroup) -> np.ndarray:
+    """H = {t_a | a in Z(G)} as a sorted stack."""
+    return _unique_rows(G.table[G.center_mask])
+
+
 def build_H(G: FiniteGroup) -> List[PointMap]:
     """H = {t_a | a in Z(G)}; distinct maps, sorted."""
-    rows = sorted(tuple(map(int, G.table[a])) for a in G.center())
-    return [PointMap(row) for row in rows]
+    return _point_maps(_H_stack(G))
+
+
+def _F_stack(G: FiniteGroup) -> np.ndarray:
+    """F = {f_{a,b} | a, b in G} as a sorted stack."""
+    return _unique_rows(_all_f_ab_stack(G))
 
 
 def build_F(G: FiniteGroup) -> List[PointMap]:
     """F = {f_{a,b} | a, b in G} as distinct point maps, sorted; |F| = n^2/|Z|."""
-    return _point_maps(_unique_rows(_compact(_all_f_ab_stack(G))))
+    return _point_maps(_F_stack(G))
 
 
-def build_F_prime(G: FiniteGroup, phi: ClassifiedMap) -> List[PointMap]:
-    """F' = subgroup generated by {f_{a,b} | a in Fix(phi), b in G}.
+def _F_prime_stack(G: FiniteGroup, phi: np.ndarray) -> np.ndarray:
+    """F' = subgroup generated by {f_{a,b} | a in Fix(phi), b in G}, sorted.
 
     The generating set is already closed: Fix(phi) is a subgroup and
     f_{a,b} f_{c,d} = f_{ac,db}, so no further closure pass is needed.
     """
-    fixed = np.asarray(list(fix_set(G, phi)), dtype=np.int64)
-    return _point_maps(_unique_rows(_compact(_all_f_ab_stack(G)[fixed])))
+    return _unique_rows(_all_f_ab_stack(G)[np.flatnonzero(phi == np.arange(G.n))])
+
+
+def build_F_prime(G: FiniteGroup, phi: ClassifiedMap) -> List[PointMap]:
+    """F' = subgroup generated by {f_{a,b} | a in Fix(phi), b in G}, sorted."""
+    return _point_maps(_F_prime_stack(G, phi.images))
 
 
 def verify_F_iso(G: FiniteGroup) -> Verdict:

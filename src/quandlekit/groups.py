@@ -249,9 +249,15 @@ class FiniteGroup:
 
         return _aut_entry(self)
 
+    @cached_property
+    def center_mask(self) -> np.ndarray:
+        """Read-only mask of Z(G): the points whose row equals their column."""
+        mask = (self.table == self.table.T).all(axis=1)
+        mask.setflags(write=False)
+        return mask
+
     def center(self) -> "Subset":
-        members = np.nonzero((self.table == self.table.T).all(axis=1))[0]
-        return Subset(self, tuple(int(z) for z in members))
+        return Subset(self, tuple(int(z) for z in np.flatnonzero(self.center_mask)))
 
     def subgroup_closure(self, gens: Iterable[int]) -> "Subset":
         members = {self.identity, *(int(g) for g in gens)}

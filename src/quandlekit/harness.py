@@ -44,31 +44,30 @@ from .errors import (
 )
 from .groupmaps import (
     ClassifiedMap,
-    PointMap,
     _all_f_ab_stack,
+    _centralizer,
+    _coset_leaders,
+    _F_prime_stack,
+    _F_stack,
+    _H_stack,
     _in_sorted,
+    _inner_stack,
     _keys,
+    _out_reps,
     _right_closure_size,
-    _stack_of as _stack,
+    _stack_of,
     _unique_rows,
-    build_F,
-    build_F_prime,
-    build_H,
-    centralizer_in_aaut,
-    centralizer_in_aut,
     enumerate_aaut,
     enumerate_aut,
-    inner_auts,
     is_central_automorphism,
-    out_coset_reps,
     preserving_mask,
     reversing_mask,
     verify_F_iso,
 )
 from .groups import FiniteGroup, _distinct, _generator_levels, named_group
-from .quandles import inn_group
 from .quandlemaps import (
     SemidirectReport,
+    _inn_stack,
     enumerate_quandle_antis,
     enumerate_quandle_auts,
     inn_out_report,
@@ -113,12 +112,6 @@ def default_catalog() -> List[FiniteGroup]:
 
 
 # --- the claim vocabulary ---
-
-
-def _center_mask(G: FiniteGroup) -> np.ndarray:
-    mask = np.zeros(G.n, dtype=bool)
-    mask[list(G.center())] = True
-    return mask
 
 
 def _claim(
@@ -204,6 +197,16 @@ def _per_map_iff(
     )
 
 
+def _conjugation(
+    theorem_id: str, inputs: str, auts: np.ndarray,
+    law: Callable[[np.ndarray, np.ndarray], bool], notes: str,
+) -> Verdict:
+    """law(phi, phi^-1) for every row phi of an automorphism stack; fails on the first that breaks it."""
+    bad = next((phi for phi, inv in zip(auts, np.argsort(auts, axis=1)) if not law(phi, inv)), None)
+    return _claim(theorem_id, inputs, bad is None, notes=notes,
+                  counterexample=None if bad is None else {"phi": [int(v) for v in bad]})
+
+
 def _semidirect(theorem_id: str, inputs: str, report: SemidirectReport) -> Verdict:
     return _claim(
         theorem_id, inputs, report.verdict, counterexample=report.failing_clause,
@@ -225,37 +228,21 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
     tid = "conj-semidirect"
     inputs = f"{G.name}, m={m}"
     Q = conj_m(G, m)
-    H = build_H(G)
-    auts = enumerate_aut(G)
+    H = _H_stack(G)
+    auts = G._maps.aut
     parts = [
-        _members(f"{tid}/H-members", inputs, Q.op, _stack(H),
+        _members(f"{tid}/H-members", inputs, Q.op, H,
                  "every central translation t_a is an automorphism of Conj_m(G)"),
-        _members(f"{tid}/aut-members", inputs, Q.op, _stack(auts),
+        _members(f"{tid}/aut-members", inputs, Q.op, auts,
                  "every group automorphism is an automorphism of Conj_m(G)"),
     ]
-    centre = np.asarray(list(G.center()), dtype=np.int64)
-    conj_ok = True
-    conj_bad = None
-    for cm in auts:
-        phi = cm.images
-        phi_inv = cm.map.inverse().images
-        lhs = phi[G.table[centre][:, phi_inv]]  # phi o t_a o phi^-1
-        rhs = G.table[phi[centre]]  # t_{phi(a)}
-        if not np.array_equal(lhs, rhs):
-            conj_ok = False
-            conj_bad = {"phi": [int(v) for v in phi]}
-            break
-    parts.append(
-        _claim(
-            f"{tid}/conjugation-identity",
-            inputs,
-            conj_ok,
-            counterexample=conj_bad,
-            notes="phi t_a phi^-1 = t_phi(a) for a in Z(G)",
-        )
-    )
-    report = semidirect_verify(H, [cm.map for cm in auts], Q)
-    parts.append(_semidirect(f"{tid}/semidirect", inputs, report))
+    centre = np.flatnonzero(G.center_mask)
+    parts += [
+        _conjugation(f"{tid}/conjugation-identity", inputs, auts,
+                     lambda phi, inv: np.array_equal(phi[G.table[centre][:, inv]], G.table[phi[centre]]),
+                     "phi t_a phi^-1 = t_phi(a) for a in Z(G)"),
+        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(H, auts, Q)),
+    ]
     return combine(tid, inputs, "subgroup-embedding", parts)
 
 
@@ -264,33 +251,21 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
     tid = "conj-out"
     inputs = G.name
     Q = conj_m(G, 1)
-    H = build_H(G)
-    reps = out_coset_reps(G)
+    H = _H_stack(G)
+    reps = _out_reps(G)
     expected = len(H) * len(reps)
     if G.is_abelian:
         # Conj(G) is the trivial quandle: Inn(Q) = {id} and Aut(Q) = Sym(n),
         # so the out-quotient is the full symmetric group.
-        report = semidirect_verify(H, [cm.map for cm in reps], Q)
+        report = semidirect_verify(H, reps, Q)
         parts = [
-            _claim(
-                f"{tid}/inn-trivial",
-                inputs,
-                all(np.array_equal(Q.op[:, y], np.arange(G.n)) for y in range(G.n)),
-                notes="right translations of the trivial quandle are the identity",
-            ),
-            _claim(
-                f"{tid}/semidirect",
-                inputs,
-                report.verdict,
-                counterexample=report.failing_clause,
-                notes=f"H rtimes Aut(G) realised by {report.closure_size} distinct maps",
-            ),
-            _claim(
-                f"{tid}/lagrange",
-                inputs,
-                math.factorial(G.n) % expected == 0 if expected else False,
-                notes=f"|H|*|Out(G)| = {expected} divides |Sym(n)| = n!",
-            ),
+            _claim(f"{tid}/inn-trivial", inputs,
+                   all(np.array_equal(Q.op[:, y], np.arange(G.n)) for y in range(G.n)),
+                   notes="right translations of the trivial quandle are the identity"),
+            _claim(f"{tid}/semidirect", inputs, report.verdict, counterexample=report.failing_clause,
+                   notes=f"H rtimes Aut(G) realised by {report.closure_size} distinct maps"),
+            _claim(f"{tid}/lagrange", inputs, math.factorial(G.n) % expected == 0 if expected else False,
+                   notes=f"|H|*|Out(G)| = {expected} divides |Sym(n)| = n!"),
         ]
         return combine(tid, inputs, "subgroup-embedding", parts,
                        notes="symbolic mode: Aut of a trivial quandle is all of Sym(n)")
@@ -300,13 +275,8 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
             f"Aut(Conj(G)) enumeration exceeds the cap for |G| = {G.n}",
         )
     inn_size, aut_size, out_index = inn_out_report(Q)
-    inn = _stack(inn_group(Q))
-    products = _stack(H)[:, _stack(reps)].reshape(-1, G.n)  # t_a o rep, a-major
-    # A product's coset tag is the least s o p over s in Inn(Q), as a rank
-    # among all the s o p keys; distinct cosets have distinct tags.
-    _, rank = np.unique(_keys(inn[:, products].reshape(-1, G.n)), return_inverse=True)
-    tags = rank.reshape(len(inn), len(products)).min(axis=0)
-    injective = len(_distinct(tags)) == len(products)
+    products = H[:, reps].reshape(-1, G.n)  # t_a o rep, a-major
+    injective = len(_distinct(_keys(_coset_leaders(_inn_stack(Q), products)))) == len(products)
     parts = [
         _members(f"{tid}/members", inputs, Q.op, products,
                  "every t_a o rep is an automorphism of Conj(G)"),
@@ -326,11 +296,11 @@ def check_conj_aaut_intersection(G: FiniteGroup, m: int) -> Verdict:
     tid = "conj-aaut"
     inputs = f"{G.name}, m={m}"
     Q = conj_m(G, m)
-    stack = _stack(enumerate_aaut(G))
+    stack = G._maps.aaut
     induced = preserving_mask(Q.op, stack)
     lhs = bool(induced.any())
     powers = G.power_all(2 * m)
-    central = _center_mask(G)[powers]
+    central = G.center_mask[powers]
     rhs = bool(central.all())
     witness = None
     counterexample: Optional[dict] = None
@@ -357,12 +327,12 @@ def check_conj_no_anti(G: FiniteGroup, m: int) -> Verdict:
         return make_skipped(tid, inputs, "emptiness", "stated for |G| >= 2 only")
     Q = conj_m(G, m)
     if G.n <= config.MAX_ORACLE_ORDER:
-        return _emptiness(tid, inputs, _stack(quandle_anti_oracle(Q)),
+        return _emptiness(tid, inputs, _stack_of(quandle_anti_oracle(Q)),
                           "oracle over all n! bijections")
     if G.n <= config.MAX_QUANDLE_ENUM_ORDER:
-        return _emptiness(tid, inputs, _stack(enumerate_quandle_antis(Q)),
+        return _emptiness(tid, inputs, _stack_of(enumerate_quandle_antis(Q)),
                           "complete backtracking enumeration")
-    stack = _stack(enumerate_aaut(G))
+    stack = G._maps.aaut
     return _emptiness(
         tid, inputs, stack[reversing_mask(Q.op, stack)],
         "restricted scan over AAut(G)-induced maps only; the full "
@@ -379,8 +349,8 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     tid = "alex"
     inputs = f"{G.name}, phi={_map_label(phi)}"
     Q = alex(G, phi)
-    aa_stack = _stack(centralizer_in_aaut(G, phi))
-    a_stack = _stack(centralizer_in_aut(G, phi))
+    aa_stack = _centralizer(G._maps.aaut, phi.images)
+    a_stack = _centralizer(G._maps.aut, phi.images)
     parts = [
         _per_map_iff(
             f"{tid}/aaut-induces-auto-iff-central",
@@ -412,12 +382,12 @@ def check_alex_semidirect(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     tid = "alex-semidirect"
     inputs = f"{G.name}, phi={_map_label(phi)}"
     Q = alex(G, phi)
-    right_translations = [PointMap(G.table[:, b]) for b in range(G.n)]  # f_{1,b}
-    cent = [cm.map for cm in centralizer_in_aut(G, phi)]
+    right_translations = G.table.T  # row b is f_{1,b}
+    cent = _centralizer(G._maps.aut, phi.images)
     parts = [
-        _members(f"{tid}/gop-members", inputs, Q.op, _stack(right_translations),
+        _members(f"{tid}/gop-members", inputs, Q.op, right_translations,
                  "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
-        _members(f"{tid}/centralizer-members", inputs, Q.op, _stack(cent),
+        _members(f"{tid}/centralizer-members", inputs, Q.op, cent,
                  "every member of C_Aut(phi) is an automorphism of Alex(G,phi)"),
         _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(right_translations, cent, Q)),
     ]
@@ -428,20 +398,20 @@ def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict
     """F inside Aut(Core(G)) and F = (GxG^op)/N, checked once for the group,
     then F' inside Aut(Alex(G, phi)) for each phi: one verdict per phi."""
     tid = "f-structure"
-    F = build_F(G)
-    in_core = _members(f"{tid}/F-in-core-aut", G.name, core(G).op, _stack(F),
+    F = _F_stack(G)
+    in_core = _members(f"{tid}/F-in-core-aut", G.name, core(G).op, F,
                        f"all {len(F)} maps f_(a,b) preserve Core(G)")
-    size = _claim(f"{tid}/F-size", G.name, len(F) == G.n * G.n // len(G.center()),
+    size = _claim(f"{tid}/F-size", G.name, len(F) == G.n * G.n // int(G.center_mask.sum()),
                   relationship="iff", notes=f"|F| = {len(F)} = |G|^2/|Z(G)|")
     iso = verify_F_iso(G)
     out = []
     for phi in phis:
         inputs = f"{G.name}, phi={_map_label(phi)}"
-        fprime = build_F_prime(G, phi)
+        fprime = _F_prime_stack(G, phi.images)
         parts = [
             replace(in_core, inputs=inputs),
             replace(size, inputs=inputs),
-            _members(f"{tid}/Fprime-in-alex-aut", inputs, alex(G, phi).op, _stack(fprime),
+            _members(f"{tid}/Fprime-in-alex-aut", inputs, alex(G, phi).op, fprime,
                      f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)"),
             iso,
         ]
@@ -458,8 +428,8 @@ def check_core(G: FiniteGroup) -> Verdict:
     tid = "core"
     inputs = G.name
     Q = core(G)
-    aa_stack = _stack(enumerate_aaut(G))
-    a_stack = _stack(enumerate_aut(G))
+    aa_stack = G._maps.aaut
+    a_stack = G._maps.aut
     rhs = G.exponent in (1, 3)
     exp_note = "exponent divides 3 (the proofs need x^3 = e pointwise)"
     parts = [
@@ -493,9 +463,7 @@ def check_core_corollaries(G: FiniteGroup) -> Verdict:
     tid = "core-corollaries"
     inputs = G.name
     Q = core(G)
-    union = _unique_rows(
-        np.concatenate([_stack(enumerate_aut(G)), _stack(enumerate_aaut(G))])
-    )
+    union = _unique_rows(np.concatenate([G._maps.aut, G._maps.aaut]))
     anti_mask = reversing_mask(Q.op, union)
     parts = []
     if G.is_cyclic:
@@ -510,7 +478,7 @@ def check_core_corollaries(G: FiniteGroup) -> Verdict:
                 "nonemptiness), not the printed Aut-intersection wording",
             )
         )
-    if len(G.center()) == 1:
+    if G.center_mask.sum() == 1:
         parts.append(
             _emptiness(f"{tid}/centerless", inputs, union[anti_mask],
                        "no induced map reverses Core(G) when Z(G) is trivial")
@@ -531,9 +499,9 @@ def check_dihedral_no_anti(n: int) -> Verdict:
     Q = dihedral_quandle(n)
     if n < 3:
         return make_skipped(tid, inputs, "emptiness", "stated for n >= 3 only")
-    antis = _stack(enumerate_quandle_antis(Q))
+    antis = _stack_of(enumerate_quandle_antis(Q))
     if n == 3:
-        auts = _stack(enumerate_quandle_auts(Q))
+        auts = _stack_of(enumerate_quandle_auts(Q))
         return _claim(
             tid, inputs, len(antis) == 6 and np.array_equal(antis, auts), relationship="iff",
             notes=f"anti set equals the {len(auts)} automorphisms",
@@ -560,40 +528,26 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
     tid = "core-semidirect"
     inputs = G.name
     Q = core(G)
-    F = build_F(G)
-    reps = out_coset_reps(G)
-    fstack = _stack(F)
-    rstack = _stack(reps)
+    fstack = _F_stack(G)
+    rstack = _out_reps(G)
     f_keys = _keys(fstack)  # ascending: F comes back sorted
-
-    conj_ok = True
-    conj_bad = None
     all_fab = _all_f_ab_stack(G)  # [a, b] = images of f_{a,b}
-    for cm in enumerate_aut(G):
-        phi = cm.images
-        phi_inv = cm.map.inverse().images
-        lhs = phi_inv[all_fab[:, :, phi]]  # phi^-1 o f_{a,b} o phi
-        rhs = all_fab[phi_inv][:, phi_inv]  # f_{phi^-1(a), phi^-1(b)}
-        if not np.array_equal(lhs, rhs):
-            conj_ok = False
-            conj_bad = {"phi": [int(v) for v in phi]}
-            break
-
-    inner_in_F = bool(_in_sorted(_keys(_stack(inner_auts(G))), f_keys).all())
+    inner_in_F = bool(_in_sorted(_keys(_inner_stack(G)), f_keys).all())
     products = _unique_rows(fstack[:, rstack].reshape(-1, G.n))  # f o rep, distinct
     distinct = len(products)
-    expected = len(F) * len(reps)
+    expected = len(fstack) * len(rstack)
     identity_key = _keys(np.arange(G.n))
     rkeys = _keys(rstack)
     intersection_trivial = bool((rkeys[_in_sorted(rkeys, f_keys)] == identity_key).all())
 
     parts = [
         _members(f"{tid}/F-members", inputs, Q.op, fstack,
-                 f"all {len(F)} maps in F preserve Core(G)"),
+                 f"all {len(fstack)} maps in F preserve Core(G)"),
         _members(f"{tid}/rep-members", inputs, Q.op, rstack,
-                 f"all {len(reps)} Out(G) representatives preserve Core(G)"),
-        _claim(f"{tid}/conjugation-identity", inputs, conj_ok, counterexample=conj_bad,
-               notes="phi^-1 f_(a,b) phi = f_(phi^-1 a, phi^-1 b) for every automorphism"),
+                 f"all {len(rstack)} Out(G) representatives preserve Core(G)"),
+        _conjugation(f"{tid}/conjugation-identity", inputs, G._maps.aut,
+                     lambda phi, inv: np.array_equal(inv[all_fab[:, :, phi]], all_fab[inv][:, inv]),
+                     "phi^-1 f_(a,b) phi = f_(phi^-1 a, phi^-1 b) for every automorphism"),
         _claim(f"{tid}/inner-in-F", inputs, inner_in_F,
                notes="Inn(G) = {f_(g, g^-1)} lies in F, so rep products reduce into F"),
         _claim(f"{tid}/trivial-intersection", inputs, intersection_trivial,
@@ -629,8 +583,8 @@ def check_core_abelian_full(G: FiniteGroup) -> Verdict:
         return make_skipped(tid, inputs, "isomorphism", f"enumeration cap below |G| = {G.n}")
     Q = core(G)
     auts = enumerate_quandle_auts(Q)
-    expected = G.n * len(enumerate_aut(G))
-    stack = _stack(auts)
+    expected = G.n * len(G._maps.aut)
+    stack = _stack_of(auts)
     a_vec = stack[:, G.identity]
     h_stack = G.table[G.inverse[a_vec][:, None], stack]  # t_a^-1 o f
     h_ok = preserving_mask(G.table, h_stack)
@@ -659,16 +613,13 @@ def check_core_abelian_full(G: FiniteGroup) -> Verdict:
 def _qi_auto_predicate(G: FiniteGroup, i: int, base: ClassifiedMap) -> Tuple[bool, str]:
     """Group-side predicate for 'psi in C_AAut(base) induces an automorphism
     of Q_i', by base kind."""
-    centre = _center_mask(G)
     if i == 1:
         return is_central_automorphism(G, base), "base automorphism is central"
     if i == 2:
-        phi0 = base.images[G.inverse]  # base o inversion
-        vals = G.table[np.arange(G.n), phi0]
-        return bool(centre[vals].all()), "u * (base o inv)(u) central for every u"
-    binv = base.map.inverse().images
-    vals = G.table[np.arange(G.n), binv]
-    return bool(centre[vals].all()), "y * base^-1(y) central for every y"
+        other, note = base.images[G.inverse], "u * (base o inv)(u) central for every u"
+    else:
+        other, note = np.argsort(base.images), "y * base^-1(y) central for every y"
+    return bool(G.center_mask[G.table[np.arange(G.n), other]].all()), note
 
 
 def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
@@ -680,15 +631,14 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
         Q = ctor(G, base)
     except (WrongMapKind, CompatibilityFail) as exc:
         return make_skipped(tid, inputs, "iff", f"construction rejected: {exc}")
-    a_stack = _stack(centralizer_in_aut(G, base))
-    aa_stack = _stack(centralizer_in_aaut(G, base))
+    a_stack = _centralizer(G._maps.aut, base.images)
+    aa_stack = _centralizer(G._maps.aaut, base.images)
     if i <= 2:
         anti_rhs = G.is_abelian
         anti_note = "an induced antiautomorphism forces G abelian (forward direction)"
     else:
         derived = list(G.commutator_subgroup())
-        centre = set(G.center())
-        anti_rhs = all(x in centre for x in derived) and _cubes_trivial(G, derived)
+        anti_rhs = bool(G.center_mask[derived].all()) and _cubes_trivial(G, derived)
         anti_note = (
             "an induced antiautomorphism forces [G,G] central with every cube "
             "trivial (forward direction)"
@@ -716,10 +666,10 @@ def check_Pi_aut(G: FiniteGroup, c: int) -> Verdict:
     """phi induces an automorphism of P_i(G, c) iff c^-1 phi^-1(c) is central."""
     tid = "p-family-aut"
     inputs = f"{G.name}, c={c}"
-    stack = _stack(enumerate_aut(G))
+    stack = G._maps.aut
     phi_inv_c = np.argmax(stack == c, axis=1)  # phi^-1(c) per automorphism
     rhs_vals = G.table[G.inverse[c], phi_inv_c]
-    rhs_mask = _center_mask(G)[rhs_vals]
+    rhs_mask = G.center_mask[rhs_vals]
     parts = []
     for i, ctor in enumerate((p1, p2, p3, p4), start=1):
         Q = ctor(G, c)
@@ -747,13 +697,11 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
     tid = "p-family-anti"
     inputs = f"{G.name}, c={c}"
     idx = np.arange(G.n)
-    a_stack, aa_stack = (
-        s[s[:, c] == c] for s in (_stack(enumerate_aut(G)), _stack(enumerate_aaut(G)))
-    )  # the maps fixing c
+    a_stack, aa_stack = (s[s[:, c] == c] for s in (G._maps.aut, G._maps.aaut))  # the maps fixing c
     cinv = G.inverse[c]
     comm = G.table[G.table[G.inverse, G.inverse[cinv]], G.table[idx, cinv]]  # [x, c^-1]
     rhs1 = bool((comm == idx).all())
-    rhs2 = int(G.table[c, c]) in G.center()
+    rhs2 = bool(G.center_mask[G.table[c, c]])
     parts = []
     for i, ctor in enumerate((p1, p2, p3, p4), start=1):
         Q = ctor(G, c)

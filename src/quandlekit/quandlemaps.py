@@ -9,7 +9,8 @@ through the target table, a whole level of partial maps at a time.  Its
 first-hit mode walks the same levels depth first, so ``find_table_iso``
 returns the lexicographically least isomorphism without enumerating the
 rest.  Each quandle keeps its enumerations, one per kind, as a sorted
-compact stack together with read-only ``QuandleMap`` objects.
+compact stack together with read-only ``QuandleMap`` objects, and its inner
+automorphism group Inn(Q) as a sorted compact stack.
 """
 
 from __future__ import annotations
@@ -128,6 +129,15 @@ def _enumerate(Q: Quandle, kind: str) -> _Enumerated:
     return Q._maps[kind]
 
 
+def _inn_stack(Q: Quandle) -> np.ndarray:
+    """Inn(Q) as a sorted compact stack, built once and kept in ``Q._maps``."""
+    if "inner" not in Q._maps:
+        stack = _stack_of(inn_group(Q))
+        stack.setflags(write=False)
+        Q._maps["inner"] = stack
+    return Q._maps["inner"]
+
+
 def enumerate_quandle_auts(Q: Quandle, oracle: bool = False) -> List[QuandleMap]:
     """Complete Aut(Q), lexicographically sorted."""
     if oracle:
@@ -234,14 +244,11 @@ def _is_map_group(arr: np.ndarray) -> bool:
     return bool(_in_sorted(_keys(np.argsort(stack, axis=1)), base).all())
 
 
-def semidirect_verify(
-    normal_candidates: Sequence[PointMap],
-    complement_candidates: Sequence[PointMap],
-    Q: Quandle,
-) -> SemidirectReport:
+def semidirect_verify(normal: np.ndarray, complement: np.ndarray, Q: Quandle) -> SemidirectReport:
     """Check that two map sets realise an inner semidirect product in Aut(Q).
 
-    Clauses: every member is an automorphism of Q; each set is a group; the
+    Each set is an (m, n) image array; a repeated row counts once.  Clauses:
+    every member is an automorphism of Q; each set is a group; the
     complement normalizes the normal part; the intersection is trivial; the
     closure of the union has exactly |N| * |C| elements.  The last is
     decided on the set P of the n o c products once they are |N| * |C|
@@ -252,8 +259,8 @@ def semidirect_verify(
     Past MAX_SEMIDIRECT_BFS products the size is certified from the other
     clauses and the distinctness of the products, with no lookup.
     """
-    N = _unique_rows(_stack_of(normal_candidates))
-    C = _unique_rows(_stack_of(complement_candidates))
+    N = _unique_rows(normal)
+    C = _unique_rows(complement)
     n = Q.n
 
     def fail(clause: str, closure_size: int = 0, inter: bool = False) -> SemidirectReport:
@@ -304,9 +311,9 @@ def semidirect_verify(
 
 def inn_out_report(Q: Quandle) -> Tuple[int, int, int]:
     """(inn size, aut size, out index), with Inn normal in Aut verified."""
-    inner = _stack_of(inn_group(Q))
+    inner = _inn_stack(Q)
     auts = _enumerate(Q, "automorphism").stack
-    inn_keys = _distinct(_keys(inner))
+    inn_keys = _keys(inner)  # ascending and distinct: the closure comes back sorted
     if not _in_sorted(inn_keys, _keys(auts)).all():  # the enumeration is sorted
         raise AssertionError("Inn(Q) escaped Aut(Q); engine bug")
     # [j, i] = a_j o s_i o a_j^-1 for every automorphism a_j and inner map s_i

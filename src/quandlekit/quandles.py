@@ -92,7 +92,7 @@ class Quandle:
         self.n = n
         self.name = name if name is not None else f"Q{n}"
         self.dual = _dual_table(arr)
-        self._maps: dict = {}  # kind -> enumeration, filled by quandlemaps
+        self._maps: dict = {}  # kind -> enumeration, "inner" -> Inn(Q); filled by quandlemaps
         self.op.setflags(write=False)
         self.dual.setflags(write=False)
 

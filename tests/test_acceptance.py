@@ -42,8 +42,7 @@ from quandlekit import (
     symmetric,
     verify_F_iso,
 )
-from quandlekit.groupmaps import preserving_mask, reversing_mask
-from quandlekit.harness import _stack
+from quandlekit.groupmaps import _stack_of as _stack, preserving_mask, reversing_mask
 
 SECONDS_FAST = 5.0
 SECONDS_SCAN = 30.0
@@ -316,7 +315,8 @@ def test_criterion_13_census_cli_runtime(capsys):
             timeout=SECONDS_CENSUS + 60,
         )
         elapsed = time.perf_counter() - start
-        report = json.load(open(handle.name))
+        with open(handle.name) as fh:
+            report = json.load(fh)
     ok = proc.returncode == 0 and elapsed < SECONDS_CENSUS and report["summary"]["failed"] == 0
     record(
         capsys, 13,

@@ -25,7 +25,9 @@ from quandlekit import (
     CapExceeded,
     PointMap,
     build_F,
+    build_F_prime,
     build_H,
+    centralizer_in_aaut,
     centralizer_in_aut,
     classify,
     closure_group,
@@ -34,12 +36,23 @@ from quandlekit import (
     enumerate_aaut,
     enumerate_aut,
     inn_group,
+    inner_auts,
     named_group,
     out_coset_reps,
     run_census,
     run_check,
 )
-from quandlekit.groupmaps import _right_closure_size, preserves_table
+from quandlekit.groupmaps import (
+    _centralizer,
+    _coset_leaders,
+    _F_prime_stack,
+    _F_stack,
+    _H_stack,
+    _inner_stack,
+    _out_reps,
+    _right_closure_size,
+    preserves_table,
+)
 from quandlekit.harness import (
     M_RANGE,
     check_alex_semidirect,
@@ -47,10 +60,28 @@ from quandlekit.harness import (
     check_core_semidirect,
 )
 from quandlekit.quandlemaps import _is_map_group
+from quandlekit.verdicts import report_json
 
 # sha256 of json.dumps(run_census([Z3, Z4, S3, D4, Q8]), sort_keys=True), as
 # produced by the per-row implementation the keyed stacks replaced.
 GOLDEN_CENSUS_SHA256 = "d597c451d7d454cc9e8085101e08ac0d3168340a983b4ac6c97614b70a1f7f37"
+
+# sha256 of json.dumps(run_census(catalog without heisenberg3), sort_keys=True),
+# as produced while the checks still turned stacks into map lists and back.
+GOLDEN_CATALOG_SHA256 = "92a6fd17d4361198ce474bdcdda5ab39a2f6df2373a36edbf49e46769f96106d"
+
+# sha256 of json.dumps(report_json(["H3"], verdicts), sort_keys=True) over the
+# H3 runs in H3_GOLDEN_RUNS, in order, from the same implementation.
+GOLDEN_H3_SHA256 = "478c48096586f70fcbde3c96ef7c2152495cdcd0db17adc71a9b155aebfdc2dc"
+H3_GOLDEN_RUNS = (
+    ("conj-semidirect", {"m": 1}),
+    ("conj-out", {}),
+    ("core", {}),
+    ("core-semidirect", {}),
+    *((tid, {"phi_index": k}) for tid in ("alex", "alex-semidirect", "f-structure")
+      for k in (0, 431)),
+    ("q-family", {"phi_index": 5, "psi_index": 7}),
+)
 
 # |Aut(G)| for every catalog group of order <= 12, from the classification of
 # small groups: phi(n) for Z_n, |GL(2,p)| for the elementary abelian groups,
@@ -296,6 +327,68 @@ class TestAutCache:
             assert cm.images.dtype == np.int64
 
 
+# --- public lists are views of the private stacks ---
+
+
+def rows_of(maps):
+    return [tuple(int(v) for v in m.images) for m in maps]
+
+
+def stack_rows(stack):
+    return [tuple(int(v) for v in row) for row in stack]
+
+
+class TestViews:
+    @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4", "heisenberg3"])
+    def test_each_list_is_the_rows_of_its_stack_in_order(self, spec):
+        G = named_group(spec)
+        maps = G._maps
+        assert rows_of(enumerate_aut(G)) == stack_rows(maps.aut)
+        assert rows_of(enumerate_aaut(G)) == stack_rows(maps.aaut)
+        assert rows_of(inner_auts(G)) == stack_rows(_inner_stack(G))
+        assert rows_of(out_coset_reps(G)) == stack_rows(_out_reps(G))
+        assert rows_of(build_H(G)) == stack_rows(_H_stack(G))
+        assert rows_of(build_F(G)) == stack_rows(_F_stack(G))
+        for phi in enumerate_aut(G):
+            assert rows_of(centralizer_in_aut(G, phi)) == stack_rows(
+                _centralizer(maps.aut, phi.images))
+            assert rows_of(centralizer_in_aaut(G, phi)) == stack_rows(
+                _centralizer(maps.aaut, phi.images))
+            assert rows_of(build_F_prime(G, phi)) == stack_rows(_F_prime_stack(G, phi.images))
+
+    @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4"])
+    def test_coset_leaders_are_the_least_members(self, spec):
+        G = named_group(spec)
+        inner = stack_rows(_inner_stack(G))
+        auts = stack_rows(G._maps.aut)
+        want = [min(compose(s, m) for s in inner) for m in auts]
+        assert stack_rows(_coset_leaders(_inner_stack(G), G._maps.aut)) == want
+        assert stack_rows(_out_reps(G)) == [m for m, lead in zip(auts, want) if m == lead]
+
+    @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4", "heisenberg3"])
+    def test_center_mask_is_the_center(self, spec):
+        G = named_group(spec)
+        assert tuple(np.flatnonzero(G.center_mask)) == G.center().members
+        assert not G.center_mask.flags.writeable
+        assert G.center_mask is G.center_mask
+
+
+def test_conj_out_builds_inn_once(monkeypatch):
+    """inn_out_report and the coset-injective clause read one Inn(Conj(G)) build."""
+    import quandlekit.quandles as quandles_module
+
+    calls = []
+    real = quandles_module.closure_of_point_maps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quandles_module, "closure_of_point_maps", counted)
+    assert all(v.holds for v in run_check("conj-out", named_group("S3")))
+    assert len(calls) == 1
+
+
 # --- the whole census ---
 
 
@@ -303,6 +396,21 @@ def test_small_census_is_byte_identical_to_the_per_row_engine():
     report = run_census([named_group(s) for s in ("Z3", "Z4", "S3", "D4", "Q8")])
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_CENSUS_SHA256
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_catalog_census_without_h3_is_byte_identical():
+    groups = [named_group(s) for s in CATALOG_SPECS if s != "heisenberg3"]
+    assert _digest(run_census(groups)) == GOLDEN_CATALOG_SHA256
+
+
+def test_h3_checks_are_byte_identical():
+    H3 = named_group("heisenberg3")
+    verdicts = [v for tid, kw in H3_GOLDEN_RUNS for v in run_check(tid, H3, **kw)]
+    assert _digest(report_json([H3.name], verdicts)) == GOLDEN_H3_SHA256
 
 
 def test_census_leaves_numpy_ma_unimported():

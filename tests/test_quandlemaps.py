@@ -39,6 +39,11 @@ def _translations(n):
     return [PointMap([(x + k) % n for x in range(n)]) for k in range(n)]
 
 
+def _rows(maps):
+    """The (m, n) image array semidirect_verify takes."""
+    return np.array([pm.images for pm in maps])
+
+
 class TestEnumerationAgainstOracle:
     def test_corpus_automorphisms_match_oracle(self, quandle_corpus):
         checked = 0
@@ -218,38 +223,38 @@ class TestSemidirectVerify:
         Q = dihedral_quandle(3)
         N = _translations(3)
         C = [PointMap([0, 1, 2]), PointMap([0, 2, 1])]  # x -> ax, a in {1, 2}
-        report = semidirect_verify(N, C, Q)
+        report = semidirect_verify(_rows(N), _rows(C), Q)
         assert report.verdict, report.to_json()
         assert report.closure_size == 6
         assert report.mode == "materialized"
 
     def test_non_automorphism_member_is_reported(self):
         Q = dihedral_quandle(4)
-        report = semidirect_verify([PointMap([1, 0, 2, 3])], _translations(4), Q)
+        report = semidirect_verify(_rows([PointMap([1, 0, 2, 3])]), _rows(_translations(4)), Q)
         assert not report.verdict
         assert report.failing_clause == "normal part contains a non-automorphism"
 
     def test_non_group_part_is_reported(self):
         Q = dihedral_quandle(4)
-        report = semidirect_verify(_translations(4)[1:2], _translations(4), Q)
+        report = semidirect_verify(_rows(_translations(4)[1:2]), _rows(_translations(4)), Q)
         assert not report.verdict
         assert report.failing_clause == "normal part is not a group of maps"
 
     def test_non_normalizing_complement_is_reported(self):
         Q = dihedral_quandle(4)
         reflections = [PointMap([0, 1, 2, 3]), PointMap([0, 3, 2, 1])]
-        report = semidirect_verify(reflections, _translations(4), Q)
+        report = semidirect_verify(_rows(reflections), _rows(_translations(4)), Q)
         assert not report.verdict
         assert report.failing_clause == "complement does not normalize the normal part"
 
     def test_overlapping_parts_are_reported(self):
         Q = dihedral_quandle(4)
-        report = semidirect_verify(_translations(4), _translations(4), Q)
+        report = semidirect_verify(_rows(_translations(4)), _rows(_translations(4)), Q)
         assert not report.verdict
         assert report.failing_clause == "intersection is not trivial"
 
     def test_empty_part_is_reported(self):
-        report = semidirect_verify([], _translations(4), dihedral_quandle(4))
+        report = semidirect_verify(_rows([]), _rows(_translations(4)), dihedral_quandle(4))
         assert not report.verdict
         assert report.failing_clause == "a part is empty"
 
