@@ -3,11 +3,16 @@
 PointMap is the public form of one map: automorphisms, antiautomorphisms,
 the inversion map, translations, and the two-sided maps f_{a,b}(x) = a*x*b
 are all point maps over {0..n-1}.  Inside the engine a set of maps is one
-compact stack (see ``_compact``), deduplicated, searched and sorted through
-one byte key per row.  Each family (Aut(G), AAut(G), Inn(G), the Out(G)
-representatives, the centralizers, H, F and F') is built once, by a private
-function that returns its stack; the checks read only those stacks, and the
-public list functions are views of them.  Classification and enumeration
+compact stack (see ``_compact``).  Two keys serve for dedupe, membership and
+sorting.  The byte key of a whole row (``_keys``) sorts like the images; it
+serves the sets whose order reaches output (Aut, AAut, F, F', the views)
+and the sets of quandle maps.  The semidirect, closure and centralizer
+checks read maps of Hol(G) = {x -> a*phi(x)} on B = ``G.hol_base`` only:
+an int64 key per map, |B| images instead of n (``_hol_keys``).  Each
+family (Aut(G), AAut(G), Inn(G), the Out(G) representatives, the
+centralizers, H, F and F') is built once, by a private function that
+returns its stack; the checks read only those stacks, and the public list
+functions are views of them.  Classification and enumeration
 live here; the same table laws are reused verbatim for quandles.
 """
 
@@ -461,20 +466,77 @@ def closure_of_point_maps(
     return _point_maps(_unique_rows(np.concatenate(levels)))
 
 
-def _right_closure_size(P: np.ndarray, T: np.ndarray) -> int:
-    """The number of distinct maps among the identity, P and P o T.
+# --- Hol(G) keys ---
+#
+# The maps of the semidirect checks all lie in Hol(G) = {x -> a*phi(x)}, and
+# such a map is fixed by its images on B = ``G.hol_base`` (see there).  Read
+# as a base-n number, those |B| images are one int64 key per map, so a
+# composite is needed only on B, (p o t)(b) = p[t[b]], and every dedupe,
+# membership test and closure count sorts |B|-column int keys.  Keys exist
+# only for rows that ``_hol_mask`` admits and for their products and
+# inverses.  They do not sort like the images, so every set whose order
+# reaches output keeps the byte keys above.
+
+
+def _hol_keys(G: FiniteGroup, at_base: np.ndarray) -> np.ndarray:
+    """The int64 keys of Hol(G) maps from their images on B, shaped (..., |B|)."""
+    keys = at_base[..., 0].astype(np.int64)
+    for i in range(1, at_base.shape[-1]):
+        keys *= G.n
+        keys += at_base[..., i]
+    return keys
+
+
+def _bijective_mask(stack: np.ndarray) -> np.ndarray:
+    """Which rows of a (m, n) stack of images in {0..n-1} are bijections."""
+    hit = np.zeros(stack.shape, dtype=bool)
+    hit[np.arange(len(stack))[:, None], stack] = True
+    return hit.all(axis=1)
+
+
+def _hol_mask(G: FiniteGroup, stack: np.ndarray) -> np.ndarray:
+    """Which rows of a stack are maps x -> a*phi(x) with phi in Aut(G).
+
+    A row passes when it is a bijection and g = f(e)^-1 * f satisfies
+    g(x*s) = g(x)*g(s) for every x and every generator s of G.  The s that
+    pass are closed under the product, so g is then an automorphism.
+    """
+    t, gens = G.table, G.hol_base[1:]
+    g = t[G.inverse[stack[:, G.identity]][:, None], stack]
+    # g(x*s) against g(x)*g(s), indexed [row, x, s]
+    preserved = (g[:, t[:, gens]] == t[g[:, :, None], g[:, None, gens]]).all(axis=(1, 2))
+    return _bijective_mask(stack) & preserved
+
+
+def _is_map_group(G: FiniteGroup, stack: np.ndarray) -> bool:
+    """Whether the rows of a stack of Hol(G) maps are distinct and closed under composition.
+
+    A finite set of bijections closed under composition holds the powers of
+    each member, so its inverses and the identity: this is the full
+    subgroup test.  Each product is read on B only, one lookup among the
+    sorted keys.
+    """
+    base = G.hol_base
+    keys = _distinct(_hol_keys(G, stack[:, base]))
+    if len(keys) != len(stack):
+        return False
+    return bool(_in_sorted(_hol_keys(G, stack[:, stack[:, base]]).ravel(), keys).all())
+
+
+def _right_closure_size(G: FiniteGroup, P: np.ndarray, T: np.ndarray) -> int:
+    """The number of distinct maps among the identity, P and P o T, all in Hol(G).
 
     Let T generate a group K that contains P.  Every member of K is a word
     in T, built from the identity by right multiplication, so P is all of K
     exactly when it holds the identity and P o T lies in P: exactly when the
     count equals the number of distinct rows of P.  Otherwise the count is a
-    lower bound on |K|.  The test is one gather of |P| * |T| rows and one
-    lookup among P's sorted keys; the rows of P need not be distinct.
+    lower bound on |K|.  The test is one gather of |P| * |T| images on B and
+    one lookup among P's sorted keys; the rows of P need not be distinct.
     """
-    P = _unique_rows(_compact(P))
-    n = P.shape[1]
-    steps = _keys(np.concatenate([_compact(np.arange(n)), P[:, _compact(T)].reshape(-1, n)]))
-    return len(P) + len(_distinct(steps[~_in_sorted(steps, _keys(P))]))
+    base = G.hol_base
+    keys = _distinct(_hol_keys(G, P[:, base]))
+    steps = np.concatenate([_hol_keys(G, base[None, :]), _hol_keys(G, P[:, T[:, base]]).ravel()])
+    return len(keys) + len(_distinct(steps[~_in_sorted(steps, keys)]))
 
 
 # --- map families ---
@@ -534,17 +596,22 @@ def out_coset_reps(G: FiniteGroup) -> List[ClassifiedMap]:
     return _view(enumerate_aut(G), G._maps.aut, _out_reps(G))
 
 
-def _centralizer(stack: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """The rows of a stack that commute with the map ``base``, in order."""
-    return stack[(stack[:, base] == base[stack]).all(axis=1)]
+def _centralizer(G: FiniteGroup, stack: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The rows of a stack of (anti)automorphisms of G that commute with phi, in order.
+
+    With phi also one of these, psi o phi and phi o psi are of one kind, so
+    they are equal when they agree on B = ``G.hol_base``, which generates G.
+    """
+    base = G.hol_base
+    return stack[(stack[:, phi[base]] == phi[stack[:, base]]).all(axis=1)]
 
 
 def centralizer_in_aut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _view(enumerate_aut(G), G._maps.aut, _centralizer(G._maps.aut, phi.images))
+    return _view(enumerate_aut(G), G._maps.aut, _centralizer(G, G._maps.aut, phi.images))
 
 
 def centralizer_in_aaut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _view(enumerate_aaut(G), G._maps.aaut, _centralizer(G._maps.aaut, phi.images))
+    return _view(enumerate_aaut(G), G._maps.aaut, _centralizer(G, G._maps.aaut, phi.images))
 
 
 def is_central_automorphism(G: FiniteGroup, theta: ClassifiedMap) -> bool:
@@ -599,6 +666,19 @@ def build_F_prime(G: FiniteGroup, phi: ClassifiedMap) -> List[PointMap]:
     return _point_maps(_F_prime_stack(G, phi.images))
 
 
+def _composes_as(maps: np.ndarray, table: np.ndarray) -> bool:
+    """Whether maps[i] o maps[j] = maps[table[i, j]] for every i and j.
+
+    Only the j among the table's k greedy generators are checked.  The j
+    that pass for every i are closed under the product, as
+    f_i f_(st) = f_i f_s f_t = f_(is) f_t = f_(i(st)), and every point is
+    a product of generators, so the verdict is that of all |Q|^2 pairs, at
+    |Q| * k * n memory instead of |Q|^2 * n.
+    """
+    gens = [g for g, _ in _generator_levels(table)]
+    return bool((maps[:, maps[gens]] == maps[table[:, gens]]).all())
+
+
 def verify_F_iso(G: FiniteGroup) -> Verdict:
     """F realises (G x G^op)/N, N = {(a, a^-1) | a in Z(G)}.
 
@@ -642,12 +722,9 @@ def verify_F_iso(G: FiniteGroup) -> Verdict:
     reps = np.array(
         [int(np.nonzero(projection == k)[0][0]) for k in range(quotient.n)], dtype=np.int64
     )
-    rep_maps = stack[reps]  # (q, n)
-    composed = rep_maps[:, rep_maps]  # [i, j] = f_i after f_j
-    target = rep_maps[quotient.table]
     # f_{a,b} f_{c,d} = f_{ac,db}, and (a,b)(c,d) = (ac, db) in G x G^op, so
     # the correspondence is a straight homomorphism.
-    hom_ok = bool((composed == target).all())
+    hom_ok = _composes_as(stack[reps], quotient.table)
     parts.append(
         make_iff(
             "f-structure/homomorphism",

@@ -20,6 +20,7 @@ import numpy as np
 from . import config
 from .errors import (
     BadShape,
+    CapExceeded,
     ConstructionSpecError,
     NoIdentity,
     NoInverse,
@@ -241,6 +242,22 @@ class FiniteGroup:
     @cached_property
     def is_cyclic(self) -> bool:
         return bool((self.element_orders == self.n).any())
+
+    @cached_property
+    def hol_base(self) -> np.ndarray:
+        """B = {e} u the greedy generators of G, identity first, read-only.
+
+        A map x -> a*phi(x) of Hol(G) is fixed by its images on B: a = f(e),
+        and phi = f(e)^-1 * f is an automorphism, fixed by its generator
+        images.  The images on B, read as a base-n number, key such maps in
+        int64; raises CapExceeded when n^|B| does not fit.
+        """
+        gens = [g for g, _ in _generator_levels(self.table) if g != self.identity]
+        base = np.array([self.identity, *gens], dtype=np.int64)
+        if self.n ** base.size >= 1 << 63:
+            raise CapExceeded("Hol(G) base key", self.n ** base.size, (1 << 63) - 1)
+        base.setflags(write=False)
+        return base
 
     @cached_property
     def _maps(self):

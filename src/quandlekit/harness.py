@@ -64,7 +64,7 @@ from .groupmaps import (
     reversing_mask,
     verify_F_iso,
 )
-from .groups import FiniteGroup, _distinct, _generator_levels, named_group
+from .groups import FiniteGroup, _distinct, named_group
 from .quandlemaps import (
     SemidirectReport,
     _inn_stack,
@@ -241,7 +241,7 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
         _conjugation(f"{tid}/conjugation-identity", inputs, auts,
                      lambda phi, inv: np.array_equal(phi[G.table[centre][:, inv]], G.table[phi[centre]]),
                      "phi t_a phi^-1 = t_phi(a) for a in Z(G)"),
-        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(H, auts, Q)),
+        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(H, auts, Q, G)),
     ]
     return combine(tid, inputs, "subgroup-embedding", parts)
 
@@ -257,7 +257,7 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
     if G.is_abelian:
         # Conj(G) is the trivial quandle: Inn(Q) = {id} and Aut(Q) = Sym(n),
         # so the out-quotient is the full symmetric group.
-        report = semidirect_verify(H, reps, Q)
+        report = semidirect_verify(H, reps, Q, G)
         parts = [
             _claim(f"{tid}/inn-trivial", inputs,
                    all(np.array_equal(Q.op[:, y], np.arange(G.n)) for y in range(G.n)),
@@ -349,8 +349,8 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     tid = "alex"
     inputs = f"{G.name}, phi={_map_label(phi)}"
     Q = alex(G, phi)
-    aa_stack = _centralizer(G._maps.aaut, phi.images)
-    a_stack = _centralizer(G._maps.aut, phi.images)
+    aa_stack = _centralizer(G, G._maps.aaut, phi.images)
+    a_stack = _centralizer(G, G._maps.aut, phi.images)
     parts = [
         _per_map_iff(
             f"{tid}/aaut-induces-auto-iff-central",
@@ -383,13 +383,13 @@ def check_alex_semidirect(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     inputs = f"{G.name}, phi={_map_label(phi)}"
     Q = alex(G, phi)
     right_translations = G.table.T  # row b is f_{1,b}
-    cent = _centralizer(G._maps.aut, phi.images)
+    cent = _centralizer(G, G._maps.aut, phi.images)
     parts = [
         _members(f"{tid}/gop-members", inputs, Q.op, right_translations,
                  "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
         _members(f"{tid}/centralizer-members", inputs, Q.op, cent,
                  "every member of C_Aut(phi) is an automorphism of Alex(G,phi)"),
-        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(right_translations, cent, Q)),
+        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(right_translations, cent, Q, G)),
     ]
     return combine(tid, inputs, "subgroup-embedding", parts)
 
@@ -556,10 +556,10 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
                notes=f"{distinct} distinct f o rep products, expected {expected}"),
     ]
     if expected <= config.MAX_SEMIDIRECT_BFS:
-        gens = [g for g, _ in _generator_levels(G.table)]
+        gens = G.hol_base  # e and the generators; the identity adds no product
         # T: the reps, then f_(g,1) = x -> g*x and f_(1,g) = x -> x*g per generator g
         steps = np.concatenate([rstack, G.table[gens], G.table[:, gens].T])
-        size = _right_closure_size(products, steps)
+        size = _right_closure_size(G, products, steps)
         parts.append(
             _claim(f"{tid}/closure", inputs, size == distinct == expected,
                    notes=f"materialized closure has {size} maps"),
@@ -631,8 +631,8 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
         Q = ctor(G, base)
     except (WrongMapKind, CompatibilityFail) as exc:
         return make_skipped(tid, inputs, "iff", f"construction rejected: {exc}")
-    a_stack = _centralizer(G._maps.aut, base.images)
-    aa_stack = _centralizer(G._maps.aaut, base.images)
+    a_stack = _centralizer(G, G._maps.aut, base.images)
+    aa_stack = _centralizer(G, G._maps.aaut, base.images)
     if i <= 2:
         anti_rhs = G.is_abelian
         anti_note = "an induced antiautomorphism forces G abelian (forward direction)"

@@ -10,7 +10,9 @@ first-hit mode walks the same levels depth first, so ``find_table_iso``
 returns the lexicographically least isomorphism without enumerating the
 rest.  Each quandle keeps its enumerations, one per kind, as a sorted
 compact stack together with read-only ``QuandleMap`` objects, and its inner
-automorphism group Inn(Q) as a sorted compact stack.
+automorphism group Inn(Q) as a sorted compact stack.  Those sets, the
+closures and the Inn/Out report are keyed by whole rows; ``semidirect_verify``
+admits only maps of Hol(G) and keys them by their images on ``G.hol_base``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from .errors import CapExceeded, CarrierMismatch
 from .groupmaps import (
     ClassifiedMap,
     PointMap,
-    _compact,
+    _bijective_mask,
+    _hol_keys,
+    _hol_mask,
     _in_sorted,
+    _is_map_group,
     _keys,
     _point_maps,
     _right_closure_size,
@@ -226,39 +231,28 @@ class SemidirectReport:
         }
 
 
-def _is_map_group(arr: np.ndarray) -> bool:
-    """Whether a deduplicated stack of maps is closed under composition/inverse.
+def semidirect_verify(
+    normal: np.ndarray, complement: np.ndarray, Q: Quandle, G: FiniteGroup
+) -> SemidirectReport:
+    """Check that two map sets of Hol(G) realise an inner semidirect product in Aut(Q).
 
-    A nonempty set closed under both necessarily contains the identity, so
-    this is the full subgroup test.  The rows are keyed once (see
-    ``groupmaps._keys``); every product and every inverse is then looked up
-    among the sorted distinct keys.
+    Each set is an (m, n) image array on G's carrier; a repeated row counts
+    once.  Clauses: every member is a bijection that preserves Q; every
+    member lies in Hol(G) (``groupmaps._hol_mask``); each set is a group;
+    the complement normalizes the normal part; the intersection is trivial;
+    the closure of the union has exactly |N| * |C| elements.  Past the
+    membership clauses every map is read on B = ``G.hol_base`` only and
+    keyed there (``groupmaps._hol_keys``).  The last clause is decided on
+    the set P of the n o c products once they are |N| * |C| distinct maps.
+    P holds the identity and P o C = P, as C is a group, so P is the
+    closure exactly when P o N lies in P (``groupmaps._right_closure_size``).
+    The reported closure size is then |P|, and otherwise a lower bound: the
+    distinct maps in P and P o N.  Past MAX_SEMIDIRECT_BFS products the size
+    is certified from the other clauses and the distinctness of the
+    products, with no lookup.
     """
-    stack = _compact(arr)
-    m, n = stack.shape
-    base = _distinct(_keys(stack))
-    if len(base) != m:
-        return False
-    if not _in_sorted(_keys(stack[:, stack].reshape(-1, n)), base).all():
-        return False
-    return bool(_in_sorted(_keys(np.argsort(stack, axis=1)), base).all())
-
-
-def semidirect_verify(normal: np.ndarray, complement: np.ndarray, Q: Quandle) -> SemidirectReport:
-    """Check that two map sets realise an inner semidirect product in Aut(Q).
-
-    Each set is an (m, n) image array; a repeated row counts once.  Clauses:
-    every member is an automorphism of Q; each set is a group; the
-    complement normalizes the normal part; the intersection is trivial; the
-    closure of the union has exactly |N| * |C| elements.  The last is
-    decided on the set P of the n o c products once they are |N| * |C|
-    distinct maps.  P holds the identity and P o C = P, as C is a group, so
-    P is the closure exactly when P o N lies in P
-    (``groupmaps._right_closure_size``).  The reported closure size is then
-    |P|, and otherwise a lower bound: the distinct maps in P and P o N.
-    Past MAX_SEMIDIRECT_BFS products the size is certified from the other
-    clauses and the distinctness of the products, with no lookup.
-    """
+    if Q.n != G.n:
+        raise CarrierMismatch(G.n, Q.n)
     N = _unique_rows(normal)
     C = _unique_rows(complement)
     n = Q.n
@@ -269,30 +263,34 @@ def semidirect_verify(normal: np.ndarray, complement: np.ndarray, Q: Quandle) ->
     if N.size == 0 or C.size == 0:
         return fail("a part is empty")
     for label, arr in (("normal", N), ("complement", C)):
-        if arr.size and not preserving_mask(Q.op, arr).all():
+        if not (_bijective_mask(arr) & preserving_mask(Q.op, arr)).all():
             return fail(f"{label} part contains a non-automorphism")
-        if not _is_map_group(arr):
+        if not _hol_mask(G, arr).all():
+            return fail(f"{label} part lies outside Hol(G)")
+        if not _is_map_group(G, arr):
             return fail(f"{label} part is not a group of maps")
 
-    nkeys, ckeys = _keys(N), _keys(C)  # both ascending
+    base = G.hol_base
+    nkeys = _distinct(_hol_keys(G, N[:, base]))
+    ckeys = _hol_keys(G, C[:, base])
     cinv = np.argsort(C, axis=1)
-    # [j, i] = c_j o f_i o c_j^-1 for every complement member c_j
-    conjugated = C[np.arange(len(C))[:, None, None], N[:, cinv].transpose(1, 0, 2)]
-    if not _in_sorted(_keys(conjugated.reshape(-1, n)), nkeys).all():
+    # [i, j] = c_j o f_i o c_j^-1 on B, for f_i in N and c_j in C
+    conjugated = C[np.arange(len(C))[:, None], N[:, cinv[:, base]]]
+    if not _in_sorted(_hol_keys(G, conjugated).ravel(), nkeys).all():
         return fail("complement does not normalize the normal part")
 
     inter = ckeys[_in_sorted(ckeys, nkeys)]
-    intersection_trivial = bool((inter == _keys(np.arange(n))).all())
-    if not intersection_trivial:
+    if not (inter == _hol_keys(G, base[None, :])).all():
         return fail("intersection is not trivial", inter=False)
 
-    products = _unique_rows(N[:, C].reshape(-1, n))  # f o c for all pairs
+    # f o c for all pairs, on B
+    distinct = len(_distinct(_hol_keys(G, N[:, C[:, base]]).ravel()))
     expected = len(N) * len(C)
-    if len(products) != expected:
-        return fail("n o c products collide", closure_size=len(products), inter=True)
+    if distinct != expected:
+        return fail("n o c products collide", closure_size=distinct, inter=True)
 
     if expected <= config.MAX_SEMIDIRECT_BFS:
-        closure_size = _right_closure_size(products, N)
+        closure_size = _right_closure_size(G, N[:, C].reshape(-1, n), N)
         mode = "materialized"
     else:
         closure_size = expected

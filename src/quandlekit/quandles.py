@@ -61,10 +61,10 @@ def _check_q3(op: np.ndarray) -> None:
 
 
 def _dual_table(op: np.ndarray) -> np.ndarray:
-    n = op.shape[0]
+    """dual[op[x, y], y] = x: each column inverts a right multiplication."""
+    idx = np.arange(op.shape[0])
     dual = np.empty_like(op)
-    for y in range(n):
-        dual[op[:, y], y] = np.arange(n)
+    dual[op, idx[None, :]] = idx[:, None]
     return dual
 
 

@@ -5,6 +5,7 @@ stdout (bypassing capture) so a plain pytest run still shows the full
 scorecard. Counts are exact; time budgets are pinned constants.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -48,6 +49,11 @@ SECONDS_FAST = 5.0
 SECONDS_SCAN = 30.0
 SECONDS_BACKTRACK = 60.0
 SECONDS_CENSUS = 300.0
+
+# sha256 of json.dumps(<the census -o file, loaded>, sort_keys=True) for the
+# full catalog, H3 with all 432 phi included, from the whole-row map keys
+# the Hol(G) base keys replaced.
+GOLDEN_FULL_CENSUS_SHA256 = "6d7e84fd497f1ba81ae1e2f20ab6740a7dff299cb1562e597b55795e1e1a454d"
 
 
 def record(capsys, num: int, ok: bool, detail: str) -> None:
@@ -317,10 +323,17 @@ def test_criterion_13_census_cli_runtime(capsys):
         elapsed = time.perf_counter() - start
         with open(handle.name) as fh:
             report = json.load(fh)
-    ok = proc.returncode == 0 and elapsed < SECONDS_CENSUS and report["summary"]["failed"] == 0
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    ok = (
+        proc.returncode == 0
+        and elapsed < SECONDS_CENSUS
+        and report["summary"]["failed"] == 0
+        and digest == GOLDEN_FULL_CENSUS_SHA256
+    )
     record(
         capsys, 13,
         ok,
         f"census CLI exit {proc.returncode} in {elapsed:.1f}s, "
-        f"{report['summary']['total']} verdicts, {report['summary']['failed']} failed",
+        f"{report['summary']['total']} verdicts, {report['summary']['failed']} failed, "
+        f"sha256 {digest[:12]}",
     )

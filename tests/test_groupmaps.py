@@ -37,7 +37,8 @@ from quandlekit import (
     symmetric,
     verify_F_iso,
 )
-from quandlekit.groupmaps import preserving_mask, reversing_mask
+from quandlekit.groupmaps import _all_f_ab_stack, _composes_as, preserving_mask, reversing_mask
+from quandlekit.groups import opposite, quotient_by_normal
 
 # Automorphism group orders, frozen from independent runs of the n! oracle
 # (order <= 6) and cross-checked against the generator-image search.
@@ -219,6 +220,21 @@ class TestTranslationFamilies:
     def test_F_realises_the_quotient(self, spec):
         verdict = verify_F_iso(named_group(spec))
         assert verdict.holds, verdict.to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from(["Z4", "Z2xZ2", "S3", "D4", "Q8"]), data=st.data())
+    def test_generator_products_decide_like_all_products(self, spec, data):
+        """The homomorphism clause on rep maps with two rows swapped, against all |Q|^2 pairs."""
+        G = named_group(spec)
+        normal = [a * G.n + int(G.inverse[a]) for a in G.center()]
+        quotient, projection = quotient_by_normal(direct_product(G, opposite(G)), normal)
+        reps = [int(np.flatnonzero(projection == k)[0]) for k in range(quotient.n)]
+        maps = _all_f_ab_stack(G).reshape(-1, G.n)[reps]
+        i, j = (data.draw(st.integers(0, quotient.n - 1)) for _ in range(2))
+        maps[[i, j]] = maps[[j, i]]
+        full = bool((maps[:, maps] == maps[quotient.table]).all())
+        assert _composes_as(maps, quotient.table) == full
+        assert full or i != j
 
 
 class TestClosure:

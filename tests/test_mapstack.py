@@ -1,11 +1,13 @@
 """The compact map-stack substrate against plain frozenset-of-tuples references.
 
 Inside the engine a set of maps is a compact image stack keyed by one byte
-string per row; these tests pin every keyed operation to the obvious
+string per row, or, for maps of Hol(G), by one integer from the images on
+``G.hol_base``; these tests pin every keyed operation to the obvious
 set-of-tuples computation it replaces, including the order of the results.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -32,6 +34,7 @@ from quandlekit import (
     classify,
     closure_group,
     closure_of_point_maps,
+    cyclic,
     dihedral_quandle,
     enumerate_aaut,
     enumerate_aut,
@@ -48,18 +51,21 @@ from quandlekit.groupmaps import (
     _F_prime_stack,
     _F_stack,
     _H_stack,
+    _hol_keys,
+    _hol_mask,
     _inner_stack,
+    _is_map_group,
     _out_reps,
     _right_closure_size,
     preserves_table,
 )
+from quandlekit.groups import FiniteGroup
 from quandlekit.harness import (
     M_RANGE,
     check_alex_semidirect,
     check_conj_semidirect,
     check_core_semidirect,
 )
-from quandlekit.quandlemaps import _is_map_group
 from quandlekit.verdicts import report_json
 
 # sha256 of json.dumps(run_census([Z3, Z4, S3, D4, Q8]), sort_keys=True), as
@@ -93,6 +99,9 @@ AUT_ORDERS = {
 }
 
 SMALL_CATALOG = [spec for spec in CATALOG_SPECS if named_group(spec).n <= 12]
+
+# The groups whose holomorphs the keyed helpers are tested on.
+HOL_CATALOG = [spec for spec in CATALOG_SPECS if named_group(spec).n <= 8]
 
 
 # --- references: sets of tuples, no arrays ---
@@ -135,6 +144,30 @@ def reference_is_map_group(rows):
         and all(compose(a, b) in members for a in rows for b in rows)
         and all(inverse(a) in members for a in rows)
     )
+
+
+def hol_rows(G):
+    """Hol(G) = {x -> a * phi(x) | a in G, phi in Aut(G)} as sorted tuples."""
+    return sorted({tuple(int(v) for v in G.table[a, phi.images])
+                   for a in range(G.n) for phi in enumerate_aut(G)})
+
+
+HOL = {spec: (named_group(spec), hol_rows(named_group(spec))) for spec in HOL_CATALOG}
+
+
+def hol_subgroup(data):
+    """A catalog group of order <= 8 and the subgroup of Hol(G) that drawn members generate."""
+    G, rows = HOL[data.draw(st.sampled_from(HOL_CATALOG))]
+    gens = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+    return G, gens, reference_closure(gens, cap=10**6)
+
+
+def relabelled(G, perm):
+    """G with element x renamed perm[x]."""
+    perm = np.asarray(perm)
+    table = np.empty_like(G.table)
+    table[perm[:, None], perm[None, :]] = perm[G.table]
+    return FiniteGroup(table, name=f"{G.name}'")
 
 
 def outcome(fn, *args):
@@ -207,6 +240,51 @@ class TestClosure:
         assert G.table.tolist() == [[index[compose(a, b)] for b in rows] for a in rows]
 
 
+# --- Hol(G) keys ---
+
+
+class TestHolKeys:
+    def test_base_is_the_identity_and_the_greedy_generators(self):
+        assert named_group("heisenberg3").hol_base.tolist() == [0, 1, 3, 9]
+        assert named_group("S4").hol_base.tolist() == [0, 1, 2, 6]
+        assert not named_group("S4").hol_base.flags.writeable
+
+    @pytest.mark.parametrize("spec", HOL_CATALOG)
+    def test_keys_tell_the_holomorph_apart(self, spec):
+        G, rows = HOL[spec]
+        keys = _hol_keys(G, np.array(rows)[:, G.hol_base])
+        assert len(set(keys.tolist())) == len(rows)
+
+    def test_base_holds_the_identity_when_it_is_not_zero(self):
+        G = relabelled(cyclic(4), [2, 0, 3, 1])  # identity 2; 0 alone generates
+        assert G.identity == 2 and G.hol_base.tolist() == [2, 0]
+        rows = hol_rows(G)
+        assert len(rows) == 8
+        assert len(set(_hol_keys(G, np.array(rows)[:, G.hol_base]).tolist())) == 8
+
+    def test_a_map_fixing_the_generators_need_not_be_the_identity(self):
+        Z3 = cyclic(3)
+        maps = np.array([[0, 1, 2], [2, 1, 0]])  # x -> 2 + 2x fixes the generator 1
+        assert len(set(_hol_keys(Z3, maps[:, Z3.hol_base]).tolist())) == 2
+        assert _is_map_group(Z3, maps)
+        assert _right_closure_size(Z3, maps[:1], maps[1:]) == 2
+
+    @pytest.mark.parametrize("spec", ["Z3", "Z4", "Z5", "Z6", "Z2xZ2", "S3", "relabelled Z4"])
+    def test_mask_is_holomorph_membership(self, spec):
+        G = relabelled(cyclic(4), [2, 0, 3, 1]) if spec == "relabelled Z4" else named_group(spec)
+        members = set(hol_rows(G))
+        bijections = list(itertools.permutations(range(G.n)))
+        assert _hol_mask(G, np.array(bijections)).tolist() == [row in members for row in bijections]
+        constant = np.zeros((1, G.n), dtype=np.int64)  # g = f(e)^-1 * f is then a homomorphism
+        merged = np.arange(G.n)[None, :] % (G.n - 1)  # the last point goes where 0 goes
+        assert not _hol_mask(G, np.concatenate([constant, merged])).any()
+
+    def test_keys_past_int64_are_refused(self):
+        assert named_group("x".join(["Z2"] * 7)).hol_base.size == 8  # 128^8 = 2^56
+        with pytest.raises(CapExceeded):
+            named_group("x".join(["Z2"] * 8)).hol_base  # 256^9 = 2^72
+
+
 # --- subgroup test ---
 
 
@@ -214,13 +292,10 @@ class TestMapGroup:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_is_map_group_matches_the_frozenset_reference(self, data):
-        gens = data.draw(perms())
-        group = reference_closure(gens, cap=10**6)
-        if len(group) > 720:
-            group = group[:720]
+        G, _, group = hol_subgroup(data)
         pick = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=8))
         rows = data.draw(st.sampled_from([group, pick, group + pick[:1], group[1:] or group]))
-        assert _is_map_group(np.array(rows, dtype=np.int64)) == reference_is_map_group(rows)
+        assert _is_map_group(G, np.array(rows, dtype=np.int64)) == reference_is_map_group(rows)
 
 
 # --- closure of a product set ---
@@ -242,21 +317,20 @@ class TestProductSetClosure:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_count_matches_the_frozenset_reference(self, data):
-        gens = data.draw(perms(max_n=5))
-        group = reference_closure(gens, cap=10**6)
+        G, gens, group = hol_subgroup(data)
         P = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=12))
         T = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
-        got = _right_closure_size(np.array(P), np.array(T))
+        got = _right_closure_size(G, np.array(P), np.array(T))
         assert got == reference_right_closure_size(P, T)
-        assert _right_closure_size(np.array(group), np.array(gens)) == len(group)
+        assert _right_closure_size(G, np.array(group), np.array(gens)) == len(group)
 
     def test_unclosed_set_counts_past_its_size(self):
-        P = np.array([[0, 1, 2], [1, 0, 2]])  # id and (0 1)
-        assert _right_closure_size(P, np.array([[1, 2, 0]])) > len(P)  # T = {(0 1 2)}
+        P = np.array([[0, 1, 2], [1, 0, 2]])  # id and (0 1), in Hol(Z3) = Sym(3)
+        assert _right_closure_size(cyclic(3), P, np.array([[1, 2, 0]])) > len(P)  # T = {(0 1 2)}
 
     def test_set_without_the_identity_is_not_closed(self):
         shift = np.array([[1, 2, 0], [2, 0, 1]])  # the 3-cycles; P o (0 1 2) adds only id
-        assert _right_closure_size(shift, np.array([[1, 2, 0]])) == len(shift) + 1
+        assert _right_closure_size(cyclic(3), shift, np.array([[1, 2, 0]])) == len(shift) + 1
 
     @pytest.mark.parametrize("spec", SMALL_CATALOG)
     def test_semidirect_sizes_equal_the_closure_search(self, spec):
@@ -351,10 +425,18 @@ class TestViews:
         assert rows_of(build_F(G)) == stack_rows(_F_stack(G))
         for phi in enumerate_aut(G):
             assert rows_of(centralizer_in_aut(G, phi)) == stack_rows(
-                _centralizer(maps.aut, phi.images))
+                _centralizer(G, maps.aut, phi.images))
             assert rows_of(centralizer_in_aaut(G, phi)) == stack_rows(
-                _centralizer(maps.aaut, phi.images))
+                _centralizer(G, maps.aaut, phi.images))
             assert rows_of(build_F_prime(G, phi)) == stack_rows(_F_prime_stack(G, phi.images))
+
+    @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4", "heisenberg3"])
+    def test_centralizer_on_the_base_is_the_whole_row_comparison(self, spec):
+        G = named_group(spec)
+        for phi in np.concatenate([G._maps.aut, G._maps.aaut]):
+            for stack in (G._maps.aut, G._maps.aaut):
+                want = stack[(stack[:, phi] == phi[stack]).all(axis=1)]
+                assert np.array_equal(_centralizer(G, stack, phi), want)
 
     @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4"])
     def test_coset_leaders_are_the_least_members(self, spec):

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
+    CarrierMismatch,
     PointMap,
     Quandle,
+    conj_m,
     core,
     cyclic,
     dihedral_quandle,
@@ -28,8 +30,7 @@ from quandlekit import (
     symmetric,
     trivial,
 )
-from quandlekit.groupmaps import _profiles, _table_isos
-from quandlekit.quandlemaps import _is_map_group
+from quandlekit.groupmaps import _is_map_group, _profiles, _table_isos
 
 # |Aut(R_n)| = n * phi(n): the affine maps x -> ax + b with a invertible.
 DIHEDRAL_AUT_ORDERS = {3: 6, 4: 8, 5: 20, 6: 12, 7: 42, 8: 32, 9: 54, 10: 40}
@@ -223,54 +224,77 @@ class TestSemidirectVerify:
         Q = dihedral_quandle(3)
         N = _translations(3)
         C = [PointMap([0, 1, 2]), PointMap([0, 2, 1])]  # x -> ax, a in {1, 2}
-        report = semidirect_verify(_rows(N), _rows(C), Q)
+        report = semidirect_verify(_rows(N), _rows(C), Q, cyclic(3))
         assert report.verdict, report.to_json()
         assert report.closure_size == 6
         assert report.mode == "materialized"
 
     def test_non_automorphism_member_is_reported(self):
         Q = dihedral_quandle(4)
-        report = semidirect_verify(_rows([PointMap([1, 0, 2, 3])]), _rows(_translations(4)), Q)
+        report = semidirect_verify(_rows([PointMap([1, 0, 2, 3])]), _rows(_translations(4)), Q, cyclic(4))
         assert not report.verdict
         assert report.failing_clause == "normal part contains a non-automorphism"
 
     def test_non_group_part_is_reported(self):
         Q = dihedral_quandle(4)
-        report = semidirect_verify(_rows(_translations(4)[1:2]), _rows(_translations(4)), Q)
+        report = semidirect_verify(_rows(_translations(4)[1:2]), _rows(_translations(4)), Q, cyclic(4))
         assert not report.verdict
         assert report.failing_clause == "normal part is not a group of maps"
 
     def test_non_normalizing_complement_is_reported(self):
         Q = dihedral_quandle(4)
         reflections = [PointMap([0, 1, 2, 3]), PointMap([0, 3, 2, 1])]
-        report = semidirect_verify(_rows(reflections), _rows(_translations(4)), Q)
+        report = semidirect_verify(_rows(reflections), _rows(_translations(4)), Q, cyclic(4))
         assert not report.verdict
         assert report.failing_clause == "complement does not normalize the normal part"
 
     def test_overlapping_parts_are_reported(self):
         Q = dihedral_quandle(4)
-        report = semidirect_verify(_rows(_translations(4)), _rows(_translations(4)), Q)
+        report = semidirect_verify(_rows(_translations(4)), _rows(_translations(4)), Q, cyclic(4))
         assert not report.verdict
         assert report.failing_clause == "intersection is not trivial"
 
     def test_empty_part_is_reported(self):
-        report = semidirect_verify(_rows([]), _rows(_translations(4)), dihedral_quandle(4))
+        report = semidirect_verify(_rows([]), _rows(_translations(4)), dihedral_quandle(4), cyclic(4))
         assert not report.verdict
         assert report.failing_clause == "a part is empty"
+
+    def test_non_bijective_member_is_reported(self):
+        # A constant map preserves every quandle (by Q1); it is still no automorphism.
+        report = semidirect_verify(np.array([[0, 1, 2], [0, 0, 0]]), np.array([[0, 1, 2]]),
+                                   dihedral_quandle(3), cyclic(3))
+        assert not report.verdict
+        assert report.failing_clause == "normal part contains a non-automorphism"
+
+    def test_automorphism_outside_the_holomorph_is_reported(self):
+        # Conj(Z4) is the trivial quandle, so Aut is all of Sym(4); the
+        # transposition (0 1) is none of the maps x -> a +- x of Hol(Z4).
+        report = semidirect_verify(np.array([[0, 1, 2, 3], [1, 0, 2, 3]]), np.array([[0, 1, 2, 3]]),
+                                   conj_m(cyclic(4), 1), cyclic(4))
+        assert not report.verdict
+        assert report.failing_clause == "normal part lies outside Hol(G)"
+        report = semidirect_verify(np.array([[0, 1, 2, 3]]), np.array([[0, 1, 2, 3], [1, 0, 2, 3]]),
+                                   conj_m(cyclic(4), 1), cyclic(4))
+        assert report.failing_clause == "complement part lies outside Hol(G)"
+
+    def test_group_of_another_order_is_refused(self):
+        with pytest.raises(CarrierMismatch):
+            semidirect_verify(np.array([[0, 1, 2]]), np.array([[0, 1, 2]]), dihedral_quandle(3),
+                              cyclic(4))
 
 
 class TestMapGroupPredicate:
     def test_identity_alone_is_a_group(self):
-        assert _is_map_group(np.arange(4)[None, :])
+        assert _is_map_group(cyclic(4), np.arange(4)[None, :])
 
     def test_translations_are_a_group(self):
         rows = np.array([t.images for t in _translations(5)])
-        assert _is_map_group(rows)
+        assert _is_map_group(cyclic(5), rows)
 
     def test_missing_composite_is_rejected(self):
         rows = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
-        assert not _is_map_group(rows)
+        assert not _is_map_group(cyclic(4), rows)
 
     def test_duplicate_rows_are_rejected(self):
         rows = np.array([[0, 1, 2, 3], [0, 1, 2, 3]])
-        assert not _is_map_group(rows)
+        assert not _is_map_group(cyclic(4), rows)
