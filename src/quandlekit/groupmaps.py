@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -259,79 +260,152 @@ def _profiles(t: np.ndarray) -> np.ndarray:
     )
 
 
-def _table_isos(t1: np.ndarray, t2: np.ndarray, first_only: bool = False) -> np.ndarray:
+class _Level(NamedTuple):
+    """One generator level of a search plan: g_i, how S_i follows, and the law's index blocks."""
+
+    g: int
+    batches: List[np.ndarray]  # one derivation batch each, rows xs, a, b, narrowest type
+    fresh: np.ndarray  # g_i and the points it adds
+    members: np.ndarray  # S_i: S_{i-1}, then fresh
+    fresh_members: np.ndarray  # t1[fresh, members], narrowest type
+    members_fresh: np.ndarray  # t1[members, fresh], narrowest type
+
+    @property
+    def seen(self) -> np.ndarray:
+        """S_{i-1}, the points fixed by the parents."""
+        return self.members[: self.members.size - self.fresh.size]
+
+
+class _SearchPlan:
+    """What every search from one source table t1 needs, whatever the target.
+
+    The point profiles (``_profiles``) are built with the plan.  The
+    generator levels (``groups._generator_levels``) and their index blocks
+    are built on first use, so a target that the profiles reject costs no
+    levels.  A quandle keeps its plan in ``Q._maps``; Aut(Q), the
+    antiautomorphisms and ``are_isomorphic(Q, ...)`` all read it.
+    """
+
+    def __init__(self, t1: np.ndarray):
+        self.table = t1
+        self.profiles = _profiles(t1)
+        self.sorted_profiles = self.profiles[np.lexsort(self.profiles.T)]
+
+    @cached_property
+    def levels(self) -> Tuple[_Level, ...]:
+        t1 = self.table
+        # A plan lives as long as its quandle: its index arrays take the
+        # narrowest type, and each derivation batch is one array.
+        narrow = np.min_scalar_type(t1.shape[0] - 1)
+        levels = []
+        members = np.empty(0, dtype=np.int64)
+        for g, batches in _generator_levels(t1):
+            fresh = np.concatenate([[g], *(xs for xs, _, _ in batches)]).astype(np.int64)
+            members = np.concatenate([members, fresh])
+            blocks = t1[np.ix_(fresh, members)], t1[np.ix_(members, fresh)]
+            levels.append(
+                _Level(
+                    g,
+                    [np.stack(batch).astype(narrow) for batch in batches],
+                    fresh,
+                    members,
+                    *(block.astype(narrow) for block in blocks),
+                )
+            )
+        return tuple(levels)
+
+
+_FIRST_HIT_ROWS = 1024  # children per extend in first-hit mode
+
+
+def _block_rows(n: int) -> int:
+    """Rows of n points whose n x n law gathers fit in 4M entries, as in ``_check_q3``."""
+    return max(1, (1 << 22) // (n * n))
+
+
+def _walk_budget(n: int, first_only: bool) -> int:
+    """Rows of children one extend may make: few for a first hit, a block otherwise."""
+    return _FIRST_HIT_ROWS if first_only else _block_rows(n)
+
+
+def _table_isos(
+    t1: np.ndarray, t2: np.ndarray, first_only: bool = False, plan: Optional[_SearchPlan] = None
+) -> np.ndarray:
     """All bijections f with f(t1[a,b]) = t2[f(a), f(b)], as a sorted compact stack.
 
-    The search branches only on the images of t1's greedy least-index
-    generators g_1..g_k (see ``groups._generator_levels``).  Level i holds
-    every partial map on the closure S_i of g_1..g_i at once: each row tries
-    every image of g_i whose profile (``_profiles``) matches, derives the
-    rest of S_i through t2, and survives when it is injective on S_i and
-    obeys the law on S_i x S_i.  Every point below g_{i+1} lies in S_i, so
-    the lexicographic order of generator images is that of the maps: rows
-    kept in parent order, candidates ascending, come out sorted.  With
-    ``first_only`` the levels are walked depth first, one parent at a time,
-    and the first leaf (the lexicographically least map) is the answer.
-    An isomorphism carries each point's profile to its image's, so tables
-    whose profile rows differ as multisets have none, and no search runs.
+    ``plan`` is t1's search plan (``_SearchPlan``), built here when not
+    given.  An isomorphism carries each point's profile to its image's, so
+    tables whose profile rows differ as multisets have none, and neither
+    the levels nor a search are built.  The search branches only on the
+    images of t1's greedy least-index generators g_1..g_k; level i extends
+    partial maps on S_{i-1} to S_i, the closure of g_1..g_i: each parent
+    tries every image of g_i whose profile matches, derives the rest of
+    S_i through t2, and a child survives when it is injective on S_i and
+    obeys the law on S_i x S_i.
+
+    One walk serves both modes.  It goes depth first over chunks of
+    parents, at most budget / |candidates| of them per extend
+    (``_walk_budget``), so each level holds at most one chunk's children.
+    Every point below g_{i+1} lies in S_i, so the order of generator images
+    is that of the maps: children in parent order, candidates ascending,
+    and chunks in order make the leaves come out sorted.  Full enumeration
+    keeps every leaf; with ``first_only`` the walk stops at the first
+    non-empty last level, whose first row is the lexicographically least
+    isomorphism.  Every returned row is checked against the full tables.
     """
     n = int(t1.shape[0])
     dtype = _image_dtype(n)
+    if plan is None:
+        plan = _SearchPlan(t1)
+    if t2 is not t1:
+        prof2 = _profiles(t2)
+        if not np.array_equal(plan.sorted_profiles, prof2[np.lexsort(prof2.T)]):
+            return np.empty((0, n), dtype=dtype)
+    else:
+        prof2 = plan.profiles
     t2 = np.asarray(t2).astype(dtype)
-    prof1, prof2 = _profiles(t1), _profiles(t2)
-    if not np.array_equal(prof1[np.lexsort(prof1.T)], prof2[np.lexsort(prof2.T)]):
-        return np.empty((0, n), dtype=dtype)
-    block = max(1, (1 << 22) // max(1, n * n))  # rows per block, as in _check_q3
-    steps = []  # per level: g, its candidates, derivations, S_{i-1}, new points, S_i
-    seen = np.empty(0, dtype=np.int64)
-    for g, batches in _generator_levels(t1):
-        fresh = np.concatenate([[g], *(xs for xs, _, _ in batches)]).astype(np.int64)
-        members = np.concatenate([seen, fresh])
-        cands = np.flatnonzero((prof2 == prof1[g]).all(axis=1)).astype(dtype)
-        steps.append((g, cands, batches, seen, fresh, members))
-        seen = members
+    levels = plan.levels
+    # [level, point]: the point's profile is that of the level's generator
+    matches = (prof2 == plan.profiles[[lv.g for lv in levels], None]).all(axis=2)
+    cands = [np.flatnonzero(row).astype(dtype) for row in matches]
 
-    def extend(level: int, parents: np.ndarray) -> np.ndarray:
+    def extend(depth: int, parents: np.ndarray) -> np.ndarray:
         """The children of ``parents`` at one level, in parent order, candidates ascending."""
-        g, cands, batches, seen, fresh, members = steps[level]
-        free = (parents[:, seen, None] != cands).all(axis=1)  # [row, candidate]
+        lv, cs = levels[depth], cands[depth]
+        free = (parents[:, lv.seen, None] != cs).all(axis=1)  # [row, candidate]
         rows, picks = np.nonzero(free)
         kids = parents[rows]
-        kids[:, g] = cands[picks]
-        for xs, a, b in batches:
+        kids[:, lv.g] = cs[picks]
+        for xs, a, b in lv.batches:
             kids[:, xs] = t2[kids[:, a], kids[:, b]]
-        images = np.sort(kids[:, members], axis=1)
+        images = np.sort(kids[:, lv.members], axis=1)
         kids = kids[(images[:, 1:] != images[:, :-1]).all(axis=1)]
-        new, old = kids[:, fresh], kids[:, members]
-        ok = (kids[:, t1[np.ix_(fresh, members)]] == t2[new[:, :, None], old[:, None, :]]).all(
-            axis=(1, 2)
-        )
-        ok &= (kids[:, t1[np.ix_(members, fresh)]] == t2[old[:, :, None], new[:, None, :]]).all(
-            axis=(1, 2)
-        )
+        new, old = kids[:, lv.fresh], kids[:, lv.members]
+        ok = (kids[:, lv.fresh_members] == t2[new[:, :, None], old[:, None, :]]).all(axis=(1, 2))
+        ok &= (kids[:, lv.members_fresh] == t2[old[:, :, None], new[:, None, :]]).all(axis=(1, 2))
         return kids[ok]
 
-    def first_leaf(root: np.ndarray) -> np.ndarray:
-        path = [[extend(0, root), 0]]  # per level: the children of one parent, next index
-        while path:
-            kids, i = path[-1]
-            if i == len(kids):
-                path.pop()
-                continue
-            path[-1][1] += 1
-            if len(path) == len(steps):
-                return kids[i : i + 1]
-            path.append([extend(len(path), kids[i : i + 1]), 0])
-        return root[:0]
-
-    stack = np.zeros((1, n), dtype=dtype)  # the one map on the empty set
-    if first_only and steps:
-        stack = first_leaf(stack)
-    else:
-        for level, (_, cands, *_) in enumerate(steps):
-            per_block = max(1, block // max(1, len(cands)))
-            parts = [extend(level, stack[i : i + per_block]) for i in range(0, len(stack), per_block)]
-            stack = np.concatenate(parts) if parts else stack
+    budget = _walk_budget(n, first_only)
+    root = np.zeros((1, n), dtype=dtype)  # the one map on the empty set
+    leaves = []
+    path = [[root, 0]]  # per depth: rows at that depth, next parent to extend
+    while path:
+        rows, i = path[-1]
+        if i >= len(rows):
+            path.pop()
+            continue
+        depth = len(path) - 1
+        step = max(1, budget // max(1, len(cands[depth])))
+        path[-1][1] = i + step
+        kids = extend(depth, rows[i : i + step])
+        if depth + 1 < len(levels):
+            path.append([kids, 0])
+        elif len(kids):
+            leaves.append(kids[:1] if first_only else kids)
+            if first_only:
+                break
+    stack = np.concatenate(leaves) if leaves else root[:0]
+    block = _block_rows(n)
     for i in range(0, len(stack), block):
         rows = stack[i : i + block]
         if not (rows[:, t1] == t2[rows[:, :, None], rows[:, None, :]]).all():

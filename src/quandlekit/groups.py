@@ -356,7 +356,8 @@ def quotient_by_normal(G: FiniteGroup, normal: Iterable[int]):
     reps = _distinct(labels)
     projection = np.searchsorted(reps, labels)
     qtable = projection[G.table[np.ix_(reps, reps)]]
-    quotient = FiniteGroup(qtable, name=f"{G.name}/N{len(members)}")
+    # The cosets of a normal subgroup form a group: no second validation.
+    quotient = FiniteGroup(qtable, name=f"{G.name}/N{len(members)}", validate=False)
     projection.setflags(write=False)
     return quotient, projection
 

@@ -5,14 +5,17 @@ f(x *1 y) = f(x) *2 f(y) between two tables; automorphisms are the case
 t1 = t2 = op, antiautomorphisms the case t2 = op transposed.  It branches
 only on the images of t1's greedy generators, filtered by a per-point
 profile every isomorphism preserves, and derives the rest of each map
-through the target table, a whole level of partial maps at a time.  Its
-first-hit mode walks the same levels depth first, so ``find_table_iso``
-returns the lexicographically least isomorphism without enumerating the
-rest.  Each quandle keeps its enumerations, one per kind, as a sorted
-compact stack together with read-only ``QuandleMap`` objects, and its inner
-automorphism group Inn(Q) as a sorted compact stack.  Those sets, the
-closures and the Inn/Out report are keyed by whole rows; ``semidirect_verify``
-admits only maps of Hol(G) and keys them by their images on ``G.hol_base``.
+through the target table, a chunk of partial maps at a time.  One depth
+first walk over those chunks serves full enumeration and the first hit, so
+``are_isomorphic`` returns the lexicographically least isomorphism without
+enumerating the rest.  Each quandle keeps its search plan (profiles,
+generator levels and index blocks, ``groupmaps._SearchPlan``), which its
+automorphisms, antiautomorphisms and isomorphisms from it all read, its
+enumerations, one per kind, as a sorted compact stack together with
+read-only ``QuandleMap`` objects, and its inner automorphism group Inn(Q)
+as a sorted compact stack.  Those sets, the closures and the Inn/Out
+report are keyed by whole rows; ``semidirect_verify`` admits only maps of
+Hol(G) and keys them by their images on ``G.hol_base``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import CapExceeded, CarrierMismatch
 from .groupmaps import (
     ClassifiedMap,
     PointMap,
+    _SearchPlan,
     _bijective_mask,
     _hol_keys,
     _hol_mask,
@@ -100,8 +104,25 @@ def find_table_iso(t1: np.ndarray, t2: np.ndarray) -> Optional[np.ndarray]:
     """Lexicographically least table isomorphism, or None."""
     if t1.shape != t2.shape:
         return None
-    hits = _table_isos(np.asarray(t1), np.asarray(t2), first_only=True)
+    return _least(_table_isos(np.asarray(t1), np.asarray(t2), first_only=True))
+
+
+def _least(hits: np.ndarray) -> Optional[np.ndarray]:
     return hits[0].astype(np.int64) if len(hits) else None
+
+
+def _plan(Q: Quandle) -> _SearchPlan:
+    """Q's search plan, built once and kept in ``Q._maps``."""
+    if "plan" not in Q._maps:
+        Q._maps["plan"] = _SearchPlan(Q.op)
+    return Q._maps["plan"]
+
+
+def _quandle_iso(Q1: Quandle, Q2: Quandle) -> Optional[np.ndarray]:
+    """The lexicographically least isomorphism Q1 -> Q2 as images, or None, on Q1's plan."""
+    if Q1.n != Q2.n:
+        return None
+    return _least(_table_isos(Q1.op, Q2.op, first_only=True, plan=_plan(Q1)))
 
 
 def _is_trivial_table(op: np.ndarray) -> bool:
@@ -127,7 +148,7 @@ def _enumerate(Q: Quandle, kind: str) -> _Enumerated:
             target = Q.op
         else:
             target = np.ascontiguousarray(Q.op.T)
-        stack = _table_isos(Q.op, target)
+        stack = _table_isos(Q.op, target, plan=_plan(Q))
         stack.setflags(write=False)
         maps = tuple(QuandleMap(pm, kind, Q) for pm in _point_maps(stack))
         Q._maps[kind] = _Enumerated(stack, maps)

@@ -92,7 +92,8 @@ class Quandle:
         self.n = n
         self.name = name if name is not None else f"Q{n}"
         self.dual = _dual_table(arr)
-        self._maps: dict = {}  # kind -> enumeration, "inner" -> Inn(Q); filled by quandlemaps
+        # kind -> enumeration, "inner" -> Inn(Q), "plan" -> search plan; filled by quandlemaps
+        self._maps: dict = {}
         self.op.setflags(write=False)
         self.dual.setflags(write=False)
 
@@ -174,11 +175,9 @@ def inn_group(Q: Quandle) -> List[PointMap]:
 
 def are_isomorphic(Q1: Quandle, Q2: Quandle) -> Optional[PointMap]:
     """Lexicographically least operation-preserving bijection, if any."""
-    from .quandlemaps import find_table_iso
+    from .quandlemaps import _quandle_iso
 
-    if Q1.n != Q2.n:
-        return None
-    images = find_table_iso(Q1.op, Q2.op)
+    images = _quandle_iso(Q1, Q2)
     return None if images is None else PointMap(images)
 
 

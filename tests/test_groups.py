@@ -26,6 +26,7 @@ from quandlekit import (
     quotient_by_normal,
     symmetric,
 )
+from quandlekit.harness import CATALOG_SPECS
 
 
 class TestValidation:
@@ -199,6 +200,24 @@ class TestQuotient:
                 assert projection[G.mul(a, b)] == quotient.mul(
                     int(projection[a]), int(projection[b])
                 )
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_quotients_pass_full_validation(self, spec):
+        """The quotients the engine builds, by the center, the commutator
+        subgroup and F's normal subgroup of G x G^op, skip validation; each
+        is a group all the same."""
+        G = named_group(spec)
+        product = direct_product(G, opposite(G))
+        cases = [
+            (G, list(G.center())),
+            (G, list(G.commutator_subgroup())),
+            (product, [a * G.n + int(G.inverse[a]) for a in G.center()]),
+        ]
+        for parent, normal in cases:
+            quotient, projection = quotient_by_normal(parent, normal)
+            assert group_from_table(quotient.table).n * len(normal) == parent.n
+            products = quotient.table[np.ix_(projection, projection)]
+            assert np.array_equal(projection[parent.table], products)
 
     def test_rejects_non_subgroup(self):
         G = symmetric(3)

@@ -11,10 +11,13 @@ from quandlekit import (
     CarrierMismatch,
     PointMap,
     Quandle,
+    alex,
+    are_isomorphic,
     conj_m,
     core,
     cyclic,
     dihedral_quandle,
+    enumerate_aut,
     enumerate_quandle_antis,
     enumerate_quandle_auts,
     find_table_iso,
@@ -24,13 +27,15 @@ from quandlekit import (
     inversion_map,
     is_quandle_anti,
     is_quandle_auto,
+    named_group,
     quandle_anti_oracle,
     quandle_aut_oracle,
     semidirect_verify,
     symmetric,
     trivial,
 )
-from quandlekit.groupmaps import _is_map_group, _profiles, _table_isos
+from quandlekit import groupmaps
+from quandlekit.groupmaps import _is_map_group, _profiles, _SearchPlan, _table_isos
 
 # |Aut(R_n)| = n * phi(n): the affine maps x -> ax + b with a invertible.
 DIHEDRAL_AUT_ORDERS = {3: 6, 4: 8, 5: 20, 6: 12, 7: 42, 8: 32, 9: 54, 10: 40}
@@ -153,6 +158,90 @@ class TestTableIsoEngine:
         assert first is not second and first == second
         assert all(a is b for a, b in zip(first, second))
         assert all(not m.images.flags.writeable for m in first)
+
+
+def _count_calls(mp, name):
+    """Wrap ``groupmaps.<name>`` so that each call is recorded; returns the record."""
+    calls = []
+    real = getattr(groupmaps, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    mp.setattr(groupmaps, name, counted)
+    return calls
+
+
+class TestSearchPlan:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: dihedral_quandle(3),  # its antis pass the profile test and search
+            lambda: dihedral_quandle(6),
+            lambda: core(symmetric(3)),
+            lambda: alex(named_group("D4"), enumerate_aut(named_group("D4"))[3]),
+        ],
+    )
+    def test_one_quandle_builds_its_levels_once(self, monkeypatch, build):
+        Q = build()
+        perm = np.random.default_rng(Q.n).permutation(Q.n)
+        relabelled = Quandle(_relabel(Q.op, perm), name="relabelled")
+        levels = _count_calls(monkeypatch, "_generator_levels")
+        auts = enumerate_quandle_auts(Q)
+        enumerate_quandle_antis(Q)
+        iso = are_isomorphic(Q, relabelled)
+        f = iso.images
+        assert auts and np.array_equal(f[Q.op], relabelled.op[f[:, None], f[None, :]])
+        assert levels == [Q.n]
+        assert "plan" in Q._maps and "plan" not in relabelled._maps
+
+    def test_automorphisms_read_one_table_profile(self, monkeypatch):
+        profiles = _count_calls(monkeypatch, "_profiles")
+        assert len(enumerate_quandle_auts(dihedral_quandle(5))) == 20
+        t = symmetric(3).table
+        assert len(_table_isos(t, t)) == 6
+        assert profiles == [5, 6]
+
+    @pytest.mark.parametrize("build", [lambda: trivial(6), lambda: conj_m(cyclic(4), 1)])
+    def test_profile_rejection_builds_no_levels(self, monkeypatch, build):
+        Q = build()
+        levels = _count_calls(monkeypatch, "_generator_levels")
+        assert enumerate_quandle_antis(Q) == []
+        assert levels == []
+
+
+class TestChunkedWalk:
+    """The one walk, with its row budget moved onto and around chunk boundaries."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_walk_matches_the_oracle_at_every_budget(self, quandle_corpus, data):
+        small = [Q for _, Q in quandle_corpus if Q.n <= 7]
+        Q = data.draw(st.sampled_from(small))
+        perm = np.array(data.draw(st.permutations(range(Q.n))), dtype=np.int64)
+        target = _relabel(data.draw(st.sampled_from([Q.op, np.ascontiguousarray(Q.op.T)])), perm)
+        plan = _SearchPlan(Q.op)
+        prof = _profiles(target)
+        counts = [int((prof == plan.profiles[lv.g]).all(axis=1).sum()) for lv in plan.levels]
+        k = data.draw(st.sampled_from(counts))  # the candidates of some level
+        budget = data.draw(st.sampled_from([None, 1, max(k, 1), k + 1, 2 * k + 1]))
+        expected = _oracle_isos(Q.op, target)
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(groupmaps, "_walk_budget", lambda n, first_only: budget)
+            every = _table_isos(Q.op, target, plan=plan)
+            first = _table_isos(Q.op, target, first_only=True, plan=plan)
+        assert [tuple(map(int, row)) for row in every] == expected
+        assert [tuple(map(int, row)) for row in first] == expected[:1]
+
+    def test_chunks_that_step_past_the_end_of_a_level(self, monkeypatch):
+        # Two parents per extend over three candidates: the last chunk of a
+        # level of odd length steps past its end.
+        monkeypatch.setattr(groupmaps, "_walk_budget", lambda n, first_only: 7)
+        Q = dihedral_quandle(3)
+        rows = [tuple(map(int, r)) for r in _table_isos(Q.op, Q.op)]
+        assert rows == _oracle_isos(Q.op, Q.op)
 
 
 class TestMembershipPredicates:
