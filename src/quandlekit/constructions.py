@@ -24,7 +24,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import CompatibilityFail, ConstructionSpecError, WrongMapKind
-from .groupmaps import ClassifiedMap, enumerate_aaut, enumerate_aut, preserves_table, reverses_table
+from .groupmaps import (
+    ClassifiedMap,
+    _flat_table,
+    _products,
+    enumerate_aaut,
+    enumerate_aut,
+    preserves_table,
+    reverses_table,
+)
 from .groups import FiniteGroup
 from .quandles import Quandle, trivial
 
@@ -68,9 +76,9 @@ def _require_anti_law(G: FiniteGroup, cm: ClassifiedMap) -> None:
 def _require_compatible(G: FiniteGroup, cm: ClassifiedMap) -> None:
     """x psi(y) x^-1 = psi(x y x^-1) for all x, y."""
     t, inv, psi = G.table, G.inverse, cm.images
-    idx = np.arange(G.n)
-    lhs = t[t[idx[:, None], psi[None, :]], inv[:, None]]
-    rhs = psi[t[t, inv[:, None]]]
+    flat = _flat_table(t)
+    lhs = _products(flat, G.n, t[:, psi], inv[:, None])  # [x, y] = x psi(y) x^-1
+    rhs = psi[_products(flat, G.n, t, inv[:, None])]  # [x, y] = psi(x y x^-1)
     bad = lhs != rhs
     if bad.any():
         x, y = map(int, np.argwhere(bad)[0])

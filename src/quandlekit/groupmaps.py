@@ -211,33 +211,86 @@ def _stack_of(maps: Sequence) -> np.ndarray:
 
 
 # --- table laws (shared with quandles) ---
+#
+# Every law test over a stack of maps f compares two gathers, in the
+# stack's narrow image type and native byte order: lhs[r, x, y] = f_r(x*y),
+# the stack read along the source table, and rhs[r, x, y] = f_r(x)*f_r(y),
+# one 1-D take on the flattened target table at f(x)*n + f(y)
+# (``_products``; the index is uint16 up to 256 points).  The reversing law
+# reads rhs transposed, so ``_law_masks`` gives both masks from one gather
+# pair, and the public masks, ``preserves_table``/``reverses_table``, the
+# Q3 check of ``quandles`` and the re-check of ``_table_isos`` read the
+# same gathers.  Blocks hold ``_LAW_ENTRIES`` entries, so the intp copy that
+# ``np.take`` makes of its index stays small.
+
+_LAW_ENTRIES = 1 << 16
+
+
+def _flat_table(table: np.ndarray) -> np.ndarray:
+    """A table as one flat array of the narrow image type, native order: entry x*n + y."""
+    return table.astype(_image_dtype(table.shape[0]).type).ravel()
+
+
+def _products(flat: np.ndarray, n: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """table[left, right] broadcast, as one take on ``_flat_table(table)`` at left*n + right."""
+    index = np.uint16 if n <= 1 << 8 else np.intp
+    # left is cast before the product: a uint8 array times a uint16 scalar stays
+    # uint8 under the value-based promotion of numpy < 2
+    return flat.take(left.astype(index) * index(n) + right)
+
+
+def _law_blocks(t1: np.ndarray, t2: np.ndarray, stack: np.ndarray):
+    """Per row block of a stack of maps f, in order: lhs and rhs, indexed [r, x, y].
+
+    lhs = f_r(t1[x, y]) and rhs = t2[f_r(x), f_r(y)]; images must lie in
+    {0..n-1}.
+    """
+    if not len(stack):
+        return
+    n = int(t1.shape[0])
+    flat = _flat_table(t2)
+    rows = np.asarray(stack).astype(flat.dtype, copy=False)
+    step = _block_rows(n)
+    for i in range(0, len(rows), step):
+        block = rows[i : i + step]
+        yield block[:, t1], _products(flat, n, block[:, :, None], block[:, None, :])
+
+
+def _joined(masks: List[np.ndarray]) -> np.ndarray:
+    """One row mask from the masks of consecutive blocks."""
+    if len(masks) == 1:
+        return masks[0]
+    return np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
+
+
+def _law_masks(table: np.ndarray, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Which rows of a stack preserve the table, and which reverse it, from one gather pair."""
+    preserving, reversing = [], []
+    for lhs, rhs in _law_blocks(table, table, stack):
+        preserving.append((lhs == rhs).all(axis=(1, 2)))
+        reversing.append((lhs == rhs.transpose(0, 2, 1)).all(axis=(1, 2)))
+    return _joined(preserving), _joined(reversing)
 
 
 def preserves_table(table: np.ndarray, images: np.ndarray) -> bool:
     """f(a.b) = f(a).f(b) for the given table."""
-    return bool(np.array_equal(images[table], table[np.ix_(images, images)]))
+    return all((lhs == rhs).all() for lhs, rhs in _law_blocks(table, table, np.asarray(images)[None]))
 
 
 def reverses_table(table: np.ndarray, images: np.ndarray) -> bool:
     """f(a.b) = f(b).f(a) for the given table."""
-    return bool(np.array_equal(images[table], table[np.ix_(images, images)].T))
+    blocks = _law_blocks(table, table, np.asarray(images)[None])
+    return all((lhs == rhs.transpose(0, 2, 1)).all() for lhs, rhs in blocks)
 
 
 def preserving_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Boolean mask over a (m, n) stack of image arrays satisfying the law."""
-    if not len(stack):
-        return np.zeros(0, dtype=bool)
-    lhs = stack[:, table]
-    rhs = table[stack[:, :, None], stack[:, None, :]]
-    return (lhs == rhs).all(axis=(1, 2))
+    return _joined([(lhs == rhs).all(axis=(1, 2)) for lhs, rhs in _law_blocks(table, table, stack)])
 
 
 def reversing_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    if not len(stack):
-        return np.zeros(0, dtype=bool)
-    lhs = stack[:, table]
-    rhs = table[stack[:, :, None], stack[:, None, :]].transpose(0, 2, 1)
-    return (lhs == rhs).all(axis=(1, 2))
+    blocks = _law_blocks(table, table, stack)
+    return _joined([(lhs == rhs.transpose(0, 2, 1)).all(axis=(1, 2)) for lhs, rhs in blocks])
 
 
 def _profiles(t: np.ndarray) -> np.ndarray:
@@ -316,16 +369,17 @@ class _SearchPlan:
 
 
 _FIRST_HIT_ROWS = 1024  # children per extend in first-hit mode
+_WALK_ENTRIES = 1 << 22  # full enumeration: children whose n x n gathers fit in 4M entries
 
 
-def _block_rows(n: int) -> int:
-    """Rows of n points whose n x n law gathers fit in 4M entries, as in ``_check_q3``."""
-    return max(1, (1 << 22) // (n * n))
+def _block_rows(n: int, entries: int = _LAW_ENTRIES) -> int:
+    """Rows of n points whose n x n gathers fit in ``entries`` entries."""
+    return max(1, entries // (n * n))
 
 
 def _walk_budget(n: int, first_only: bool) -> int:
     """Rows of children one extend may make: few for a first hit, a block otherwise."""
-    return _FIRST_HIT_ROWS if first_only else _block_rows(n)
+    return _FIRST_HIT_ROWS if first_only else _block_rows(n, _WALK_ENTRIES)
 
 
 def _table_isos(
@@ -405,10 +459,8 @@ def _table_isos(
             if first_only:
                 break
     stack = np.concatenate(leaves) if leaves else root[:0]
-    block = _block_rows(n)
-    for i in range(0, len(stack), block):
-        rows = stack[i : i + block]
-        if not (rows[:, t1] == t2[rows[:, :, None], rows[:, None, :]]).all():
+    for lhs, rhs in _law_blocks(t1, t2, stack):
+        if not (lhs == rhs).all():
             raise AssertionError("search produced a non-morphism; engine bug")
     return _compact(stack)
 
@@ -575,10 +627,12 @@ def _hol_mask(G: FiniteGroup, stack: np.ndarray) -> np.ndarray:
     g(x*s) = g(x)*g(s) for every x and every generator s of G.  The s that
     pass are closed under the product, so g is then an automorphism.
     """
-    t, gens = G.table, G.hol_base[1:]
-    g = t[G.inverse[stack[:, G.identity]][:, None], stack]
+    t, gens, n = G.table, G.hol_base[1:], G.n
+    flat = _flat_table(t)
+    g = _products(flat, n, G.inverse[stack[:, G.identity]][:, None], stack)
     # g(x*s) against g(x)*g(s), indexed [row, x, s]
-    preserved = (g[:, t[:, gens]] == t[g[:, :, None], g[:, None, gens]]).all(axis=(1, 2))
+    products = _products(flat, n, g[:, :, None], g[:, None, gens])
+    preserved = (g[:, t[:, gens]] == products).all(axis=(1, 2))
     return _bijective_mask(stack) & preserved
 
 

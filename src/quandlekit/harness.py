@@ -53,6 +53,7 @@ from .groupmaps import (
     _in_sorted,
     _inner_stack,
     _keys,
+    _law_masks,
     _out_reps,
     _right_closure_size,
     _stack_of,
@@ -150,7 +151,14 @@ def _members(
     vacuous: bool = False,
 ) -> Verdict:
     """Every row of the stack preserves the table; fails on the first row that does not."""
-    mask = preserving_mask(table, stack)
+    return _members_in(theorem_id, inputs, preserving_mask(table, stack), stack, notes, vacuous)
+
+
+def _members_in(
+    theorem_id: str, inputs: str, mask: np.ndarray, stack: np.ndarray, notes: str,
+    vacuous: bool = False,
+) -> Verdict:
+    """``_members`` from a preserving mask already taken; fails on the first row outside it."""
     return _claim(theorem_id, inputs, bool(mask.all()), counterexample=_first_failure(mask, stack),
                   notes=notes, vacuous=vacuous)
 
@@ -351,17 +359,18 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     Q = alex(G, phi)
     aa_stack = _centralizer(G, G._maps.aaut, phi.images)
     a_stack = _centralizer(G, G._maps.aut, phi.images)
+    aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
     parts = [
         _per_map_iff(
             f"{tid}/aaut-induces-auto-iff-central",
             inputs,
-            preserving_mask(Q.op, aa_stack),
+            aa_auto,
             is_central_automorphism(G, phi),
             notes="psi in C_AAut(phi) is an automorphism of Alex(G,phi) iff phi is central",
         ),
         _forward(
             f"{tid}/aaut-induces-anti-implies-abelian", inputs,
-            reversing_mask(Q.op, aa_stack), aa_stack, G.is_abelian,
+            aa_anti, aa_stack, G.is_abelian,
             "forward direction of the printed equivalence; the reverse "
             "fails on small abelian groups where Alex has no antiautomorphisms",
             vacuous=not len(aa_stack),
@@ -432,19 +441,18 @@ def check_core(G: FiniteGroup) -> Verdict:
     a_stack = G._maps.aut
     rhs = G.exponent in (1, 3)
     exp_note = "exponent divides 3 (the proofs need x^3 = e pointwise)"
+    aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
     parts = [
-        _members(f"{tid}/aaut-induce-auto", inputs, Q.op, aa_stack,
-                 "every antiautomorphism of G is an automorphism of Core(G)"),
-        _per_map_iff(f"{tid}/aaut-anti-iff-exp3", inputs, reversing_mask(Q.op, aa_stack), rhs,
-                     notes=exp_note),
+        _members_in(f"{tid}/aaut-induce-auto", inputs, aa_auto, aa_stack,
+                    "every antiautomorphism of G is an automorphism of Core(G)"),
+        _per_map_iff(f"{tid}/aaut-anti-iff-exp3", inputs, aa_anti, rhs, notes=exp_note),
         _per_map_iff(f"{tid}/aut-anti-iff-exp3", inputs, reversing_mask(Q.op, a_stack), rhs,
                      notes=exp_note),
     ]
     if rhs:
         union = _unique_rows(np.concatenate([aa_stack, a_stack]))
-        same = bool(
-            (preserving_mask(Q.op, union) == reversing_mask(Q.op, union)).all()
-        )
+        auto, anti = _law_masks(Q.op, union)
+        same = bool((auto == anti).all())
         parts.append(
             _claim(
                 f"{tid}/anti-set-equals-auto-set",
@@ -644,17 +652,20 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
             "trivial (forward direction)"
         )
     pred, pred_note = _qi_auto_predicate(G, i, base)
+    a_auto, a_anti = _law_masks(Q.op, a_stack)
+    aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
     parts = [
-        _members(f"{tid}/centralizer-in-aut", inputs, Q.op, a_stack,
-                 "every member of C_Aut(base) is an automorphism of Q_i", vacuous=not len(a_stack)),
-        _forward(f"{tid}/aut-anti-implication", inputs, reversing_mask(Q.op, a_stack), a_stack,
+        _members_in(f"{tid}/centralizer-in-aut", inputs, a_auto, a_stack,
+                    "every member of C_Aut(base) is an automorphism of Q_i",
+                    vacuous=not len(a_stack)),
+        _forward(f"{tid}/aut-anti-implication", inputs, a_anti, a_stack,
                  anti_rhs, anti_note, vacuous=not len(a_stack)),
-        _forward(f"{tid}/aaut-anti-implication", inputs, reversing_mask(Q.op, aa_stack), aa_stack,
+        _forward(f"{tid}/aaut-anti-implication", inputs, aa_anti, aa_stack,
                  anti_rhs, anti_note, vacuous=not len(aa_stack)),
         _per_map_iff(
             f"{tid}/aaut-auto-iff",
             inputs,
-            preserving_mask(Q.op, aa_stack),
+            aa_auto,
             pred,
             notes=f"psi in C_AAut(base) induces an automorphism iff {pred_note}",
         ),

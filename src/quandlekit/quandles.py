@@ -14,7 +14,13 @@ import numpy as np
 
 from . import config
 from .errors import BadShape, NotClosed, Q1Fail, Q2Fail, Q3Fail, TooLarge
-from .groupmaps import PointMap, closure_of_point_maps
+from .groupmaps import (
+    PointMap,
+    _block_rows,
+    _flat_table,
+    _products,
+    closure_of_point_maps,
+)
 
 __all__ = [
     "Quandle",
@@ -48,12 +54,15 @@ def _check_q2(op: np.ndarray) -> None:
 
 
 def _check_q3(op: np.ndarray) -> None:
+    """(x*y)*z = (x*z)*(y*z), in blocks of x; raises at the first failing (x, y, z)."""
     n = op.shape[0]
-    chunk = max(1, (1 << 22) // (n * n))
-    for x0 in range(0, n, chunk):
-        block = op[x0 : x0 + chunk]
-        left = op[block[:, :, None], np.arange(n)[None, None, :]]  # (x*y)*z
-        right = op[block[:, None, :], op[None, :, :]]  # (x*z)*(y*z)
+    flat = _flat_table(op)
+    table = flat.reshape(n, n)
+    step = _block_rows(n)
+    for x0 in range(0, n, step):
+        block = table[x0 : x0 + step]  # [x, z] = x*z
+        left = table.take(block, axis=0)  # [x, y, z] = (x*y)*z, one row gather
+        right = _products(flat, n, block[:, None, :], table[None, :, :])  # (x*z)*(y*z)
         bad = left != right
         if bad.any():
             i, y, z = map(int, np.argwhere(bad)[0])
