@@ -261,8 +261,6 @@ def cmd_census(args) -> int:
         "census: {total} verdicts, {holds} hold, {failed} failed, "
         "{vacuous} vacuous, {skipped} skipped".format(**summary)
     )
-    if "partial" in summary:
-        line += f", {summary['partial']} partial"
     if args.format == "json":
         payload = json.dumps(report, indent=2)
     else:

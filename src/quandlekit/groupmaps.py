@@ -540,10 +540,8 @@ def aut_oracle(G: FiniteGroup) -> List[ClassifiedMap]:
     return [ClassifiedMap(PointMap(row), AUTOMORPHISM, G) for row in rows]
 
 
-def enumerate_aut(G: FiniteGroup, oracle: bool = False) -> List[ClassifiedMap]:
+def enumerate_aut(G: FiniteGroup) -> List[ClassifiedMap]:
     """Complete Aut(G), lexicographically sorted by images."""
-    if oracle:
-        return aut_oracle(G)
     return list(G._maps.aut_maps)
 
 

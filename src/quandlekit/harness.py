@@ -56,7 +56,7 @@ from .groupmaps import (
     _law_masks,
     _out_reps,
     _right_closure_size,
-    _stack_of,
+    _table_isos,
     _unique_rows,
     enumerate_aaut,
     enumerate_aut,
@@ -68,11 +68,10 @@ from .groupmaps import (
 from .groups import FiniteGroup, _distinct, named_group
 from .quandlemaps import (
     SemidirectReport,
+    _enumerate,
     _inn_stack,
-    enumerate_quandle_antis,
-    enumerate_quandle_auts,
+    _plan,
     inn_out_report,
-    quandle_anti_oracle,
     semidirect_verify,
 )
 from .verdicts import Verdict, combine, make_iff, make_implies, make_skipped, report_json
@@ -172,13 +171,11 @@ def _forward(
                         counterexample=_first_failure(~mask, stack), notes=notes)
 
 
-def _emptiness(
-    theorem_id: str, inputs: str, found: np.ndarray, notes: str, partial: bool = False
-) -> Verdict:
+def _emptiness(theorem_id: str, inputs: str, found: np.ndarray, notes: str) -> Verdict:
     """No map of the claimed kind exists; fails on the first row of ``found``."""
     empty = not len(found)
     return Verdict(
-        theorem_id, inputs, "emptiness", holds=empty, lhs=empty, rhs=True, partial=partial,
+        theorem_id, inputs, "emptiness", holds=empty, lhs=empty, rhs=True,
         counterexample=None if empty else {"images": [int(v) for v in found[0]]}, notes=notes,
     )
 
@@ -326,26 +323,21 @@ def check_conj_aaut_intersection(G: FiniteGroup, m: int) -> Verdict:
 def check_conj_no_anti(G: FiniteGroup, m: int) -> Verdict:
     """Conj_m(G) admits no antiautomorphism at all (|G| >= 2).
 
-    Above the enumeration cap only the AAut(G)-induced maps are scanned, and
-    the verdict is marked partial.
+    An antiautomorphism is an isomorphism Conj_m(G) -> Conj_m(G)^T, so one
+    first-hit search over all bijections decides the claim at every order.
+    For |G| >= 2 the point profiles reject the transposed table before any
+    level is built: a * e = a for every a, while in any quandle x * a = a
+    only for x = a.
     """
     tid = "conj-no-anti"
     inputs = f"{G.name}, m={m}"
     if G.n < 2:
         return make_skipped(tid, inputs, "emptiness", "stated for |G| >= 2 only")
     Q = conj_m(G, m)
-    if G.n <= config.MAX_ORACLE_ORDER:
-        return _emptiness(tid, inputs, _stack_of(quandle_anti_oracle(Q)),
-                          "oracle over all n! bijections")
-    if G.n <= config.MAX_QUANDLE_ENUM_ORDER:
-        return _emptiness(tid, inputs, _stack_of(enumerate_quandle_antis(Q)),
-                          "complete backtracking enumeration")
-    stack = G._maps.aaut
+    found = _table_isos(Q.op, np.ascontiguousarray(Q.op.T), first_only=True, plan=_plan(Q))
     return _emptiness(
-        tid, inputs, stack[reversing_mask(Q.op, stack)],
-        "restricted scan over AAut(G)-induced maps only; the full "
-        "bijection claim is not verified at this order",
-        partial=True,
+        tid, inputs, found,
+        "first-hit search over all bijections for an isomorphism onto the transposed table",
     )
 
 
@@ -507,9 +499,9 @@ def check_dihedral_no_anti(n: int) -> Verdict:
     Q = dihedral_quandle(n)
     if n < 3:
         return make_skipped(tid, inputs, "emptiness", "stated for n >= 3 only")
-    antis = _stack_of(enumerate_quandle_antis(Q))
+    antis = _enumerate(Q, "antiautomorphism").stack
     if n == 3:
-        auts = _stack_of(enumerate_quandle_auts(Q))
+        auts = _enumerate(Q, "automorphism").stack
         return _claim(
             tid, inputs, len(antis) == 6 and np.array_equal(antis, auts), relationship="iff",
             notes=f"anti set equals the {len(auts)} automorphisms",
@@ -590,17 +582,16 @@ def check_core_abelian_full(G: FiniteGroup) -> Verdict:
     if G.n > config.MAX_QUANDLE_ENUM_ORDER:
         return make_skipped(tid, inputs, "isomorphism", f"enumeration cap below |G| = {G.n}")
     Q = core(G)
-    auts = enumerate_quandle_auts(Q)
+    stack = _enumerate(Q, "automorphism").stack
     expected = G.n * len(G._maps.aut)
-    stack = _stack_of(auts)
     a_vec = stack[:, G.identity]
     h_stack = G.table[G.inverse[a_vec][:, None], stack]  # t_a^-1 o f
     h_ok = preserving_mask(G.table, h_stack)
     rebuilt = G.table[a_vec[:, None], h_stack]
     parts = [
         make_iff(
-            f"{tid}/count", inputs, lhs=len(auts) == expected, rhs=True,
-            notes=f"|Aut(Core(G))| = {len(auts)}, |G| * |Aut(G)| = {expected}",
+            f"{tid}/count", inputs, lhs=len(stack) == expected, rhs=True,
+            notes=f"|Aut(Core(G))| = {len(stack)}, |G| * |Aut(G)| = {expected}",
         ),
         _claim(
             f"{tid}/factorization",

@@ -164,17 +164,13 @@ def _inn_stack(Q: Quandle) -> np.ndarray:
     return Q._maps["inner"]
 
 
-def enumerate_quandle_auts(Q: Quandle, oracle: bool = False) -> List[QuandleMap]:
+def enumerate_quandle_auts(Q: Quandle) -> List[QuandleMap]:
     """Complete Aut(Q), lexicographically sorted."""
-    if oracle:
-        return quandle_aut_oracle(Q)
     return list(_enumerate(Q, "automorphism").maps)
 
 
-def enumerate_quandle_antis(Q: Quandle, oracle: bool = False) -> List[QuandleMap]:
+def enumerate_quandle_antis(Q: Quandle) -> List[QuandleMap]:
     """Complete set of antiautomorphisms of Q, lexicographically sorted."""
-    if oracle:
-        return quandle_anti_oracle(Q)
     return list(_enumerate(Q, "antiautomorphism").maps)
 
 

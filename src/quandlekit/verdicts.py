@@ -28,7 +28,6 @@ class Verdict:
     counterexample: Any = None
     notes: str = ""
     parts: List["Verdict"] = field(default_factory=list)
-    partial: bool = False  # holds on a restricted scan only; the full claim is unchecked
 
     def __post_init__(self):
         if self.relationship not in RELATIONSHIPS:
@@ -54,8 +53,6 @@ class Verdict:
             "counterexample": self.counterexample,
             "notes": self.notes,
         }
-        if self.partial:
-            out["partial"] = True
         if self.parts:
             out["parts"] = [p.to_json() for p in self.parts]
         return out
@@ -67,8 +64,6 @@ class Verdict:
             status = "skip"
         elif self.vacuous:
             status = "ok (vacuous)"
-        elif self.partial:
-            status = "ok (partial)"
         else:
             status = "ok"
         pieces = [f"{'  ' * indent}[{status}] {self.theorem_id} :: {self.inputs}"]
@@ -160,22 +155,15 @@ def make_skipped(theorem_id: str, inputs: str, relationship: str, reason: str) -
 
 
 def summarize(verdicts: List[Verdict]) -> dict:
-    """Counts over every verdict node, nested parts included.
-
-    ``partial`` is present only when some node is partial, as the flag is.
-    """
+    """Counts over every verdict node, nested parts included."""
     nodes = [v for top in verdicts for v in top.walk()]
-    summary = {
+    return {
         "total": len(nodes),
         "holds": sum(1 for v in nodes if v.holds),
         "failed": sum(1 for v in nodes if not v.holds),
         "vacuous": sum(1 for v in nodes if v.vacuous and v.holds),
         "skipped": sum(1 for v in nodes if v.skipped),
     }
-    partial = sum(1 for v in nodes if v.partial)
-    if partial:
-        summary["partial"] = partial
-    return summary
 
 
 REPORT_VERSION = 1
@@ -200,8 +188,14 @@ REPORT_SCHEMA = {
         "summary": {
             "type": "object",
             "required": ["total", "holds", "failed", "vacuous", "skipped"],
-            "properties": {"partial": {"type": "integer", "minimum": 1}},
-            "additionalProperties": {"type": "integer"},
+            "properties": {
+                "total": {"type": "integer"},
+                "holds": {"type": "integer"},
+                "failed": {"type": "integer"},
+                "vacuous": {"type": "integer"},
+                "skipped": {"type": "integer"},
+            },
+            "additionalProperties": False,
         },
     },
     "$defs": {
@@ -217,10 +211,12 @@ REPORT_SCHEMA = {
                 "rhs": {"type": ["boolean", "null"]},
                 "vacuous": {"type": "boolean"},
                 "skipped": {"type": "boolean"},
-                "partial": {"type": "boolean"},
+                "witness": {},
+                "counterexample": {},
                 "notes": {"type": "string"},
                 "parts": {"type": "array", "items": {"$ref": "#/$defs/verdict"}},
             },
+            "additionalProperties": False,
         }
     },
 }

@@ -1,8 +1,10 @@
 """Acceptance gate: thirteen exact-count and zero-disagreement criteria.
 
-Each test prints a single ``criterion NN: PASS/FAIL`` line on the real
+Each criterion prints a single ``criterion NN: PASS/FAIL`` line on the real
 stdout (bypassing capture) so a plain pytest run still shows the full
-scorecard. Counts are exact; time budgets are pinned constants.
+scorecard. Counts are exact; time budgets are pinned constants.  One
+unnumbered test is a positive control for conj-no-anti's search on
+criterion 12's corpus.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ from quandlekit import (
     build_F_prime,
     conj_m,
     core,
+    cyclic,
     default_catalog,
     dihedral_quandle,
     enumerate_aaut,
@@ -52,8 +55,9 @@ SECONDS_CENSUS = 300.0
 
 # sha256 of json.dumps(<the census -o file, loaded>, sort_keys=True) for the
 # full catalog, H3 with all 432 phi included, from the whole-row map keys
-# the Hol(G) base keys replaced.
-GOLDEN_FULL_CENSUS_SHA256 = "6d7e84fd497f1ba81ae1e2f20ab6740a7dff299cb1562e597b55795e1e1a454d"
+# the Hol(G) base keys replaced, with conj-no-anti's one note and no
+# ``partial`` keys.
+GOLDEN_FULL_CENSUS_SHA256 = "11466c522707636b7277672f650b5f349e11f6c25bdd75a952464f98786f660b"
 
 
 def record(capsys, num: int, ok: bool, detail: str) -> None:
@@ -309,6 +313,24 @@ def test_criterion_12_oracle_equivalence_on_census_quandles(capsys):
         f"backtracker equals n! oracle on {len(quandles)} distinct census quandles "
         f"of order <= 7, {mismatches} mismatches",
     )
+
+
+def test_conj_no_anti_search_agrees_with_oracle_on_census_quandles(monkeypatch):
+    """Positive control: conj-no-anti's one search, fed each census quandle
+    of order <= 7 in place of Conj_m(G), fails exactly when the n! oracle
+    finds an antiautomorphism, and then on the oracle's least map."""
+    from quandlekit import harness
+
+    outcomes = set()
+    for Q in _census_quandles_up_to(7):
+        monkeypatch.setattr(harness, "conj_m", lambda G, m, Q=Q: Q)
+        (v,) = run_check("conj-no-anti", cyclic(Q.n), m=1)
+        antis = quandle_anti_oracle(Q)
+        assert v.holds == (not antis), Q.name
+        if antis:
+            assert v.counterexample == {"images": [int(x) for x in antis[0].images]}, Q.name
+        outcomes.add(v.holds)
+    assert outcomes == {True, False}
 
 
 def test_criterion_13_census_cli_runtime(capsys):

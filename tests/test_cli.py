@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, formats, round trips."""
 
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -147,13 +148,12 @@ class TestVerifyCommand:
 
 
 class TestCensusCommand:
-    @pytest.mark.parametrize(
-        "specs, tail", [(("S3", "S4"), ", 6 partial"), (("S3",), " skipped")]
-    )
-    def test_summary_line_counts_partial_verdicts(self, specs, tail, monkeypatch, capsys):
+    @pytest.mark.parametrize("specs", [("S3", "S4"), ("S3",)])
+    def test_summary_line_has_the_five_counts(self, specs, monkeypatch, capsys):
         from quandlekit import cli, named_group, run_census
 
         monkeypatch.setattr(cli, "run_census", lambda: run_census([named_group(s) for s in specs]))
         assert main(["census", "--format", "text"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
-        assert line.startswith("census: ") and line.endswith(tail)
+        pattern = r"census: \d+ verdicts, \d+ hold, 0 failed, \d+ vacuous, \d+ skipped"
+        assert re.fullmatch(pattern, line), line

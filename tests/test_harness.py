@@ -14,6 +14,8 @@ from quandlekit import (
     Verdict,
     conj_m,
     cyclic,
+    dihedral_quandle,
+    is_quandle_anti,
     is_quandle_auto,
     named_group,
     quaternion8,
@@ -22,8 +24,13 @@ from quandlekit import (
     summarize,
     symmetric,
 )
-from quandlekit.harness import _members
+from quandlekit.harness import M_RANGE, _members
 from quandlekit.verdicts import combine, make_iff, make_implies, make_skipped, report_json
+
+
+CONJ_NO_ANTI_NOTE = (
+    "first-hit search over all bijections for an isomorphism onto the transposed table"
+)
 
 
 def assert_all_hold(verdicts, context=""):
@@ -142,29 +149,39 @@ class TestScope:
         (v,) = run_check("dihedral-no-anti", n=n)
         assert v.holds and v.skipped and "n >= 3" in v.notes
 
-    def test_restricted_conj_no_anti_scan_is_partial(self):
-        (v,) = run_check("conj-no-anti", symmetric(4), m=1)
-        assert v.holds and v.partial and not v.skipped
-        assert v.to_json()["partial"] is True
-        assert v.render_text().startswith("[ok (partial)] conj-no-anti")
-        jsonschema.validate(report_json(["S4"], [v]), REPORT_SCHEMA)
-
-    def test_summary_counts_partial_verdicts(self):
-        report = run_census([symmetric(3), symmetric(4)])
-        jsonschema.validate(report, REPORT_SCHEMA)
-        assert report["summary"]["partial"] == 6  # conj-no-anti on S4, one per m
-        flagged = [c for c in report["checks"] if c.get("partial")]
-        assert [(c["theorem_id"], c["inputs"].split(",")[0]) for c in flagged] == [
-            ("conj-no-anti", "S4")
-        ] * 6
+    def test_conj_no_anti_is_complete_on_S4_and_H3(self):
+        for spec in ("S4", "heisenberg3"):
+            G = named_group(spec)
+            for m in M_RANGE:
+                (v,) = run_check("conj-no-anti", G, m=m)
+                assert v.holds and not v.skipped and v.notes == CONJ_NO_ANTI_NOTE, v.render_text()
+                jsonschema.validate(report_json([spec], [v]), REPORT_SCHEMA)
 
     def test_summary_without_partial_verdicts_has_no_partial_key(self):
-        assert "partial" not in run_census([symmetric(3)])["summary"]
+        report = run_census([symmetric(3), symmetric(4)])
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert "partial" not in report["summary"]
+        stack = list(report["checks"])
+        while stack:
+            node = stack.pop()
+            assert "partial" not in node, node["theorem_id"]
+            stack.extend(node.get("parts", []))
 
     def test_complete_conj_no_anti_is_not_partial(self):
-        (v,) = run_check("conj-no-anti", symmetric(3), m=1)
-        assert v.holds and not v.partial
-        assert "partial" not in v.to_json()
+        for spec in ("Z2", "S3", "Z7", "D4", "Z12", "S4"):  # one note at every order
+            (v,) = run_check("conj-no-anti", named_group(spec), m=1)
+            assert v.holds and not v.skipped and v.notes == CONJ_NO_ANTI_NOTE, spec
+            assert "partial" not in v.to_json()
+            assert v.render_text().startswith("[ok] conj-no-anti")
+
+    def test_conj_no_anti_fails_on_a_quandle_with_antiautomorphisms(self, monkeypatch):
+        from quandlekit import harness
+
+        R3 = dihedral_quandle(3)  # its six automorphisms also reverse it
+        monkeypatch.setattr(harness, "conj_m", lambda G, m: R3)
+        (v,) = run_check("conj-no-anti", cyclic(3), m=1)
+        assert not v.holds and v.lhs is False
+        assert is_quandle_anti(R3, PointMap(v.counterexample["images"]))
 
 
 class TestOncePerSweep:

@@ -69,12 +69,14 @@ from quandlekit.harness import (
 from quandlekit.verdicts import report_json
 
 # sha256 of json.dumps(run_census([Z3, Z4, S3, D4, Q8]), sort_keys=True), as
-# produced by the per-row implementation the keyed stacks replaced.
-GOLDEN_CENSUS_SHA256 = "d597c451d7d454cc9e8085101e08ac0d3168340a983b4ac6c97614b70a1f7f37"
+# produced by the per-row implementation the keyed stacks replaced, with
+# conj-no-anti's one note for its first-hit search.
+GOLDEN_CENSUS_SHA256 = "9ca5acca24ab2a17d9e5a25a7ea6c8dd86053005377659ab842ea90a2bdbfd87"
 
 # sha256 of json.dumps(run_census(catalog without heisenberg3), sort_keys=True),
-# as produced while the checks still turned stacks into map lists and back.
-GOLDEN_CATALOG_SHA256 = "92a6fd17d4361198ce474bdcdda5ab39a2f6df2373a36edbf49e46769f96106d"
+# as produced while the checks still turned stacks into map lists and back,
+# with conj-no-anti's one note and no ``partial`` keys.
+GOLDEN_CATALOG_SHA256 = "9e3a56b54e1ec40d0a7724d2e3ee66d8195e3dec9cf9a3e9a3e2f25bf617591d"
 
 # sha256 of json.dumps(report_json(["H3"], verdicts), sort_keys=True) over the
 # H3 runs in H3_GOLDEN_RUNS, in order, from the same implementation.
