@@ -157,6 +157,27 @@ class TestScope:
                 assert v.holds and not v.skipped and v.notes == CONJ_NO_ANTI_NOTE, v.render_text()
                 jsonschema.validate(report_json([spec], [v]), REPORT_SCHEMA)
 
+    def test_summary_counts_partial_verdicts(self):
+        # The six conj-no-anti verdicts on S4 (one per m) were once partial;
+        # they are complete now and the summary counts them among the holds.
+        report = run_census([symmetric(3), symmetric(4)])
+        jsonschema.validate(report, REPORT_SCHEMA)
+        nodes, stack = [], list(report["checks"])
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.get("parts", []))
+        summary = report["summary"]
+        assert summary["total"] == len(nodes)
+        assert summary["holds"] == sum(1 for c in nodes if c["holds"])
+        assert summary["holds"] + summary["failed"] == summary["total"]
+        s4 = [
+            c for c in report["checks"]
+            if c["theorem_id"] == "conj-no-anti" and c["inputs"].split(",")[0] == "S4"
+        ]
+        assert len(s4) == len(M_RANGE) == 6
+        assert all(c["holds"] and not c.get("skipped") for c in s4)
+
     def test_summary_without_partial_verdicts_has_no_partial_key(self):
         report = run_census([symmetric(3), symmetric(4)])
         jsonschema.validate(report, REPORT_SCHEMA)
