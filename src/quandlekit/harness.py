@@ -56,6 +56,7 @@ from .groupmaps import (
     _law_masks,
     _out_reps,
     _right_closure_size,
+    _stack_of,
     _table_isos,
     _unique_rows,
     enumerate_aaut,
@@ -68,9 +69,10 @@ from .groupmaps import (
 from .groups import FiniteGroup, _distinct, named_group
 from .quandlemaps import (
     SemidirectReport,
-    _enumerate,
     _inn_stack,
     _plan,
+    enumerate_quandle_antis,
+    enumerate_quandle_auts,
     inn_out_report,
     semidirect_verify,
 )
@@ -499,9 +501,9 @@ def check_dihedral_no_anti(n: int) -> Verdict:
     Q = dihedral_quandle(n)
     if n < 3:
         return make_skipped(tid, inputs, "emptiness", "stated for n >= 3 only")
-    antis = _enumerate(Q, "antiautomorphism").stack
+    antis = _stack_of(enumerate_quandle_antis(Q))
     if n == 3:
-        auts = _enumerate(Q, "automorphism").stack
+        auts = _stack_of(enumerate_quandle_auts(Q))
         return _claim(
             tid, inputs, len(antis) == 6 and np.array_equal(antis, auts), relationship="iff",
             notes=f"anti set equals the {len(auts)} automorphisms",
@@ -582,16 +584,17 @@ def check_core_abelian_full(G: FiniteGroup) -> Verdict:
     if G.n > config.MAX_QUANDLE_ENUM_ORDER:
         return make_skipped(tid, inputs, "isomorphism", f"enumeration cap below |G| = {G.n}")
     Q = core(G)
-    stack = _enumerate(Q, "automorphism").stack
+    auts = enumerate_quandle_auts(Q)
     expected = G.n * len(G._maps.aut)
+    stack = _stack_of(auts)
     a_vec = stack[:, G.identity]
     h_stack = G.table[G.inverse[a_vec][:, None], stack]  # t_a^-1 o f
     h_ok = preserving_mask(G.table, h_stack)
     rebuilt = G.table[a_vec[:, None], h_stack]
     parts = [
         make_iff(
-            f"{tid}/count", inputs, lhs=len(stack) == expected, rhs=True,
-            notes=f"|Aut(Core(G))| = {len(stack)}, |G| * |Aut(G)| = {expected}",
+            f"{tid}/count", inputs, lhs=len(auts) == expected, rhs=True,
+            notes=f"|Aut(Core(G))| = {len(auts)}, |G| * |Aut(G)| = {expected}",
         ),
         _claim(
             f"{tid}/factorization",

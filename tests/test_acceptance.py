@@ -297,40 +297,34 @@ def _census_quandles_up_to(limit: int):
     return list(seen.values())
 
 
-def test_criterion_12_oracle_equivalence_on_census_quandles(capsys):
+def test_criterion_12_oracle_equivalence_on_census_quandles(capsys, monkeypatch):
+    """The backtracker equals the n! oracle on every census quandle of order
+    <= 7.  Positive control: conj-no-anti's one search, fed each of them in
+    place of Conj_m(G), fails exactly when the oracle finds an
+    antiautomorphism, and then on the oracle's least map; both outcomes occur."""
+    from quandlekit import harness
+
     quandles = _census_quandles_up_to(7)
     mismatches = 0
+    outcomes = set()
     for Q in quandles:
         fast_auts = {m.map.as_tuple() for m in enumerate_quandle_auts(Q)}
         slow_auts = {m.map.as_tuple() for m in quandle_aut_oracle(Q)}
         fast_antis = {m.map.as_tuple() for m in enumerate_quandle_antis(Q)}
         slow_antis = {m.map.as_tuple() for m in quandle_anti_oracle(Q)}
+        monkeypatch.setattr(harness, "conj_m", lambda G, m, Q=Q: Q)
+        (v,) = run_check("conj-no-anti", cyclic(Q.n), m=1)
+        expected = {"images": list(min(slow_antis))} if slow_antis else None
+        outcomes.add(v.holds)
         mismatches += (fast_auts != slow_auts) + (fast_antis != slow_antis)
-    ok = mismatches == 0 and len(quandles) >= 50
+        mismatches += (v.holds != (not slow_antis)) + (v.counterexample != expected)
+    ok = mismatches == 0 and len(quandles) >= 50 and outcomes == {True, False}
     record(
         capsys, 12,
         ok,
-        f"backtracker equals n! oracle on {len(quandles)} distinct census quandles "
-        f"of order <= 7, {mismatches} mismatches",
+        f"backtracker and conj-no-anti's search equal the n! oracle on {len(quandles)} "
+        f"distinct census quandles of order <= 7, {mismatches} mismatches",
     )
-
-
-def test_conj_no_anti_search_agrees_with_oracle_on_census_quandles(monkeypatch):
-    """Positive control: conj-no-anti's one search, fed each census quandle
-    of order <= 7 in place of Conj_m(G), fails exactly when the n! oracle
-    finds an antiautomorphism, and then on the oracle's least map."""
-    from quandlekit import harness
-
-    outcomes = set()
-    for Q in _census_quandles_up_to(7):
-        monkeypatch.setattr(harness, "conj_m", lambda G, m, Q=Q: Q)
-        (v,) = run_check("conj-no-anti", cyclic(Q.n), m=1)
-        antis = quandle_anti_oracle(Q)
-        assert v.holds == (not antis), Q.name
-        if antis:
-            assert v.counterexample == {"images": [int(x) for x in antis[0].images]}, Q.name
-        outcomes.add(v.holds)
-    assert outcomes == {True, False}
 
 
 def test_criterion_13_census_cli_runtime(capsys):

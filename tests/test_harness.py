@@ -143,6 +143,19 @@ class TestRunCheckErrors:
         assert len(run_check("p-family-aut", symmetric(3), c=5)) == 1
 
 
+@pytest.fixture(scope="module")
+def s3_s4_census():
+    """``run_census([S3, S4])``, schema-checked, and every node in it, nested parts included."""
+    report = run_census([symmetric(3), symmetric(4)])
+    jsonschema.validate(report, REPORT_SCHEMA)
+    nodes, stack = [], list(report["checks"])
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.get("parts", []))
+    return report, nodes
+
+
 class TestScope:
     @pytest.mark.parametrize("n", [1, 2])
     def test_dihedral_no_anti_is_skipped_below_three(self, n):
@@ -157,16 +170,11 @@ class TestScope:
                 assert v.holds and not v.skipped and v.notes == CONJ_NO_ANTI_NOTE, v.render_text()
                 jsonschema.validate(report_json([spec], [v]), REPORT_SCHEMA)
 
-    def test_summary_counts_partial_verdicts(self):
-        # The six conj-no-anti verdicts on S4 (one per m) were once partial;
-        # they are complete now and the summary counts them among the holds.
-        report = run_census([symmetric(3), symmetric(4)])
-        jsonschema.validate(report, REPORT_SCHEMA)
-        nodes, stack = [], list(report["checks"])
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(node.get("parts", []))
+    def test_summary_counts_partial_verdicts(self, s3_s4_census):
+        """The summary counts every node, nested parts included.  The six
+        conj-no-anti verdicts on S4 (one per m), once partial, are complete
+        now and counted among the holds."""
+        report, nodes = s3_s4_census
         summary = report["summary"]
         assert summary["total"] == len(nodes)
         assert summary["holds"] == sum(1 for c in nodes if c["holds"])
@@ -178,15 +186,11 @@ class TestScope:
         assert len(s4) == len(M_RANGE) == 6
         assert all(c["holds"] and not c.get("skipped") for c in s4)
 
-    def test_summary_without_partial_verdicts_has_no_partial_key(self):
-        report = run_census([symmetric(3), symmetric(4)])
-        jsonschema.validate(report, REPORT_SCHEMA)
+    def test_summary_without_partial_verdicts_has_no_partial_key(self, s3_s4_census):
+        report, nodes = s3_s4_census
         assert "partial" not in report["summary"]
-        stack = list(report["checks"])
-        while stack:
-            node = stack.pop()
+        for node in nodes:
             assert "partial" not in node, node["theorem_id"]
-            stack.extend(node.get("parts", []))
 
     def test_complete_conj_no_anti_is_not_partial(self):
         for spec in ("Z2", "S3", "Z7", "D4", "Z12", "S4"):  # one note at every order
