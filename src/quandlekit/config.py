@@ -23,8 +23,3 @@ MAX_GROUP_ORACLE_ORDER = 6
 # Closure computations (products of permutations / subgroup generation)
 # stop once this many distinct elements have been produced.
 MAX_CLOSURE_SIZE = 1_000_000
-
-# The semidirect checks decide closure on the |N| * |C| product maps they
-# build (one lookup of every product times a generator) up to this many
-# products; above it they certify the factorisation from the other clauses.
-MAX_SEMIDIRECT_BFS = 4096

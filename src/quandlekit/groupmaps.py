@@ -637,16 +637,18 @@ def _hol_mask(G: FiniteGroup, stack: np.ndarray) -> np.ndarray:
 def _is_map_group(G: FiniteGroup, stack: np.ndarray) -> bool:
     """Whether the rows of a stack of Hol(G) maps are distinct and closed under composition.
 
-    A finite set of bijections closed under composition holds the powers of
-    each member, so its inverses and the identity: this is the full
-    subgroup test.  Each product is read on B only, one lookup among the
-    sorted keys.
+    A finite set S of bijections closed under composition holds the powers
+    of each member, so its inverses and the identity: this is the full
+    subgroup test.  Each product is read on B only.  S is then closed
+    exactly when its keys are distinct and the distinct keys of S o S are
+    S's keys, since S o S holds S once the identity is in S.  The products
+    are deduped by one sort, with no lookup.
     """
     base = G.hol_base
     keys = _distinct(_hol_keys(G, stack[:, base]))
     if len(keys) != len(stack):
         return False
-    return bool(_in_sorted(_hol_keys(G, stack[:, stack[:, base]]).ravel(), keys).all())
+    return np.array_equal(_distinct(_hol_keys(G, stack[:, stack[:, base]]).ravel()), keys)
 
 
 def _right_closure_size(G: FiniteGroup, P: np.ndarray, T: np.ndarray) -> int:
@@ -656,13 +658,13 @@ def _right_closure_size(G: FiniteGroup, P: np.ndarray, T: np.ndarray) -> int:
     in T, built from the identity by right multiplication, so P is all of K
     exactly when it holds the identity and P o T lies in P: exactly when the
     count equals the number of distinct rows of P.  Otherwise the count is a
-    lower bound on |K|.  The test is one gather of |P| * |T| images on B and
-    one lookup among P's sorted keys; the rows of P need not be distinct.
+    lower bound on |K|.  The |P| * |T| steps are gathered on B and deduped
+    together with the identity and P's keys by one sort, with no lookup; the
+    rows of P need not be distinct.
     """
     base = G.hol_base
-    keys = _distinct(_hol_keys(G, P[:, base]))
-    steps = np.concatenate([_hol_keys(G, base[None, :]), _hol_keys(G, P[:, T[:, base]]).ravel()])
-    return len(keys) + len(_distinct(steps[~_in_sorted(steps, keys)]))
+    return len(_distinct(np.concatenate([_hol_keys(G, base[None, :]), _hol_keys(G, P[:, base]),
+                                         _hol_keys(G, P[:, T[:, base]]).ravel()])))
 
 
 # --- map families ---

@@ -231,9 +231,10 @@ class SemidirectReport:
     closure_size: int
     verdict: bool
     failing_clause: Optional[str] = None
-    # "materialized": the closure was decided on the |N| * |C| products, which
-    # are built and looked up; "certified": past MAX_SEMIDIRECT_BFS, it follows
-    # from the other clauses and the distinctness of the products alone.
+    # Always "materialized": the closure is counted on the |N| * |C| products,
+    # which are built and deduped.  The field stays so that the report's
+    # JSON, the census notes' "(materialized)" suffix and perfbench's
+    # per-mode counters keep their keys.
     mode: str = "materialized"
 
     def to_json(self) -> dict:
@@ -264,9 +265,11 @@ def semidirect_verify(
     P holds the identity and P o C = P, as C is a group, so P is the
     closure exactly when P o N lies in P (``groupmaps._right_closure_size``).
     The reported closure size is then |P|, and otherwise a lower bound: the
-    distinct maps in P and P o N.  Past MAX_SEMIDIRECT_BFS products the size
-    is certified from the other clauses and the distinctness of the
-    products, with no lookup.
+    distinct maps in P and P o N.
+
+    Given that both parts are groups, that the intersection is trivial and
+    that C normalizes N, the distinct-products and closure clauses follow.
+    They are kept as independent cross-checks of the engine.
     """
     if Q.n != G.n:
         raise CarrierMismatch(G.n, Q.n)
@@ -306,12 +309,7 @@ def semidirect_verify(
     if distinct != expected:
         return fail("n o c products collide", closure_size=distinct, inter=True)
 
-    if expected <= config.MAX_SEMIDIRECT_BFS:
-        closure_size = _right_closure_size(G, N[:, C].reshape(-1, n), N)
-        mode = "materialized"
-    else:
-        closure_size = expected
-        mode = "certified"
+    closure_size = _right_closure_size(G, N[:, C].reshape(-1, n), N)
     verdict = closure_size == expected
     return SemidirectReport(
         len(N),
@@ -320,7 +318,6 @@ def semidirect_verify(
         closure_size,
         verdict,
         None if verdict else "closure size differs from |N| * |C|",
-        mode,
     )
 
 

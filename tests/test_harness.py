@@ -1,11 +1,14 @@
 """Theorem checks: spot runs per check id, census reports, self-tests."""
 
+import ast
 import itertools
+import pathlib
 
 import jsonschema
 import numpy as np
 import pytest
 
+import quandlekit
 from quandlekit import (
     CHECK_IDS,
     ConstructionSpecError,
@@ -342,3 +345,17 @@ class TestVerdictMechanics:
         report = report_json(["T4"], [wrong])
         assert report["summary"]["failed"] == 1
         assert report["checks"][0]["counterexample"] == {"order": 4}
+
+
+def test_every_cap_in_config_is_read_by_the_library():
+    """A MAX_* setting that no module reads is a dead knob."""
+    package = pathlib.Path(quandlekit.__file__).parent
+    read = {
+        node.attr
+        for path in package.glob("*.py") if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "config"
+    }
+    caps = {name for name in vars(quandlekit.config) if name.startswith("MAX_")}
+    assert caps and caps <= read, sorted(caps - read)

@@ -79,8 +79,11 @@ GOLDEN_CENSUS_SHA256 = "9ca5acca24ab2a17d9e5a25a7ea6c8dd86053005377659ab842ea90a
 GOLDEN_CATALOG_SHA256 = "9e3a56b54e1ec40d0a7724d2e3ee66d8195e3dec9cf9a3e9a3e2f25bf617591d"
 
 # sha256 of json.dumps(report_json(["H3"], verdicts), sort_keys=True) over the
-# H3 runs in H3_GOLDEN_RUNS, in order, from the same implementation.
-GOLDEN_H3_SHA256 = "478c48096586f70fcbde3c96ef7c2152495cdcd0db17adc71a9b155aebfdc2dc"
+# H3 runs in H3_GOLDEN_RUNS, in order, from the same implementation, with
+# every closure materialized: alex-semidirect at phi = id notes "closure
+# 11664 = 27 x 432 (materialized)" and core-semidirect "materialized closure
+# has 11664 maps".
+GOLDEN_H3_SHA256 = "41a89b45ad752b443b5b08a2753b584cb2830bd3aa3bbf79060fff929c384aac"
 H3_GOLDEN_RUNS = (
     ("conj-semidirect", {"m": 1}),
     ("conj-out", {}),
@@ -299,6 +302,13 @@ class TestMapGroup:
         rows = data.draw(st.sampled_from([group, pick, group + pick[:1], group[1:] or group]))
         assert _is_map_group(G, np.array(rows, dtype=np.int64)) == reference_is_map_group(rows)
 
+    def test_aut_h3_is_a_group_and_its_near_misses_are_not(self):
+        H3 = named_group("heisenberg3")
+        auts = H3._maps.aut  # 432 maps, 186,624 products
+        assert _is_map_group(H3, auts)
+        assert not _is_map_group(H3, np.delete(auts, 100, axis=0))
+        assert not _is_map_group(H3, np.concatenate([auts, auts[100:101]]))
+
 
 # --- closure of a product set ---
 
@@ -325,6 +335,14 @@ class TestProductSetClosure:
         got = _right_closure_size(G, np.array(P), np.array(T))
         assert got == reference_right_closure_size(P, T)
         assert _right_closure_size(G, np.array(group), np.array(gens)) == len(group)
+
+    def test_h3_product_set_is_closed_and_a_missing_row_is_counted(self):
+        H3 = named_group("heisenberg3")
+        gop = H3.table.T  # row b is x -> x * b
+        P = gop[:, H3._maps.aut].reshape(-1, H3.n)  # every f_(1,b) o phi
+        assert _right_closure_size(H3, P, gop) == len(P) == 11664
+        short = np.delete(P, 100, axis=0)  # P o G^op still reaches the missing map
+        assert _right_closure_size(H3, short, gop) == len(short) + 1 == 11664
 
     def test_unclosed_set_counts_past_its_size(self):
         P = np.array([[0, 1, 2], [1, 0, 2]])  # id and (0 1), in Hol(Z3) = Sym(3)
@@ -491,10 +509,22 @@ def test_catalog_census_without_h3_is_byte_identical():
     assert _digest(run_census(groups)) == GOLDEN_CATALOG_SHA256
 
 
-def test_h3_checks_are_byte_identical():
+@pytest.fixture(scope="module")
+def h3_golden_verdicts():
     H3 = named_group("heisenberg3")
-    verdicts = [v for tid, kw in H3_GOLDEN_RUNS for v in run_check(tid, H3, **kw)]
-    assert _digest(report_json([H3.name], verdicts)) == GOLDEN_H3_SHA256
+    return [v for tid, kw in H3_GOLDEN_RUNS for v in run_check(tid, H3, **kw)]
+
+
+def test_h3_checks_are_byte_identical(h3_golden_verdicts):
+    assert _digest(report_json(["H3"], h3_golden_verdicts)) == GOLDEN_H3_SHA256
+
+
+def test_every_h3_closure_is_materialized(h3_golden_verdicts):
+    notes = [node.notes for v in h3_golden_verdicts for node in v.walk()
+             if node.theorem_id.endswith(("/semidirect", "/closure"))]
+    # conj-semidirect, core-semidirect and alex-semidirect at two phi
+    assert len(notes) == 4
+    assert all("materialized" in note for note in notes), notes
 
 
 def test_census_leaves_numpy_ma_unimported():
