@@ -314,19 +314,16 @@ def _profiles(t: np.ndarray) -> np.ndarray:
 
 
 class _Level(NamedTuple):
-    """One generator level of a search plan: g_i, how S_i follows, and the law's index blocks."""
+    """One generator level of a search plan: g_i, how S_i follows, and what a child must pass."""
 
     g: int
-    batches: List[np.ndarray]  # one derivation batch each, rows xs, a, b, narrowest type
-    fresh: np.ndarray  # g_i and the points it adds
-    members: np.ndarray  # S_i: S_{i-1}, then fresh
-    fresh_members: np.ndarray  # t1[fresh, members], narrowest type
-    members_fresh: np.ndarray  # t1[members, fresh], narrowest type
-
-    @property
-    def seen(self) -> np.ndarray:
-        """S_{i-1}, the points fixed by the parents."""
-        return self.members[: self.members.size - self.fresh.size]
+    batches: List[np.ndarray]  # one derivation batch each, rows xs, a, b
+    seen: np.ndarray  # S_{i-1}, the points fixed by the parents
+    left: np.ndarray  # with right: the pairs (x, y) of S_i x S_i outside S_{i-1} x S_{i-1}
+    right: np.ndarray
+    product: np.ndarray  # t1[left, right]
+    later: np.ndarray  # with earlier: each point g_i adds after itself, against each point before it
+    earlier: np.ndarray
 
 
 class _SearchPlan:
@@ -346,24 +343,35 @@ class _SearchPlan:
 
     @cached_property
     def levels(self) -> Tuple[_Level, ...]:
-        t1 = self.table
+        """The levels, each index block a slice of one array over all pairs.
+
+        Number the points in the order the levels reach them; level i then
+        holds the ranks from a_i (g_i) up to a_{i+1}.  Its law pairs are
+        those whose larger rank lies there, so sorting all rank pairs by
+        the larger rank puts them at [a_i^2, a_{i+1}^2); its injectivity
+        pairs, ranks r > q with a_i < r < a_{i+1}, are the rows of the
+        strict lower triangle, taken row by row, from r = a_i + 1 on.
+        """
+        n = self.table.shape[0]
+        steps = _generator_levels(self.table)
+        pieces, starts = [], [0]
+        for g, batches in steps:
+            pieces += [np.array([g]), *(xs for xs, _, _ in batches)]
+            starts.append(starts[-1] + 1 + sum(xs.size for xs, _, _ in batches))
         # A plan lives as long as its quandle: its index arrays take the
-        # narrowest type, and each derivation batch is one array.
-        narrow = np.min_scalar_type(t1.shape[0] - 1)
+        # narrowest type.
+        order = np.concatenate(pieces).astype(np.min_scalar_type(n - 1))
+        rank = np.arange(n)
+        row, col = np.divmod(np.argsort(np.maximum.outer(rank, rank), axis=None, kind="stable"), n)
+        left, right = order[row], order[col]  # by the larger rank of the pair, ascending
+        product = self.table[left, right].astype(order.dtype)
+        upper = row < col
+        later, earlier = order[col[upper]], order[row[upper]]  # row by row of the lower triangle
         levels = []
-        members = np.empty(0, dtype=np.int64)
-        for g, batches in _generator_levels(t1):
-            fresh = np.concatenate([[g], *(xs for xs, _, _ in batches)]).astype(np.int64)
-            members = np.concatenate([members, fresh])
-            blocks = t1[np.ix_(fresh, members)], t1[np.ix_(members, fresh)]
+        for (g, batches), a, b in zip(steps, starts, starts[1:]):
+            law, inj = slice(a * a, b * b), slice(a * (a + 1) // 2, b * (b - 1) // 2)
             levels.append(
-                _Level(
-                    g,
-                    [np.stack(batch).astype(narrow) for batch in batches],
-                    fresh,
-                    members,
-                    *(block.astype(narrow) for block in blocks),
-                )
+                _Level(g, batches, order[:a], left[law], right[law], product[law], later[inj], earlier[inj])
             )
         return tuple(levels)
 
@@ -408,20 +416,28 @@ def _table_isos(
     isomorphism.  Every returned row is checked against the full tables.
     """
     n = int(t1.shape[0])
-    dtype = _image_dtype(n)
     if plan is None:
         plan = _SearchPlan(t1)
     if t2 is not t1:
         prof2 = _profiles(t2)
         if not np.array_equal(plan.sorted_profiles, prof2[np.lexsort(prof2.T)]):
-            return np.empty((0, n), dtype=dtype)
+            return np.empty((0, n), dtype=_image_dtype(n))
     else:
         prof2 = plan.profiles
-    t2 = np.asarray(t2).astype(dtype)
+    flat2 = _flat_table(np.asarray(t2))
+    dtype = flat2.dtype  # the walk's rows, native order
     levels = plan.levels
     # [level, point]: the point's profile is that of the level's generator
     matches = (prof2 == plan.profiles[[lv.g for lv in levels], None]).all(axis=2)
     cands = [np.flatnonzero(row).astype(dtype) for row in matches]
+
+    def survivors(lv: _Level, kids: np.ndarray) -> np.ndarray:
+        """The rows of one block of children that are injective and lawful on S_i, S_i derived."""
+        for xs, a, b in lv.batches:
+            kids[:, xs] = _products(flat2, n, kids[:, a], kids[:, b])
+        if lv.later.size:  # g_i's image is off S_{i-1}'s already: compare the points it adds
+            kids = kids[(kids[:, lv.later] != kids[:, lv.earlier]).all(axis=1)]
+        return kids[(kids[:, lv.product] == _products(flat2, n, kids[:, lv.left], kids[:, lv.right])).all(axis=1)]
 
     def extend(depth: int, parents: np.ndarray) -> np.ndarray:
         """The children of ``parents`` at one level, in parent order, candidates ascending."""
@@ -430,14 +446,9 @@ def _table_isos(
         rows, picks = np.nonzero(free)
         kids = parents[rows]
         kids[:, lv.g] = cs[picks]
-        for xs, a, b in lv.batches:
-            kids[:, xs] = t2[kids[:, a], kids[:, b]]
-        images = np.sort(kids[:, lv.members], axis=1)
-        kids = kids[(images[:, 1:] != images[:, :-1]).all(axis=1)]
-        new, old = kids[:, lv.fresh], kids[:, lv.members]
-        ok = (kids[:, lv.fresh_members] == t2[new[:, :, None], old[:, None, :]]).all(axis=(1, 2))
-        ok &= (kids[:, lv.members_fresh] == t2[old[:, :, None], new[:, None, :]]).all(axis=(1, 2))
-        return kids[ok]
+        step = max(1, _LAW_ENTRIES // lv.left.size)
+        blocks = [survivors(lv, kids[i : i + step]) for i in range(0, len(kids), step)]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks) if blocks else kids
 
     budget = _walk_budget(n, first_only)
     root = np.zeros((1, n), dtype=dtype)  # the one map on the empty set

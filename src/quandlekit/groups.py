@@ -66,8 +66,12 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 # --- table validation ---
 
-# One batch of derived points: xs[k] = table[a[k], b[k]].
-Derivation = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# One batch of derived points: a (3, k) array of rows xs, a, b with
+# xs[j] = table[a[j], b[j]].
+Derivation = np.ndarray
+
+# Products one block of a ``_generator_levels`` round takes at once.
+_ROUND_ENTRIES = 1 << 16
 
 
 def _check_closure(table: np.ndarray) -> None:
@@ -83,35 +87,52 @@ def _generator_levels(table: np.ndarray) -> List[Tuple[int, List[Derivation]]]:
 
     Generator g_i is the least point outside the closure S_{i-1} of the
     earlier ones under the table's product.  Its level lists the other new
-    points of S_i as batches (xs, a, b) with xs = table[a, b] elementwise,
-    where every a and b lies in S_{i-1}, is g_i or appears in an earlier
-    batch of the level, so applying the batches in order derives S_i.
+    points of S_i as batches: (3, k) arrays of rows xs, a, b, in the
+    table's type, with xs = table[a, b] elementwise.  The level grows in
+    rounds.  A round takes the products of the points the previous round
+    reached (g_i in the first) with every point known when it starts, on
+    either side, in blocks of at most ``_ROUND_ENTRIES`` products; the new
+    points of a block, ascending, each with its first derivation, are one
+    batch.  So every a and b lies in S_{i-1}, is g_i or appears in a batch
+    of an earlier round, and applying the batches in order derives S_i.
+    The level ends at the first round that reaches nothing, as the product
+    of two points of S_i was taken in the round after the later one was
+    reached, so S_i is closed; or as soon as S_i holds every point.
     """
     n = table.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)  # members in the order they were reached
+    flat = np.ascontiguousarray(table).ravel()
+    outside = np.ones(n, dtype=bool)
+    known = np.empty(n, dtype=np.intp)  # members in the order they were reached
     size = 0
+    g = 0
     levels: List[Tuple[int, List[Derivation]]] = []
     while size < n:
-        g = int(np.argmin(inside))
-        inside[g] = True
-        order[size] = g
-        size += 1
+        while not outside[g]:
+            g += 1
+        outside[g] = False
+        known[size] = g
+        start, size = size, size + 1
         batches: List[Derivation] = []
-        i = size - 1
-        while i < size:  # every pair of members meets when the later one is reached
-            known = order[: i + 1]
-            reached = np.full_like(known, order[i])
-            for a, b in ((reached, known), (known, reached)):
-                products = table[a, b]
-                fresh = np.flatnonzero(~inside[products])
+        while start < size < n:  # one round: the products of known[start:end]
+            end = size
+            old = known[:end]
+            scaled = old * n
+            step = max(1, _ROUND_ENTRIES // (2 * end))
+            for lo in range(start, end, step):
+                new = old[lo : lo + step]
+                index = np.concatenate(
+                    ((scaled[lo : lo + step, None] + old).ravel(), (scaled[:, None] + new).ravel())
+                )
+                products = flat[index]
+                fresh = np.flatnonzero(outside[products])
                 if fresh.size:
                     xs, first = np.unique(products[fresh], return_index=True)
-                    inside[xs] = True
-                    order[size : size + xs.size] = xs
+                    outside[xs] = False
+                    known[size : size + xs.size] = xs
                     size += xs.size
-                    batches.append((xs, a[fresh[first]], b[fresh[first]]))
-            i += 1
+                    batch = np.concatenate((xs, *np.divmod(index[fresh[first]], n)))
+                    batches.append(batch.astype(table.dtype, copy=False).reshape(3, -1))
+            start = end
         levels.append((g, batches))
     return levels
 
