@@ -342,8 +342,8 @@ class _SearchPlan:
         self.sorted_profiles = self.profiles[np.lexsort(self.profiles.T)]
 
     @cached_property
-    def levels(self) -> Tuple[_Level, ...]:
-        """The levels, each index block a slice of one array over all pairs.
+    def _ranked(self) -> tuple:
+        """The generator levels, where each starts, and the pair arrays all levels cut.
 
         Number the points in the order the levels reach them; level i then
         holds the ranks from a_i (g_i) up to a_{i+1}.  Its law pairs are
@@ -364,15 +364,23 @@ class _SearchPlan:
         rank = np.arange(n)
         row, col = np.divmod(np.argsort(np.maximum.outer(rank, rank), axis=None, kind="stable"), n)
         left, right = order[row], order[col]  # by the larger rank of the pair, ascending
-        product = self.table[left, right].astype(order.dtype)
         upper = row < col
         later, earlier = order[col[upper]], order[row[upper]]  # row by row of the lower triangle
+        product = self.table[left, right].astype(order.dtype)
+        return steps, starts, order, left, right, product, later, earlier
+
+    @property
+    def levels(self) -> Tuple[_Level, ...]:
+        """The levels, their index blocks cut from the plan's arrays on each read.
+
+        The cuts are views, made per search and not kept: per-level array
+        objects would outweigh the arrays of a small plan.
+        """
+        steps, starts, order, left, right, product, later, earlier = self._ranked
         levels = []
         for (g, batches), a, b in zip(steps, starts, starts[1:]):
             law, inj = slice(a * a, b * b), slice(a * (a + 1) // 2, b * (b - 1) // 2)
-            levels.append(
-                _Level(g, batches, order[:a], left[law], right[law], product[law], later[inj], earlier[inj])
-            )
+            levels.append(_Level(g, batches, order[:a], left[law], right[law], product[law], later[inj], earlier[inj]))
         return tuple(levels)
 
 

@@ -130,8 +130,7 @@ def _generator_levels(table: np.ndarray) -> List[Tuple[int, List[Derivation]]]:
                     outside[xs] = False
                     known[size : size + xs.size] = xs
                     size += xs.size
-                    batch = np.concatenate((xs, *np.divmod(index[fresh[first]], n)))
-                    batches.append(batch.astype(table.dtype, copy=False).reshape(3, -1))
+                    batches.append(np.array((xs, *np.divmod(index[fresh[first]], n)), dtype=table.dtype))
             start = end
         levels.append((g, batches))
     return levels
