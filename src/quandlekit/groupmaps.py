@@ -220,8 +220,11 @@ def _stack_of(maps: Sequence) -> np.ndarray:
 # reads rhs transposed, so ``_law_masks`` gives both masks from one gather
 # pair, and the public masks, ``preserves_table``/``reverses_table``, the
 # Q3 check of ``quandles`` and the re-check of ``_table_isos`` read the
-# same gathers.  Blocks hold ``_LAW_ENTRIES`` entries, so the intp copy that
-# ``np.take`` makes of its index stays small.
+# same gathers.  The search walk of ``_table_isos`` reads its per-level law
+# pairs and derived points through the same ``_products`` take.  Blocks, of
+# stack rows here and of the walk's children there, hold ``_LAW_ENTRIES``
+# entries, so the intp copy that ``np.take`` makes of its index stays
+# small: unblocked, the walk's index reaches 4M entries.
 
 _LAW_ENTRIES = 1 << 16
 
@@ -409,9 +412,15 @@ def _table_isos(
     the levels nor a search are built.  The search branches only on the
     images of t1's greedy least-index generators g_1..g_k; level i extends
     partial maps on S_{i-1} to S_i, the closure of g_1..g_i: each parent
-    tries every image of g_i whose profile matches, derives the rest of
-    S_i through t2, and a child survives when it is injective on S_i and
-    obeys the law on S_i x S_i.
+    tries every image of g_i whose profile matches and that no point of
+    S_{i-1} has, derives the rest of S_i through t2, and a child survives
+    when it is injective on S_i and obeys the law on S_i x S_i.  Only the
+    checks the parent has not made are made: the law on the pairs of
+    S_i x S_i outside S_{i-1} x S_{i-1}, and injectivity only for the
+    points the level derives, each against the points before it, so a
+    level that adds g_i alone checks no injectivity at all.  Children are
+    derived and checked in row blocks of ``_LAW_ENTRIES`` law pairs, each
+    product read through ``_products`` on t2's flat table.
 
     One walk serves both modes.  It goes depth first over chunks of
     parents, at most budget / |candidates| of them per extend
@@ -454,9 +463,10 @@ def _table_isos(
         rows, picks = np.nonzero(free)
         kids = parents[rows]
         kids[:, lv.g] = cs[picks]
-        step = max(1, _LAW_ENTRIES // lv.left.size)
-        blocks = [survivors(lv, kids[i : i + step]) for i in range(0, len(kids), step)]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks) if blocks else kids
+        step = max(1, _LAW_ENTRIES // lv.left.size)  # rows whose law pairs fill one block
+        if len(kids) <= step:
+            return survivors(lv, kids)
+        return np.concatenate([survivors(lv, kids[i : i + step]) for i in range(0, len(kids), step)])
 
     budget = _walk_budget(n, first_only)
     root = np.zeros((1, n), dtype=dtype)  # the one map on the empty set

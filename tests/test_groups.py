@@ -26,7 +26,8 @@ from quandlekit import (
     quotient_by_normal,
     symmetric,
 )
-from quandlekit.harness import CATALOG_SPECS
+from quandlekit.groups import _generator_levels
+from quandlekit.harness import CATALOG_SPECS, default_catalog
 
 
 class TestValidation:
@@ -274,3 +275,46 @@ class TestTextFormat:
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
             group_from_text("")
+
+
+def _greedy_generators(table):
+    """Greedy least-index generators by plain closure: each the least point outside the last closure."""
+    n = table.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    gens = []
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        members = np.union1d(np.flatnonzero(inside), gens)
+        while True:
+            grown = np.union1d(members, table[np.ix_(members, members)])
+            if grown.size == members.size:
+                break
+            members = grown
+        inside[members] = True
+    return gens
+
+
+class TestGeneratorLevels:
+    """The contract the search plan and Light's test rely on, over every table they meet."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, quandle_corpus):
+        named = [(G.name, G.table) for G in default_catalog()]
+        return named + [(label, Q.op) for label, Q in quandle_corpus] + [("Z1024", cyclic(1024).table)]
+
+    def test_generators_are_the_greedy_ones(self, tables):
+        for label, table in tables:
+            assert [g for g, _ in _generator_levels(table)] == _greedy_generators(table), label
+
+    def test_every_batch_derives_from_known_points(self, tables):
+        for label, table in tables:
+            known = np.zeros(table.shape[0], dtype=bool)
+            for g, batches in _generator_levels(table):
+                assert not known[g], label
+                known[g] = True
+                for xs, a, b in batches:
+                    assert known[a].all() and known[b].all(), label
+                    assert np.array_equal(xs, table[a, b]), label
+                    assert not known[xs].any() and np.unique(xs).size == xs.size, label
+                    known[xs] = True
+            assert known.all(), label

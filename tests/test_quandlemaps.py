@@ -35,7 +35,7 @@ from quandlekit import (
     trivial,
 )
 from quandlekit import groupmaps
-from quandlekit.groupmaps import _is_map_group, _profiles, _SearchPlan, _table_isos
+from quandlekit.groupmaps import _is_map_group, _keys, _profiles, _SearchPlan, _table_isos
 
 # |Aut(R_n)| = n * phi(n): the affine maps x -> ax + b with a invertible.
 DIHEDRAL_AUT_ORDERS = {3: 6, 4: 8, 5: 20, 6: 12, 7: 42, 8: 32, 9: 54, 10: 40}
@@ -242,6 +242,84 @@ class TestChunkedWalk:
         Q = dihedral_quandle(3)
         rows = [tuple(map(int, r)) for r in _table_isos(Q.op, Q.op)]
         assert rows == _oracle_isos(Q.op, Q.op)
+
+
+# A law block this small holds one child at the last level of Alex(D6, phi).
+TINY_LAW_BLOCK = 200
+
+
+class TestBlockedLawCheck:
+    """The walk's law check in row blocks far below their default size."""
+
+    @pytest.mark.parametrize("index", [1, 2, 3])  # 72, 648 and 4608 automorphisms
+    def test_small_blocks_give_the_same_rows(self, monkeypatch, index):
+        D6 = named_group("D6")
+        Q = alex(D6, enumerate_aut(D6)[index])
+        plan = _SearchPlan(Q.op)
+        every = _table_isos(Q.op, Q.op, plan=plan)
+        first = _table_isos(Q.op, Q.op, first_only=True, plan=plan)
+        monkeypatch.setattr(groupmaps, "_LAW_ENTRIES", TINY_LAW_BLOCK)
+        assert np.array_equal(_table_isos(Q.op, Q.op, plan=plan), every)
+        assert np.array_equal(_table_isos(Q.op, Q.op, first_only=True, plan=plan), first)
+        assert len(every) == {1: 72, 2: 648, 3: 4608}[index]
+
+    @pytest.mark.parametrize("label", ["R7", "Core(S3)"])
+    def test_small_blocks_match_the_oracle(self, monkeypatch, quandle_corpus, label):
+        Q = dict(quandle_corpus)[label]
+        target = _relabel(Q.op, np.random.default_rng(Q.n).permutation(Q.n))
+        expected = _oracle_isos(Q.op, target)
+        monkeypatch.setattr(groupmaps, "_LAW_ENTRIES", TINY_LAW_BLOCK)
+        every = _table_isos(Q.op, target)
+        first = _table_isos(Q.op, target, first_only=True)
+        assert [tuple(map(int, row)) for row in every] == expected
+        assert [tuple(map(int, row)) for row in first] == expected[:1]
+
+
+def _closed_under_composition(stack):
+    """Whether a sorted stack of bijections that holds the identity is closed under composition.
+
+    The rows reached from the identity grow by composing on the right with
+    generators taken greedily from the stack, and every composite must be a
+    row (``_keys`` membership of ``stack[reached][:, gens]``, a part of
+    ``stack[:, stack]``).  Once every row is reached, S o T lies in S for
+    generators T of S, so S o S does too, at |S| |T| composites, not |S|^2.
+    """
+    n = stack.shape[1]
+    keys = _keys(stack)
+    assert np.array_equal(stack[0], np.arange(n))  # the identity sorts first
+    reached = np.zeros(len(stack), dtype=bool)
+    reached[0] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        while True:
+            composites = _keys(stack[reached][:, stack[gens]].reshape(-1, n))
+            pos = np.minimum(np.searchsorted(keys, composites), len(keys) - 1)
+            if not (keys[pos] == composites).all():
+                return False
+            if reached[pos].all():
+                break
+            reached[pos] = True
+    return True
+
+
+class TestOrderTwelveAutomorphisms:
+    """Aut(Q) of the heaviest quandle-enum units, where no n! oracle runs."""
+
+    @pytest.mark.parametrize(
+        "spec, index, count",
+        [("D6", 1, 72), ("D6", 2, 648), ("D6", 3, 4608), ("D6", 5, 72), ("Z12", 2, 4608)],
+    )
+    def test_alex_automorphisms_form_a_group(self, spec, index, count):
+        G = named_group(spec)
+        Q = alex(G, enumerate_aut(G)[index])
+        stack = _table_isos(Q.op, Q.op)
+        rows = [tuple(map(int, row)) for row in stack]
+        assert rows == sorted(set(rows)) and len(rows) == count
+        assert all(is_quandle_auto(Q, PointMap(row)) for row in rows)
+        assert _closed_under_composition(stack)
+        # a group less one element other than the identity is not closed
+        assert not _closed_under_composition(np.delete(stack, count // 2, axis=0))
 
 
 class TestMembershipPredicates:
