@@ -367,8 +367,8 @@ class _SearchPlan:
         rank = np.arange(n)
         row, col = np.divmod(np.argsort(np.maximum.outer(rank, rank), axis=None, kind="stable"), n)
         left, right = order[row], order[col]  # by the larger rank of the pair, ascending
-        upper = row < col
-        later, earlier = order[col[upper]], order[row[upper]]  # row by row of the lower triangle
+        ahead = row < col
+        later, earlier = order[col[ahead]], order[row[ahead]]  # by the later rank, ascending
         product = self.table[left, right].astype(order.dtype)
         return steps, starts, order, left, right, product, later, earlier
 
