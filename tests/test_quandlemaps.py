@@ -244,7 +244,7 @@ class TestChunkedWalk:
         assert rows == _oracle_isos(Q.op, Q.op)
 
 
-# A law block this small holds one child at the last level of Alex(D6, phi).
+# A law block this small holds only a few children, one at the last level of Alex(D6, phi1).
 TINY_LAW_BLOCK = 200
 
 
