@@ -391,9 +391,14 @@ _FIRST_HIT_ROWS = 1024  # children per extend in first-hit mode
 _WALK_ENTRIES = 1 << 22  # full enumeration: children whose n x n gathers fit in 4M entries
 
 
-def _block_rows(n: int, entries: int = _LAW_ENTRIES) -> int:
-    """Rows of n points whose n x n gathers fit in ``entries`` entries."""
-    return max(1, entries // (n * n))
+def _block_rows(n: int, entries: Optional[int] = None) -> int:
+    """Rows of n points whose n x n gathers fit in ``entries`` entries.
+
+    The default, ``_LAW_ENTRIES``, is read at each call: the one constant
+    sizes the blocks of ``_law_blocks`` and of the Q3 check as it sizes the
+    walk's.
+    """
+    return max(1, (_LAW_ENTRIES if entries is None else entries) // (n * n))
 
 
 def _walk_budget(n: int, first_only: bool) -> int:

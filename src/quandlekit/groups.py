@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,7 +175,22 @@ def _find_inverses(table: np.ndarray, identity: int) -> np.ndarray:
 
 
 class FiniteGroup:
-    """Immutable finite group on {0..n-1}; all arrays are read-only."""
+    """Immutable finite group on {0..n-1}; all arrays are read-only.
+
+    ``_store`` is a dict of what the checks of ``harness`` derive from G
+    and read more than once, filled through ``_stored``:
+    - the quandles built on G, keyed by constructor name plus m, c or the
+      image bytes of the map (``harness._quandle``);
+    - C_Aut(phi) and C_AAut(phi), keyed by family plus phi's image bytes;
+    - what ``quandlemaps.semidirect_verify`` decides without Q: the
+      membership clauses of one part, keyed by its distinct rows as bytes,
+      and the product clauses of two parts, keyed by both;
+    - facts of G that a check reads at every parameter, keyed by the claim.
+    No key is a map's label, a quandle's name or a table: maps with one
+    label, and equal tables built from different parameters, get entries of
+    their own.  ``harness.run_census`` empties the store once G's checks are
+    done; a standalone ``run_check`` leaves it filled for G's lifetime.
+    """
 
     def __init__(self, table, name: Optional[str] = None, validate: bool = True):
         arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
@@ -192,6 +207,7 @@ class FiniteGroup:
         self.name = name if name is not None else f"G{n}"
         self.identity = _find_identity(arr)
         self.inverse = _find_inverses(arr, self.identity)
+        self._store: dict = {}
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
 
@@ -320,6 +336,13 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.n})"
+
+
+def _stored(G: FiniteGroup, key: tuple, build: Callable[[], object]):
+    """G's stored object under ``key``, made by ``build()`` on first use."""
+    if key not in G._store:
+        G._store[key] = build()
+    return G._store[key]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,19 @@ Each check evaluates the two sides of a claimed relationship independently
 quandles and testing induced maps) and returns a Verdict with witnesses.
 Census mode sweeps every check over a catalog of small groups.
 
+The checks read what they share through G's store (``FiniteGroup._store``):
+each quandle (``_quandle``, keyed by constructor name plus m, c or the
+map's image bytes), C_Aut(phi) and C_AAut(phi) (``_centralizer_of``, keyed
+by family plus phi's image bytes), and the facts of G that a check would
+otherwise decide again at every parameter.  So Conj_m(G), Core(G),
+Alex(G, phi) and P_i(G, c) are each built and validated once per group,
+however many checks read them.  The semidirect checks hand the preserving
+masks their membership verdicts took to ``quandlemaps._semidirect_verify``,
+which keeps its Q-free clauses in the same store.  ``run_census`` empties a
+group's store once the group's checks are done; a standalone ``run_check``
+leaves it filled for as long as G lives.  The public constructors are
+untouched: each call still builds a fresh, validated quandle.
+
 Where a printed equivalence is provable in one direction only, the check
 asserts the provable implication and says so in its notes; the companion
 ledger of the project records the specific counterexamples.  The exponent-3
@@ -66,16 +79,18 @@ from .groupmaps import (
     reversing_mask,
     verify_F_iso,
 )
-from .groups import FiniteGroup, _distinct, named_group
+from .groups import FiniteGroup, _distinct, _stored, named_group
 from .quandlemaps import (
     SemidirectReport,
     _inn_stack,
     _plan,
+    _semidirect_verify,
     enumerate_quandle_antis,
     enumerate_quandle_auts,
     inn_out_report,
     semidirect_verify,
 )
+from .quandles import Quandle
 from .verdicts import Verdict, combine, make_iff, make_implies, make_skipped, report_json
 
 __all__ = [
@@ -145,6 +160,26 @@ def _first_failure(mask: np.ndarray, stack: np.ndarray) -> Optional[dict]:
         return None
     i = int(bad[0])
     return {"index": i, "images": [int(v) for v in stack[i]]}
+
+
+def _quandle(G: FiniteGroup, ctor: str, param=None) -> Quandle:
+    """The quandle ``ctor(G)``, or ``ctor(G, param)``, from G's store: built on first use.
+
+    The key is the constructor's name plus ``param``: m, c, or the image
+    bytes of a ClassifiedMap.  The constructor is this module's attribute of
+    that name, read at call time.
+    """
+    build = globals()[ctor]
+    if param is None:
+        return _stored(G, (ctor,), lambda: build(G))
+    key = param.images.tobytes() if isinstance(param, ClassifiedMap) else param
+    return _stored(G, (ctor, key), lambda: build(G, param))
+
+
+def _centralizer_of(G: FiniteGroup, family: str, phi: ClassifiedMap) -> np.ndarray:
+    """C_Aut(phi) (family "aut") or C_AAut(phi) ("aaut") from G's store."""
+    return _stored(G, ("C_" + family, phi.images.tobytes()),
+                   lambda: _centralizer(G, getattr(G._maps, family), phi.images))
 
 
 def _members(
@@ -222,8 +257,10 @@ def _semidirect(theorem_id: str, inputs: str, report: SemidirectReport) -> Verdi
     )
 
 
-def _cubes_trivial(G: FiniteGroup, members: Sequence[int]) -> bool:
-    return all(G.power(x, 3) == G.identity for x in members)
+def _derived_central_cubes(G: FiniteGroup) -> bool:
+    """Whether [G,G] is central with every cube trivial."""
+    derived = list(G.commutator_subgroup())
+    return bool(G.center_mask[derived].all()) and all(G.power(x, 3) == G.identity for x in derived)
 
 
 # --- Conj_m checks ---
@@ -234,21 +271,24 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
     identity phi t_a phi^-1 = t_phi(a), and the semidirect clauses."""
     tid = "conj-semidirect"
     inputs = f"{G.name}, m={m}"
-    Q = conj_m(G, m)
+    Q = _quandle(G, "conj_m", m)
     H = _H_stack(G)
     auts = G._maps.aut
+    masks = preserving_mask(Q.op, H), preserving_mask(Q.op, auts)
     parts = [
-        _members(f"{tid}/H-members", inputs, Q.op, H,
-                 "every central translation t_a is an automorphism of Conj_m(G)"),
-        _members(f"{tid}/aut-members", inputs, Q.op, auts,
-                 "every group automorphism is an automorphism of Conj_m(G)"),
+        _members_in(f"{tid}/H-members", inputs, masks[0], H,
+                    "every central translation t_a is an automorphism of Conj_m(G)"),
+        _members_in(f"{tid}/aut-members", inputs, masks[1], auts,
+                    "every group automorphism is an automorphism of Conj_m(G)"),
     ]
     centre = np.flatnonzero(G.center_mask)
+    identity = _stored(G, (f"{tid}/conjugation-identity",), lambda: _conjugation(
+        f"{tid}/conjugation-identity", inputs, auts,
+        lambda phi, inv: np.array_equal(phi[G.table[centre][:, inv]], G.table[phi[centre]]),
+        "phi t_a phi^-1 = t_phi(a) for a in Z(G)"))  # a fact of G: decided at the first m
     parts += [
-        _conjugation(f"{tid}/conjugation-identity", inputs, auts,
-                     lambda phi, inv: np.array_equal(phi[G.table[centre][:, inv]], G.table[phi[centre]]),
-                     "phi t_a phi^-1 = t_phi(a) for a in Z(G)"),
-        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(H, auts, Q, G)),
+        replace(identity, inputs=inputs),
+        _semidirect(f"{tid}/semidirect", inputs, _semidirect_verify(H, auts, Q, G, masks)),
     ]
     return combine(tid, inputs, "subgroup-embedding", parts)
 
@@ -257,7 +297,7 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
     """H rtimes Out(G) embeds in Out(Conj(G))."""
     tid = "conj-out"
     inputs = G.name
-    Q = conj_m(G, 1)
+    Q = _quandle(G, "conj_m", 1)
     H = _H_stack(G)
     reps = _out_reps(G)
     expected = len(H) * len(reps)
@@ -302,7 +342,7 @@ def check_conj_aaut_intersection(G: FiniteGroup, m: int) -> Verdict:
     """AAut(G) meets Aut(Conj_m(G)) iff y^(2m) is central for every y."""
     tid = "conj-aaut"
     inputs = f"{G.name}, m={m}"
-    Q = conj_m(G, m)
+    Q = _quandle(G, "conj_m", m)
     stack = G._maps.aaut
     induced = preserving_mask(Q.op, stack)
     lhs = bool(induced.any())
@@ -335,7 +375,7 @@ def check_conj_no_anti(G: FiniteGroup, m: int) -> Verdict:
     inputs = f"{G.name}, m={m}"
     if G.n < 2:
         return make_skipped(tid, inputs, "emptiness", "stated for |G| >= 2 only")
-    Q = conj_m(G, m)
+    Q = _quandle(G, "conj_m", m)
     found = _table_isos(Q.op, np.ascontiguousarray(Q.op.T), first_only=True, plan=_plan(Q))
     return _emptiness(
         tid, inputs, found,
@@ -350,9 +390,9 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     """Induced maps on Alex(G, phi) versus centrality and commutativity."""
     tid = "alex"
     inputs = f"{G.name}, phi={_map_label(phi)}"
-    Q = alex(G, phi)
-    aa_stack = _centralizer(G, G._maps.aaut, phi.images)
-    a_stack = _centralizer(G, G._maps.aut, phi.images)
+    Q = _quandle(G, "alex", phi)
+    aa_stack = _centralizer_of(G, "aaut", phi)
+    a_stack = _centralizer_of(G, "aut", phi)
     aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
     parts = [
         _per_map_iff(
@@ -384,15 +424,17 @@ def check_alex_semidirect(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     """G^op rtimes C_Aut(phi) embeds in Aut(Alex(G, phi))."""
     tid = "alex-semidirect"
     inputs = f"{G.name}, phi={_map_label(phi)}"
-    Q = alex(G, phi)
+    Q = _quandle(G, "alex", phi)
     right_translations = G.table.T  # row b is f_{1,b}
-    cent = _centralizer(G, G._maps.aut, phi.images)
+    cent = _centralizer_of(G, "aut", phi)
+    masks = preserving_mask(Q.op, right_translations), preserving_mask(Q.op, cent)
     parts = [
-        _members(f"{tid}/gop-members", inputs, Q.op, right_translations,
-                 "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
-        _members(f"{tid}/centralizer-members", inputs, Q.op, cent,
-                 "every member of C_Aut(phi) is an automorphism of Alex(G,phi)"),
-        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(right_translations, cent, Q, G)),
+        _members_in(f"{tid}/gop-members", inputs, masks[0], right_translations,
+                    "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
+        _members_in(f"{tid}/centralizer-members", inputs, masks[1], cent,
+                    "every member of C_Aut(phi) is an automorphism of Alex(G,phi)"),
+        _semidirect(f"{tid}/semidirect", inputs,
+                    _semidirect_verify(right_translations, cent, Q, G, masks)),
     ]
     return combine(tid, inputs, "subgroup-embedding", parts)
 
@@ -402,7 +444,7 @@ def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict
     then F' inside Aut(Alex(G, phi)) for each phi: one verdict per phi."""
     tid = "f-structure"
     F = _F_stack(G)
-    in_core = _members(f"{tid}/F-in-core-aut", G.name, core(G).op, F,
+    in_core = _members(f"{tid}/F-in-core-aut", G.name, _quandle(G, "core").op, F,
                        f"all {len(F)} maps f_(a,b) preserve Core(G)")
     size = _claim(f"{tid}/F-size", G.name, len(F) == G.n * G.n // int(G.center_mask.sum()),
                   relationship="iff", notes=f"|F| = {len(F)} = |G|^2/|Z(G)|")
@@ -414,7 +456,7 @@ def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict
         parts = [
             replace(in_core, inputs=inputs),
             replace(size, inputs=inputs),
-            _members(f"{tid}/Fprime-in-alex-aut", inputs, alex(G, phi).op, fprime,
+            _members(f"{tid}/Fprime-in-alex-aut", inputs, _quandle(G, "alex", phi).op, fprime,
                      f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)"),
             iso,
         ]
@@ -430,7 +472,7 @@ def check_core(G: FiniteGroup) -> Verdict:
     exactly when every cube is trivial."""
     tid = "core"
     inputs = G.name
-    Q = core(G)
+    Q = _quandle(G, "core")
     aa_stack = G._maps.aaut
     a_stack = G._maps.aut
     rhs = G.exponent in (1, 3)
@@ -464,7 +506,7 @@ def check_core_corollaries(G: FiniteGroup) -> Verdict:
     Centerless case: none exist at all."""
     tid = "core-corollaries"
     inputs = G.name
-    Q = core(G)
+    Q = _quandle(G, "core")
     union = _unique_rows(np.concatenate([G._maps.aut, G._maps.aaut]))
     anti_mask = reversing_mask(Q.op, union)
     parts = []
@@ -525,7 +567,7 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
     """
     tid = "core-semidirect"
     inputs = G.name
-    Q = core(G)
+    Q = _quandle(G, "core")
     fstack = _F_stack(G)
     rstack = _out_reps(G)
     f_keys = _keys(fstack)  # ascending: F comes back sorted
@@ -573,7 +615,7 @@ def check_core_abelian_full(G: FiniteGroup) -> Verdict:
         return make_skipped(tid, inputs, "isomorphism", "needs an abelian group without 2-torsion")
     if G.n > config.MAX_QUANDLE_ENUM_ORDER:
         return make_skipped(tid, inputs, "isomorphism", f"enumeration cap below |G| = {G.n}")
-    Q = core(G)
+    Q = _quandle(G, "core")
     auts = enumerate_quandle_auts(Q)
     expected = G.n * len(G._maps.aut)
     stack = _stack_of(auts)
@@ -623,14 +665,13 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
         Q = ctor(G, base)
     except (WrongMapKind, CompatibilityFail) as exc:
         return make_skipped(tid, inputs, "iff", f"construction rejected: {exc}")
-    a_stack = _centralizer(G, G._maps.aut, base.images)
-    aa_stack = _centralizer(G, G._maps.aaut, base.images)
+    a_stack = _centralizer_of(G, "aut", base)
+    aa_stack = _centralizer_of(G, "aaut", base)
     if i <= 2:
         anti_rhs = G.is_abelian
         anti_note = "an induced antiautomorphism forces G abelian (forward direction)"
     else:
-        derived = list(G.commutator_subgroup())
-        anti_rhs = bool(G.center_mask[derived].all()) and _cubes_trivial(G, derived)
+        anti_rhs = _stored(G, ("[G,G] central with trivial cubes",), lambda: _derived_central_cubes(G))
         anti_note = (
             "an induced antiautomorphism forces [G,G] central with every cube "
             "trivial (forward direction)"
@@ -666,8 +707,8 @@ def check_Pi_aut(G: FiniteGroup, c: int) -> Verdict:
     rhs_vals = G.table[G.inverse[c], phi_inv_c]
     rhs_mask = G.center_mask[rhs_vals]
     parts = []
-    for i, ctor in enumerate((p1, p2, p3, p4), start=1):
-        Q = ctor(G, c)
+    for i in range(1, 5):
+        Q = _quandle(G, f"p{i}", c)
         lhs_mask = preserving_mask(Q.op, stack)
         mism = np.nonzero(lhs_mask != rhs_mask)[0]
         parts.append(
@@ -698,8 +739,8 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
     rhs1 = bool((comm == idx).all())
     rhs2 = bool(G.center_mask[G.table[c, c]])
     parts = []
-    for i, ctor in enumerate((p1, p2, p3, p4), start=1):
-        Q = ctor(G, c)
+    for i in range(1, 5):
+        Q = _quandle(G, f"p{i}", c)
         parts.append(
             _per_map_iff(
                 f"{tid}/P{i}-fixing-aut-anti-iff",
@@ -834,8 +875,10 @@ def run_census(catalog: Optional[Sequence[FiniteGroup]] = None) -> dict:
 
     guarded("dihedral-no-anti", None)
     for G in groups:
-        for theorem_id in CHECK_IDS:
-            if theorem_id == "dihedral-no-anti":
-                continue
-            guarded(theorem_id, G)
+        try:
+            for theorem_id in CHECK_IDS:
+                if theorem_id != "dihedral-no-anti":
+                    guarded(theorem_id, G)
+        finally:
+            G._store.clear()  # the group's quandles, centralizers and part clauses
     return report_json([g.name for g in groups], verdicts)

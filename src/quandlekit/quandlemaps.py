@@ -15,7 +15,8 @@ enumerations, one per kind, as a sorted compact stack together with
 read-only ``QuandleMap`` objects, and its inner automorphism group Inn(Q)
 as a sorted compact stack.  Those sets, the closures and the Inn/Out
 report are keyed by whole rows; ``semidirect_verify`` admits only maps of
-Hol(G) and keys them by their images on ``G.hol_base``.
+Hol(G), keys them by their images on ``G.hol_base`` and keeps what it
+decides without Q in G's store.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .groupmaps import (
     preserving_mask,
     reverses_table,
 )
-from .groups import FiniteGroup, _distinct
+from .groups import FiniteGroup, _distinct, _stored
 from .quandles import Quandle, inn_group
 
 __all__ = [
@@ -270,26 +271,59 @@ def semidirect_verify(
     Given that both parts are groups, that the intersection is trivial and
     that C normalizes N, the distinct-products and closure clauses follow.
     They are kept as independent cross-checks of the engine.
+
+    The preserving masks are the only clause that reads Q; this function
+    takes them itself.  The rest is kept in G's store
+    (``FiniteGroup._store``): per part, whether it is a bijective group of
+    Hol(G) maps, keyed by its distinct rows as bytes; per pair of parts that
+    pass, the report of the clauses past membership, keyed by both.  So a
+    part or a pair that several checks on one group share is tested once.
+    The harness hands in the masks its membership verdicts took
+    (``_semidirect_verify``).
     """
+    return _semidirect_verify(normal, complement, Q, G)
+
+
+def _part_flaw(G: FiniteGroup, part: np.ndarray) -> Optional[str]:
+    """The first membership clause that a part's distinct rows break without Q, or None."""
+    if not _bijective_mask(part).all():
+        return "contains a non-automorphism"
+    if not _hol_mask(G, part).all():
+        return "lies outside Hol(G)"
+    if not _is_map_group(G, part):
+        return "is not a group of maps"
+    return None
+
+
+def _semidirect_verify(
+    normal: np.ndarray, complement: np.ndarray, Q: Quandle, G: FiniteGroup,
+    masks: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> SemidirectReport:
+    """``semidirect_verify``, given the preserving masks of Q over the rows of both parts, if taken."""
     if Q.n != G.n:
         raise CarrierMismatch(G.n, Q.n)
     N = _unique_rows(normal)
     C = _unique_rows(complement)
-    n = Q.n
-
-    def fail(clause: str, closure_size: int = 0, inter: bool = False) -> SemidirectReport:
-        return SemidirectReport(len(N), len(C), inter, closure_size, False, clause)
-
     if N.size == 0 or C.size == 0:
-        return fail("a part is empty")
-    for label, arr in (("normal", N), ("complement", C)):
-        if not (_bijective_mask(arr) & preserving_mask(Q.op, arr)).all():
-            return fail(f"{label} part contains a non-automorphism")
-        if not _hol_mask(G, arr).all():
-            return fail(f"{label} part lies outside Hol(G)")
-        if not _is_map_group(G, arr):
-            return fail(f"{label} part is not a group of maps")
+        return _failed(N, C, "a part is empty")
+    keys = N.tobytes(), C.tobytes()  # one bytes object each, shared by the keys a call stores
+    for i, (label, arr) in enumerate((("normal", N), ("complement", C))):
+        preserved = (preserving_mask(Q.op, arr) if masks is None else masks[i]).all()
+        flaw = (_stored(G, ("semidirect part", keys[i]), lambda: _part_flaw(G, arr))
+                if preserved else "contains a non-automorphism")
+        if flaw is not None:
+            return _failed(N, C, f"{label} part {flaw}")
+    return _stored(G, ("semidirect", *keys), lambda: _product_clauses(G, N, C))
 
+
+def _failed(
+    N: np.ndarray, C: np.ndarray, clause: str, closure_size: int = 0, inter: bool = False
+) -> SemidirectReport:
+    return SemidirectReport(len(N), len(C), inter, closure_size, False, clause)
+
+
+def _product_clauses(G: FiniteGroup, N: np.ndarray, C: np.ndarray) -> SemidirectReport:
+    """The clauses past membership, on two distinct groups of Hol(G) maps: none reads Q."""
     base = G.hol_base
     nkeys = _distinct(_hol_keys(G, N[:, base]))
     ckeys = _hol_keys(G, C[:, base])
@@ -297,19 +331,19 @@ def semidirect_verify(
     # [i, j] = c_j o f_i o c_j^-1 on B, for f_i in N and c_j in C
     conjugated = C[np.arange(len(C))[:, None], N[:, cinv[:, base]]]
     if not _in_sorted(_hol_keys(G, conjugated).ravel(), nkeys).all():
-        return fail("complement does not normalize the normal part")
+        return _failed(N, C, "complement does not normalize the normal part")
 
     inter = ckeys[_in_sorted(ckeys, nkeys)]
     if not (inter == _hol_keys(G, base[None, :])).all():
-        return fail("intersection is not trivial", inter=False)
+        return _failed(N, C, "intersection is not trivial", inter=False)
 
     # f o c for all pairs, on B
     distinct = len(_distinct(_hol_keys(G, N[:, C[:, base]]).ravel()))
     expected = len(N) * len(C)
     if distinct != expected:
-        return fail("n o c products collide", closure_size=distinct, inter=True)
+        return _failed(N, C, "n o c products collide", closure_size=distinct, inter=True)
 
-    closure_size = _right_closure_size(G, N[:, C].reshape(-1, n), N)
+    closure_size = _right_closure_size(G, N[:, C].reshape(-1, G.n), N)
     verdict = closure_size == expected
     return SemidirectReport(
         len(N),

@@ -1,6 +1,8 @@
 """Theorem checks: spot runs per check id, census reports, self-tests."""
 
 import ast
+import collections
+import functools
 import itertools
 import pathlib
 
@@ -24,10 +26,13 @@ from quandlekit import (
     quaternion8,
     run_census,
     run_check,
+    semidirect_verify,
     summarize,
     symmetric,
 )
-from quandlekit.harness import M_RANGE, _members
+from quandlekit import harness, quandlemaps
+from quandlekit.constructions import _map_label
+from quandlekit.harness import M_RANGE, _members, _quandle
 from quandlekit.verdicts import combine, make_iff, make_implies, make_skipped, report_json
 
 
@@ -231,6 +236,83 @@ class TestOncePerSweep:
         assert len({v.inputs for v in verdicts}) == 6
         for v in verdicts:
             assert [p.inputs for p in v.parts[:3]] == [v.inputs] * 3
+
+
+class TestGroupStore:
+    """What G's store keys, and that a check builds each quandle of G once."""
+
+    CONSTRUCTORS = ("conj_m", "core", "alex", "q1", "q2", "q3", "q4", "p1", "p2", "p3", "p4")
+
+    def test_alex_tables_are_keyed_by_images_not_labels(self):
+        D6 = named_group("D6")
+        phis = harness.enumerate_aut(D6)
+        tables = [_quandle(D6, "alex", phi).op for phi in phis]
+        assert len(phis) == 12 and len({_map_label(phi) for phi in phis}) == 2
+        assert len({t.tobytes() for t in tables}) == 12
+        for phi, table in zip(phis, tables):
+            assert np.array_equal(table, harness.alex(D6, phi).op)
+            assert _quandle(D6, "alex", phi).op is table  # built once, then read back
+
+    def test_semidirect_part_clauses_are_keyed_by_content(self, monkeypatch):
+        D6 = named_group("D6")
+        Q = conj_m(D6, 0)  # the trivial quandle: every bijection preserves it
+        H = harness._H_stack(D6)
+        auts = D6._maps.aut
+        assert semidirect_verify(H, auts, Q, D6).verdict
+        calls = []
+        real = quandlemaps._hol_mask
+        monkeypatch.setattr(quandlemaps, "_hol_mask", lambda G, stack: calls.append(len(stack)) or real(G, stack))
+        assert semidirect_verify(H, auts, Q, D6).verdict and calls == []  # read from the store
+        swapped = auts.copy()
+        swapped[-1] = np.arange(D6.n)
+        swapped[-1, [1, 2]] = [2, 1]  # a transposition: a bijection outside Hol(D6)
+        repeated = auts.copy()
+        repeated[1] = auts[2]
+        near_misses = {
+            "complement part is not a group of maps": (auts[1:], repeated),
+            "complement part lies outside Hol(G)": (swapped,),
+        }
+        for clause, parts in near_misses.items():
+            for part in parts:
+                report = semidirect_verify(H, part, Q, D6)
+                assert not report.verdict and report.failing_clause == clause
+        assert semidirect_verify(H, auts, Q, D6).verdict
+
+    def _counted(self, monkeypatch):
+        """Count harness constructor calls per (name, group, parameter)."""
+        calls = collections.Counter()
+        for name in self.CONSTRUCTORS:
+            real = getattr(harness, name)
+
+            @functools.wraps(real)
+            def counted(G, *param, _name=name, _real=real):
+                key = param[0].images.tobytes() if param and hasattr(param[0], "images") else param
+                calls[_name, G.name, key] += 1
+                return _real(G, *param)
+
+            monkeypatch.setattr(harness, name, counted)
+        return calls
+
+    def test_census_builds_each_quandle_once_and_drops_the_store(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        S3, S4 = symmetric(3), symmetric(4)
+        report = run_census([S3, S4])
+        assert report["summary"]["failed"] == 0
+        assert set(calls.values()) == {1}
+        per_name = collections.Counter(name for name, _, _ in calls)
+        aut_sizes = len(S3._maps.aut) + len(S4._maps.aut)  # 6 + 24
+        assert per_name["alex"] == per_name["q1"] == aut_sizes
+        assert per_name["conj_m"] == 2 * len(M_RANGE) and per_name["core"] == 2
+        assert all(per_name[f"p{i}"] == S3.n + S4.n for i in range(1, 5))
+        assert S3._store == {} and S4._store == {}
+
+    def test_standalone_checks_share_the_alex_build(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        S3 = symmetric(3)
+        assert_all_hold(run_check("alex", S3, phi_index=1))
+        assert_all_hold(run_check("alex-semidirect", S3, phi_index=1))
+        assert [name for name, _, _ in calls.elements()] == ["alex"]
+        assert S3._store  # kept while S3 lives
 
 
 class TestClaimVocabulary:

@@ -34,8 +34,18 @@ from quandlekit import (
     symmetric,
     trivial,
 )
-from quandlekit import groupmaps
-from quandlekit.groupmaps import _is_map_group, _keys, _profiles, _SearchPlan, _table_isos
+from quandlekit import Q3Fail, groupmaps
+from quandlekit.groupmaps import (
+    _is_map_group,
+    _keys,
+    _law_blocks,
+    _law_masks,
+    _profiles,
+    _SearchPlan,
+    _table_isos,
+    preserving_mask,
+)
+from quandlekit.quandles import _check_q3
 
 # |Aut(R_n)| = n * phi(n): the affine maps x -> ax + b with a invertible.
 DIHEDRAL_AUT_ORDERS = {3: 6, 4: 8, 5: 20, 6: 12, 7: 42, 8: 32, 9: 54, 10: 40}
@@ -249,7 +259,8 @@ TINY_LAW_BLOCK = 200
 
 
 class TestBlockedLawCheck:
-    """The walk's law check in row blocks far below their default size."""
+    """The law checks in row blocks far below their default size: the walk's,
+    the masks' and the Q3 check's, all sized by ``groupmaps._LAW_ENTRIES``."""
 
     @pytest.mark.parametrize("index", [1, 2, 3])  # 72, 648 and 4608 automorphisms
     def test_small_blocks_give_the_same_rows(self, monkeypatch, index):
@@ -273,6 +284,33 @@ class TestBlockedLawCheck:
         first = _table_isos(Q.op, target, first_only=True)
         assert [tuple(map(int, row)) for row in every] == expected
         assert [tuple(map(int, row)) for row in first] == expected[:1]
+
+
+    def test_small_blocks_give_the_same_masks(self, monkeypatch):
+        D6 = named_group("D6")
+        Q = alex(D6, enumerate_aut(D6)[1])
+        auts = D6._maps.aut
+        masks = _law_masks(Q.op, auts)
+        preserving = preserving_mask(Q.op, auts)
+        assert 0 < preserving.sum() < len(auts)  # 6 of the 12 preserve this table
+        monkeypatch.setattr(groupmaps, "_LAW_ENTRIES", TINY_LAW_BLOCK)
+        assert len(list(_law_blocks(Q.op, Q.op, auts))) == len(auts)  # one row a block
+        small = _law_masks(Q.op, auts)
+        assert all(np.array_equal(a, b) for a, b in zip(small, masks))
+        assert np.array_equal(preserving_mask(Q.op, auts), preserving)
+
+    def test_small_blocks_raise_the_same_q3_witness(self, monkeypatch):
+        # x*y = x, except that 11*y = y: Q3 holds for every x < 11 and
+        # fails for x = 11, the last block of x.
+        op = np.tile(np.arange(12)[:, None], (1, 12))
+        op[11] = np.arange(12)
+        with pytest.raises(Q3Fail) as whole:
+            _check_q3(op)
+        monkeypatch.setattr(groupmaps, "_LAW_ENTRIES", TINY_LAW_BLOCK)
+        assert groupmaps._block_rows(12) == 1
+        with pytest.raises(Q3Fail) as blocked:
+            _check_q3(op)
+        assert blocked.value.witness == whole.value.witness == (11, 0, 1)
 
 
 def _closed_under_composition(stack):
