@@ -335,8 +335,8 @@ class _SearchPlan:
     The point profiles (``_profiles``) are built with the plan.  The
     generator levels (``groups._generator_levels``) and their index blocks
     are built on first use, so a target that the profiles reject costs no
-    levels.  A quandle keeps its plan in ``Q._maps``; Aut(Q), the
-    antiautomorphisms and ``are_isomorphic(Q, ...)`` all read it.
+    levels.  A quandle keeps its plan in its store (``Quandle._store``);
+    Aut(Q), the antiautomorphisms and ``are_isomorphic(Q, ...)`` all read it.
     """
 
     def __init__(self, t1: np.ndarray):
@@ -587,9 +587,7 @@ def enumerate_aaut(G: FiniteGroup) -> List[ClassifiedMap]:
 # --- closure of map sets ---
 
 
-def closure_of_point_maps(
-    maps: Sequence[PointMap], cap: int = config.MAX_CLOSURE_SIZE
-) -> List[PointMap]:
+def closure_of_point_maps(maps: Sequence[PointMap], cap: Optional[int] = None) -> List[PointMap]:
     """Group generated by the given bijections, as a sorted list.
 
     Cayley-graph breadth-first search: each round composes only the frontier
@@ -597,9 +595,11 @@ def closure_of_point_maps(
     right multiplication alone).  Inverse-closed generators make the graph
     undirected, so a product of the current level lies in the previous, the
     current or the next level, and only the last two levels are searched.
+    The default ``cap``, ``config.MAX_CLOSURE_SIZE``, is read at each call.
     """
     if not maps:
         raise ValueError("closure needs at least one map")
+    cap = config.MAX_CLOSURE_SIZE if cap is None else cap
     gens = _stack_of(maps)
     n = gens.shape[1]
     gens = _unique_rows(np.concatenate([gens, np.argsort(gens, axis=1)]))

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .errors import (
     ParseError,
     TooLarge,
 )
+
+if TYPE_CHECKING:
+    from .quandles import Quandle
 
 __all__ = [
     "FiniteGroup",
@@ -178,7 +181,8 @@ class FiniteGroup:
     """Immutable finite group on {0..n-1}; all arrays are read-only.
 
     ``_store`` is a dict of what the checks of ``harness`` derive from G
-    and read more than once, filled through ``_stored``:
+    and read more than once, filled through ``_stored``, as a ``Quandle``'s
+    store of its search plan and map stacks is:
     - the quandles built on G, keyed by constructor name plus m, c or the
       image bytes of the map (``harness._quandle``);
     - C_Aut(phi) and C_AAut(phi), keyed by family plus phi's image bytes;
@@ -189,7 +193,8 @@ class FiniteGroup:
     No key is a map's label, a quandle's name or a table: maps with one
     label, and equal tables built from different parameters, get entries of
     their own.  ``harness.run_census`` empties the store once G's checks are
-    done; a standalone ``run_check`` leaves it filled for G's lifetime.
+    done, which frees its quandles at once; a standalone ``run_check``
+    leaves it filled for G's lifetime.
     """
 
     def __init__(self, table, name: Optional[str] = None, validate: bool = True):
@@ -338,11 +343,11 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.n})"
 
 
-def _stored(G: FiniteGroup, key: tuple, build: Callable[[], object]):
-    """G's stored object under ``key``, made by ``build()`` on first use."""
-    if key not in G._store:
-        G._store[key] = build()
-    return G._store[key]
+def _stored(owner: Union[FiniteGroup, "Quandle"], key: tuple, build: Callable[[], object]):
+    """The object that a group or a quandle stores under ``key``, made by ``build()`` on first use."""
+    if key not in owner._store:
+        owner._store[key] = build()
+    return owner._store[key]
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ Alex(G, phi) and P_i(G, c) are each built and validated once per group,
 however many checks read them.  The semidirect checks hand the preserving
 masks their membership verdicts took to ``quandlemaps._semidirect_verify``,
 which keeps its Q-free clauses in the same store.  ``run_census`` empties a
-group's store once the group's checks are done; a standalone ``run_check``
-leaves it filled for as long as G lives.  The public constructors are
+group's store once the group's checks are done, which frees its quandles
+and the map stacks they keep (``Quandle._store``) at once; a standalone
+``run_check`` leaves it filled for as long as G lives.  The public constructors are
 untouched: each call still builds a fresh, validated quandle.
 
 Where a printed equivalence is provable in one direction only, the check

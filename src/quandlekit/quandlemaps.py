@@ -11,9 +11,9 @@ first walk over those chunks serves full enumeration and the first hit, so
 enumerating the rest.  Each quandle keeps its search plan (profiles,
 generator levels and index blocks, ``groupmaps._SearchPlan``), which its
 automorphisms, antiautomorphisms and isomorphisms from it all read, its
-enumerations, one per kind, as a sorted compact stack together with
-read-only ``QuandleMap`` objects, and its inner automorphism group Inn(Q)
-as a sorted compact stack.  Those sets, the closures and the Inn/Out
+enumerations, one per kind, and its inner automorphism group Inn(Q) as
+read-only sorted compact stacks in its store, and builds no ``QuandleMap``
+but in the public enumerators.  Those sets, the closures and the Inn/Out
 report are keyed by whole rows; ``semidirect_verify`` admits only maps of
 Hol(G), keys them by their images on ``G.hol_base`` and keeps what it
 decides without Q in G's store.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,10 +113,8 @@ def _least(hits: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _plan(Q: Quandle) -> _SearchPlan:
-    """Q's search plan, built once and kept in ``Q._maps``."""
-    if "plan" not in Q._maps:
-        Q._maps["plan"] = _SearchPlan(Q.op)
-    return Q._maps["plan"]
+    """Q's search plan, built once and kept in Q's store."""
+    return _stored(Q, ("plan",), lambda: _SearchPlan(Q.op))
 
 
 def _quandle_iso(Q1: Quandle, Q2: Quandle) -> Optional[np.ndarray]:
@@ -130,49 +128,42 @@ def _is_trivial_table(op: np.ndarray) -> bool:
     return bool((op == np.arange(op.shape[0])[:, None]).all())
 
 
-class _Enumerated(NamedTuple):
-    """Aut(Q) or the antiautomorphisms of Q: the sorted stack and its maps."""
-
-    stack: np.ndarray
-    maps: Tuple[QuandleMap, ...]
+def _enumerate(Q: Quandle, kind: str) -> np.ndarray:
+    """The maps of one kind on Q as a read-only sorted stack, enumerated once and kept in Q's store."""
+    return _stored(Q, (kind,), lambda: _search(Q, kind))
 
 
-def _enumerate(Q: Quandle, kind: str) -> _Enumerated:
-    """The maps of one kind on Q, enumerated once and kept in ``Q._maps``."""
-    if kind not in Q._maps:
-        if Q.n > config.MAX_QUANDLE_ENUM_ORDER:
-            raise CapExceeded("quandle map enumeration", Q.n, config.MAX_QUANDLE_ENUM_ORDER)
-        if kind == "automorphism":
-            if _is_trivial_table(Q.op) and Q.n > config.MAX_ORACLE_ORDER:
-                # Aut(T_n) is all of Sym(n); materializing n! maps is refused.
-                raise CapExceeded("trivial-quandle automorphisms", Q.n, config.MAX_ORACLE_ORDER)
-            target = Q.op
-        else:
-            target = np.ascontiguousarray(Q.op.T)
-        stack = _table_isos(Q.op, target, plan=_plan(Q))
-        stack.setflags(write=False)
-        maps = tuple(QuandleMap(pm, kind, Q) for pm in _point_maps(stack))
-        Q._maps[kind] = _Enumerated(stack, maps)
-    return Q._maps[kind]
+def _search(Q: Quandle, kind: str) -> np.ndarray:
+    if Q.n > config.MAX_QUANDLE_ENUM_ORDER:
+        raise CapExceeded("quandle map enumeration", Q.n, config.MAX_QUANDLE_ENUM_ORDER)
+    if kind == "automorphism":
+        if _is_trivial_table(Q.op) and Q.n > config.MAX_ORACLE_ORDER:
+            # Aut(T_n) is all of Sym(n); materializing n! maps is refused.
+            raise CapExceeded("trivial-quandle automorphisms", Q.n, config.MAX_ORACLE_ORDER)
+        target = Q.op
+    else:
+        target = np.ascontiguousarray(Q.op.T)
+    return _read_only(_table_isos(Q.op, target, plan=_plan(Q)))
+
+
+def _read_only(stack: np.ndarray) -> np.ndarray:
+    stack.setflags(write=False)
+    return stack
 
 
 def _inn_stack(Q: Quandle) -> np.ndarray:
-    """Inn(Q) as a sorted compact stack, built once and kept in ``Q._maps``."""
-    if "inner" not in Q._maps:
-        stack = _stack_of(inn_group(Q))
-        stack.setflags(write=False)
-        Q._maps["inner"] = stack
-    return Q._maps["inner"]
+    """Inn(Q) as a read-only sorted compact stack, built once and kept in Q's store."""
+    return _stored(Q, ("inner",), lambda: _read_only(_stack_of(inn_group(Q))))
 
 
 def enumerate_quandle_auts(Q: Quandle) -> List[QuandleMap]:
     """Complete Aut(Q), lexicographically sorted."""
-    return list(_enumerate(Q, "automorphism").maps)
+    return [QuandleMap(pm, "automorphism", Q) for pm in _point_maps(_enumerate(Q, "automorphism"))]
 
 
 def enumerate_quandle_antis(Q: Quandle) -> List[QuandleMap]:
     """Complete set of antiautomorphisms of Q, lexicographically sorted."""
-    return list(_enumerate(Q, "antiautomorphism").maps)
+    return [QuandleMap(pm, "antiautomorphism", Q) for pm in _point_maps(_enumerate(Q, "antiautomorphism"))]
 
 
 def _oracle_rows(op: np.ndarray, reverse: bool) -> List[Tuple[int, ...]]:
@@ -214,7 +205,7 @@ def induced(Q: Quandle, gmap: ClassifiedMap, target: str) -> bool:
 
 def closure_group(maps: Sequence[PointMap]):
     """Closure under composition/inverse plus its abstract group table."""
-    closed = closure_of_point_maps(maps, cap=config.MAX_CLOSURE_SIZE)
+    closed = closure_of_point_maps(maps)
     arr = _stack_of(closed)
     keys = _keys(arr)  # ascending: the closure comes back sorted
     composed = _keys(arr[:, arr].reshape(-1, arr.shape[1]))  # [i, j] = m_i o m_j
@@ -358,7 +349,7 @@ def _product_clauses(G: FiniteGroup, N: np.ndarray, C: np.ndarray) -> Semidirect
 def inn_out_report(Q: Quandle) -> Tuple[int, int, int]:
     """(inn size, aut size, out index), with Inn normal in Aut verified."""
     inner = _inn_stack(Q)
-    auts = _enumerate(Q, "automorphism").stack
+    auts = _enumerate(Q, "automorphism")
     inn_keys = _keys(inner)  # ascending and distinct: the closure comes back sorted
     if not _in_sorted(inn_keys, _keys(auts)).all():  # the enumeration is sorted
         raise AssertionError("Inn(Q) escaped Aut(Q); engine bug")

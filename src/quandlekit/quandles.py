@@ -101,8 +101,8 @@ class Quandle:
         self.n = n
         self.name = name if name is not None else f"Q{n}"
         self.dual = _dual_table(arr)
-        # kind -> enumeration, "inner" -> Inn(Q), "plan" -> search plan; filled by quandlemaps
-        self._maps: dict = {}
+        # ("plan",) -> search plan, (kind,) -> enumeration, ("inner",) -> Inn(Q); no map objects
+        self._store: dict = {}
         self.op.setflags(write=False)
         self.dual.setflags(write=False)
 
@@ -179,7 +179,7 @@ def right_translation(Q: Quandle, y: int) -> PointMap:
 def inn_group(Q: Quandle) -> List[PointMap]:
     """Inn(Q): closure of all right translations under composition/inverse."""
     gens = [right_translation(Q, y) for y in range(Q.n)]
-    return closure_of_point_maps(gens, cap=config.MAX_CLOSURE_SIZE)
+    return closure_of_point_maps(gens)
 
 
 def are_isomorphic(Q1: Quandle, Q2: Quandle) -> Optional[PointMap]:

@@ -37,6 +37,7 @@ from quandlekit import (
     symmetric,
     verify_F_iso,
 )
+from quandlekit import config
 from quandlekit.groupmaps import _all_f_ab_stack, _composes_as, preserving_mask, reversing_mask
 from quandlekit.groups import opposite, quotient_by_normal
 
@@ -263,6 +264,13 @@ class TestClosure:
         shift = PointMap([(i + 1) % 11 for i in range(11)])
         with pytest.raises(CapExceeded):
             closure_of_point_maps([shift], cap=5)
+
+    def test_default_cap_is_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(config, "MAX_CLOSURE_SIZE", 5)
+        cycle = PointMap([1, 2, 3, 4, 0])
+        swap = PointMap([1, 0, 2, 3, 4])
+        with pytest.raises(CapExceeded):
+            closure_of_point_maps([cycle, swap])
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,11 @@
 import ast
 import collections
 import functools
+import gc
 import itertools
 import pathlib
+import types
+import weakref
 
 import jsonschema
 import numpy as np
@@ -33,6 +36,7 @@ from quandlekit import (
 from quandlekit import harness, quandlemaps
 from quandlekit.constructions import _map_label
 from quandlekit.harness import M_RANGE, _members, _quandle
+from quandlekit.quandlemaps import QuandleMap
 from quandlekit.verdicts import combine, make_iff, make_implies, make_skipped, report_json
 
 
@@ -313,6 +317,40 @@ class TestGroupStore:
         assert_all_hold(run_check("alex-semidirect", S3, phi_index=1))
         assert [name for name, _, _ in calls.elements()] == ["alex"]
         assert S3._store  # kept while S3 lives
+
+    def test_stored_quandles_are_freed_with_the_store(self):
+        """A stored quandle keeps only arrays: once G's store is cleared it dies without the cyclic GC."""
+        S3, Z5 = symmetric(3), cyclic(5)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert_all_hold(run_check("conj-out", S3))
+            assert_all_hold(run_check("core-abelian-aut", Z5))
+            refs = []
+            for Q in (_quandle(S3, "conj_m", 1), _quandle(Z5, "core")):
+                assert ("automorphism",) in Q._store  # the check enumerated Aut(Q)
+                reached = [obj for value in Q._store.values() for obj in _reachable(value)]
+                assert not any(obj is Q or isinstance(obj, QuandleMap) for obj in reached)
+                refs.append(weakref.ref(Q))
+            del Q
+            S3._store.clear()
+            Z5._store.clear()
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _reachable(obj):
+    """The objects reachable from obj through containers and instance dicts, not through code or modules."""
+    seen, todo = set(), [obj]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        todo.extend(gc.get_referents(obj))
 
 
 class TestClaimVocabulary:
