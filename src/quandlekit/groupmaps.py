@@ -335,8 +335,15 @@ class _SearchPlan:
     The point profiles (``_profiles``) are built with the plan.  The
     generator levels (``groups._generator_levels``) and their index blocks
     are built on first use, so a target that the profiles reject costs no
-    levels.  A quandle keeps its plan in its store (``Quandle._store``);
-    Aut(Q), the antiautomorphisms and ``are_isomorphic(Q, ...)`` all read it.
+    levels.  A plan has two generator sequences.  The least-index one
+    (``_ranked``) serves the first hit, whose first leaf it makes the least
+    isomorphism.  Full enumeration walks the growth-ordered one
+    (``_ranked_by_growth``), but only when the least-index one stalls:
+    some level after the first adds nothing but its generator, as the
+    points of a trivial subquandle do.  When it does not stall, or the
+    growth pick returns the same generators, the two share one ranking.
+    A quandle keeps its plan in its store (``Quandle._store``); Aut(Q),
+    the antiautomorphisms and ``are_isomorphic(Q, ...)`` all read it.
     """
 
     def __init__(self, t1: np.ndarray):
@@ -346,45 +353,71 @@ class _SearchPlan:
 
     @cached_property
     def _ranked(self) -> tuple:
-        """The generator levels, where each starts, and the pair arrays all levels cut.
+        """The least-index ranking (``_ranking``)."""
+        return _ranking(self.table, _generator_levels(self.table))
 
-        Number the points in the order the levels reach them; level i then
-        holds the ranks from a_i (g_i) up to a_{i+1}.  Its law pairs are
-        those whose larger rank lies there, so sorting all rank pairs by
-        the larger rank puts them at [a_i^2, a_{i+1}^2); its injectivity
-        pairs, ranks r > q with a_i < r < a_{i+1}, are the rows of the
-        strict lower triangle, taken row by row, from r = a_i + 1 on.
-        """
-        n = self.table.shape[0]
-        steps = _generator_levels(self.table)
-        pieces, starts = [], [0]
-        for g, batches in steps:
-            pieces += [np.array([g]), *(xs for xs, _, _ in batches)]
-            starts.append(starts[-1] + 1 + sum(xs.size for xs, _, _ in batches))
-        # A plan lives as long as its quandle: its index arrays take the
-        # narrowest type.
-        order = np.concatenate(pieces).astype(np.min_scalar_type(n - 1))
-        rank = np.arange(n)
-        row, col = np.divmod(np.argsort(np.maximum.outer(rank, rank), axis=None, kind="stable"), n)
-        left, right = order[row], order[col]  # by the larger rank of the pair, ascending
-        ahead = row < col
-        later, earlier = order[col[ahead]], order[row[ahead]]  # by the later rank, ascending
-        product = self.table[left, right].astype(order.dtype)
-        return steps, starts, order, left, right, product, later, earlier
+    @cached_property
+    def _ranked_by_growth(self) -> tuple:
+        """The ranking full enumeration walks: by growth on a stall, else ``_ranked`` itself."""
+        least = self._ranked
+        steps = least[0]
+        if all(batches for _, batches in steps[1:]):
+            return least
+        grown = _generator_levels(self.table, by_growth=True)
+        if [g for g, _ in grown] == [g for g, _ in steps]:
+            return least
+        return _ranking(self.table, grown)
 
     @property
     def levels(self) -> Tuple[_Level, ...]:
-        """The levels, their index blocks cut from the plan's arrays on each read.
+        """The least-index levels, cut on each read (``_cut``)."""
+        return _cut(self._ranked)
 
-        The cuts are views, made per search and not kept: per-level array
-        objects would outweigh the arrays of a small plan.
-        """
-        steps, starts, order, left, right, product, later, earlier = self._ranked
-        levels = []
-        for (g, batches), a, b in zip(steps, starts, starts[1:]):
-            law, inj = slice(a * a, b * b), slice(a * (a + 1) // 2, b * (b - 1) // 2)
-            levels.append(_Level(g, batches, order[:a], left[law], right[law], product[law], later[inj], earlier[inj]))
-        return tuple(levels)
+    @property
+    def full_levels(self) -> Tuple[_Level, ...]:
+        """The levels full enumeration walks, cut on each read (``_cut``)."""
+        return _cut(self._ranked_by_growth)
+
+
+def _ranking(table: np.ndarray, steps: list) -> tuple:
+    """Generator levels, where each starts, and the pair arrays all levels cut.
+
+    Number the points in the order the levels reach them; level i then
+    holds the ranks from a_i (g_i) up to a_{i+1}.  Its law pairs are
+    those whose larger rank lies there, so sorting all rank pairs by the
+    larger rank puts them at [a_i^2, a_{i+1}^2); its injectivity pairs,
+    ranks r > q with a_i < r < a_{i+1}, are the rows of the strict lower
+    triangle, taken row by row, from r = a_i + 1 on.
+    """
+    n = table.shape[0]
+    pieces, starts = [], [0]
+    for g, batches in steps:
+        pieces += [np.array([g]), *(xs for xs, _, _ in batches)]
+        starts.append(starts[-1] + 1 + sum(xs.size for xs, _, _ in batches))
+    # A plan lives as long as its quandle: its index arrays take the
+    # narrowest type.
+    order = np.concatenate(pieces).astype(np.min_scalar_type(n - 1))
+    rank = np.arange(n)
+    row, col = np.divmod(np.argsort(np.maximum.outer(rank, rank), axis=None, kind="stable"), n)
+    left, right = order[row], order[col]  # by the larger rank of the pair, ascending
+    ahead = row < col
+    later, earlier = order[col[ahead]], order[row[ahead]]  # by the later rank, ascending
+    product = table[left, right].astype(order.dtype)
+    return steps, starts, order, left, right, product, later, earlier
+
+
+def _cut(ranking: tuple) -> Tuple[_Level, ...]:
+    """A ranking's levels, their index blocks cut from its arrays.
+
+    The cuts are views, made per search and not kept: per-level array
+    objects would outweigh the arrays of a small plan.
+    """
+    steps, starts, order, left, right, product, later, earlier = ranking
+    levels = []
+    for (g, batches), a, b in zip(steps, starts, starts[1:]):
+        law, inj = slice(a * a, b * b), slice(a * (a + 1) // 2, b * (b - 1) // 2)
+        levels.append(_Level(g, batches, order[:a], left[law], right[law], product[law], later[inj], earlier[inj]))
+    return tuple(levels)
 
 
 _FIRST_HIT_ROWS = 1024  # children per extend in first-hit mode
@@ -415,27 +448,31 @@ def _table_isos(
     given.  An isomorphism carries each point's profile to its image's, so
     tables whose profile rows differ as multisets have none, and neither
     the levels nor a search are built.  The search branches only on the
-    images of t1's greedy least-index generators g_1..g_k; level i extends
-    partial maps on S_{i-1} to S_i, the closure of g_1..g_i: each parent
-    tries every image of g_i whose profile matches and that no point of
-    S_{i-1} has, derives the rest of S_i through t2, and a child survives
-    when it is injective on S_i and obeys the law on S_i x S_i.  Only the
-    checks the parent has not made are made: the law on the pairs of
-    S_i x S_i outside S_{i-1} x S_{i-1}, and injectivity only for the
-    points the level derives, each against the points before it, so a
-    level that adds g_i alone checks no injectivity at all.  Children are
-    derived and checked in row blocks of ``_LAW_ENTRIES`` law pairs, each
-    product read through ``_products`` on t2's flat table.
+    images of t1's generators g_1..g_k, which the mode chooses: the first
+    hit takes the plan's least-index levels, full enumeration its
+    ``full_levels``, ordered by growth when the least-index ones stall.
+    Level i extends partial maps on S_{i-1} to S_i, the closure of
+    g_1..g_i: each parent tries every image of g_i whose profile matches
+    and that no point of S_{i-1} has, derives the rest of S_i through t2,
+    and a child survives when it is injective on S_i and obeys the law on
+    S_i x S_i.  Only the checks the parent has not made are made: the law
+    on the pairs of S_i x S_i outside S_{i-1} x S_{i-1}, and injectivity
+    only for the points the level derives, each against the points before
+    it, so a level that adds g_i alone checks no injectivity at all.
+    Children are derived and checked in row blocks of ``_LAW_ENTRIES`` law
+    pairs, each product read through ``_products`` on t2's flat table.
 
     One walk serves both modes.  It goes depth first over chunks of
     parents, at most budget / |candidates| of them per extend
     (``_walk_budget``), so each level holds at most one chunk's children.
-    Every point below g_{i+1} lies in S_i, so the order of generator images
-    is that of the maps: children in parent order, candidates ascending,
-    and chunks in order make the leaves come out sorted.  Full enumeration
-    keeps every leaf; with ``first_only`` the walk stops at the first
+    With least-index levels every point below g_{i+1} lies in S_i, so the
+    order of generator images is that of the maps: children in parent
+    order, candidates ascending, and chunks in order make the leaves come
+    out sorted, and with ``first_only`` the walk stops at the first
     non-empty last level, whose first row is the lexicographically least
-    isomorphism.  Every returned row is checked against the full tables.
+    isomorphism.  Growth-ordered levels do not keep that order, so their
+    leaves, distinct maps, are sorted once by a lexsort.  Every returned
+    row is checked against the full tables.
     """
     n = int(t1.shape[0])
     if plan is None:
@@ -448,7 +485,10 @@ def _table_isos(
         prof2 = plan.profiles
     flat2 = _flat_table(np.asarray(t2))
     dtype = flat2.dtype  # the walk's rows, native order
-    levels = plan.levels
+    if first_only:
+        levels, in_order = plan.levels, True
+    else:
+        levels, in_order = plan.full_levels, plan._ranked_by_growth is plan._ranked
     # [level, point]: the point's profile is that of the level's generator
     matches = (prof2 == plan.profiles[[lv.g for lv in levels], None]).all(axis=2)
     cands = [np.flatnonzero(row).astype(dtype) for row in matches]
@@ -493,6 +533,8 @@ def _table_isos(
             if first_only:
                 break
     stack = np.concatenate(leaves) if leaves else root[:0]
+    if not in_order:
+        stack = stack[np.lexsort(stack.T[::-1])]
     for lhs, rhs in _law_blocks(t1, t2, stack):
         if not (lhs == rhs).all():
             raise AssertionError("search produced a non-morphism; engine bug")
@@ -854,14 +896,15 @@ def verify_F_iso(G: FiniteGroup) -> Verdict:
 
     stack = _compact(_all_f_ab_stack(G))  # row a*n+b is f_{a,b}
     f_size = len(_distinct(_keys(stack)))
-    well_defined = True
-    bad_pair = None
-    for k in range(quotient.n):
-        members = np.nonzero(projection == k)[0]
-        if not (stack[members] == stack[members[0]]).all():
-            well_defined = False
-            bad_pair = (int(members[0]), k)
-            break
+    # One stable sort lists each coset's members ascending, cosets in order:
+    # its first member is its representative, and the first member out of
+    # line lies in the least coset that is not well defined.
+    members = np.argsort(projection, kind="stable")
+    cosets = projection[members]
+    reps = members[np.flatnonzero(np.concatenate(([True], cosets[1:] != cosets[:-1])))]
+    off = np.flatnonzero((stack[members] != stack[reps[cosets]]).any(axis=1))
+    well_defined = not off.size
+    bad_pair = None if well_defined else (int(reps[cosets[off[0]]]), int(cosets[off[0]]))
     parts = [
         make_iff(
             "f-structure/well-defined",
@@ -881,9 +924,6 @@ def verify_F_iso(G: FiniteGroup) -> Verdict:
     ]
     # Homomorphism: on coset representatives, composition of maps matches
     # the quotient's multiplication.
-    reps = np.array(
-        [int(np.nonzero(projection == k)[0][0]) for k in range(quotient.n)], dtype=np.int64
-    )
     # f_{a,b} f_{c,d} = f_{ac,db}, and (a,b)(c,d) = (ac, db) in G x G^op, so
     # the correspondence is a straight homomorphism.
     hom_ok = _composes_as(stack[reps], quotient.table)

@@ -85,22 +85,27 @@ def _check_closure(table: np.ndarray) -> None:
         raise NotClosed(a, b, int(table[a, b]))
 
 
-def _generator_levels(table: np.ndarray) -> List[Tuple[int, List[Derivation]]]:
-    """Greedy least-index generators of a closed table, with what each adds.
+def _generator_levels(table: np.ndarray, by_growth: bool = False) -> List[Tuple[int, List[Derivation]]]:
+    """Greedy generators of a closed table, with what each adds.
 
-    Generator g_i is the least point outside the closure S_{i-1} of the
-    earlier ones under the table's product.  Its level lists the other new
-    points of S_i as batches: (3, k) arrays of rows xs, a, b, in the
-    table's type, with xs = table[a, b] elementwise.  The level grows in
-    rounds.  A round takes the products of the points the previous round
-    reached (g_i in the first) with every point known when it starts, on
-    either side, in blocks of at most ``_ROUND_ENTRIES`` products; the new
-    points of a block, ascending, each with its first derivation, are one
-    batch.  So every a and b lies in S_{i-1}, is g_i or appears in a batch
-    of an earlier round, and applying the batches in order derives S_i.
-    The level ends at the first round that reaches nothing, as the product
-    of two points of S_i was taken in the round after the later one was
-    reached, so S_i is closed; or as soon as S_i holds every point.
+    Generator g_i lies outside the closure S_{i-1} of the earlier ones
+    under the table's product.  By default it is the least such point.
+    With ``by_growth`` it is the one whose products with S_{i-1}, on
+    either side, reach the most points outside S_{i-1} other than itself,
+    the least on ties (``_widest``): a base chosen by orbit growth, which
+    skips points that would add nothing but themselves while others add
+    more.  Its level lists the other new points of S_i as batches: (3, k)
+    arrays of rows xs, a, b, in the table's type, with xs = table[a, b]
+    elementwise.  The level grows in rounds.  A round takes the products
+    of the points the previous round reached (g_i in the first) with
+    every point known when it starts, on either side, in blocks of at
+    most ``_ROUND_ENTRIES`` products; the new points of a block,
+    ascending, each with its first derivation, are one batch.  So every a
+    and b lies in S_{i-1}, is g_i or appears in a batch of an earlier
+    round, and applying the batches in order derives S_i.  The level ends
+    at the first round that reaches nothing, as the product of two points
+    of S_i was taken in the round after the later one was reached, so S_i
+    is closed; or as soon as S_i holds every point.
     """
     n = table.shape[0]
     flat = np.ascontiguousarray(table).ravel()
@@ -110,6 +115,8 @@ def _generator_levels(table: np.ndarray) -> List[Tuple[int, List[Derivation]]]:
     g = 0
     levels: List[Tuple[int, List[Derivation]]] = []
     while size < n:
+        if by_growth and size:
+            g = _widest(table, known[:size], outside)
         while not outside[g]:
             g += 1
         outside[g] = False
@@ -137,6 +144,28 @@ def _generator_levels(table: np.ndarray) -> List[Tuple[int, List[Derivation]]]:
             start = end
         levels.append((g, batches))
     return levels
+
+
+def _widest(table: np.ndarray, known: np.ndarray, outside: np.ndarray) -> int:
+    """The point outside ``known`` whose products with it reach the most other outside points.
+
+    A candidate c reaches table[c, s] and table[s, c] for s in ``known``;
+    c itself and the known points do not count.  Ties go to the least c.
+    Candidates are taken in blocks of about ``_ROUND_ENTRIES`` entries.
+    """
+    n = table.shape[0]
+    cands = np.flatnonzero(outside)
+    counts = np.empty(cands.size, dtype=np.intp)
+    step = max(1, _ROUND_ENTRIES // (2 * known.size + n))
+    for lo in range(0, cands.size, step):
+        c = cands[lo : lo + step]
+        reached = np.concatenate((table[np.ix_(c, known)], table[np.ix_(known, c)].T), axis=1)
+        rows = np.arange(c.size)
+        hit = np.zeros((c.size, n), dtype=bool)
+        hit[rows[:, None], reached] = True
+        hit[rows, c] = False
+        counts[lo : lo + step] = (hit & outside).sum(axis=1)
+    return int(cands[np.argmax(counts)])
 
 
 def _check_associativity(table: np.ndarray) -> None:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from quandlekit import (
     alex,
@@ -20,6 +23,11 @@ from quandlekit import (
     q2,
     trivial,
 )
+
+# CI sets HYPOTHESIS_PROFILE=ci, so that a failing property test prints the
+# @reproduce_failure blob that replays it; local runs keep the default.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 SMALL_GROUP_SPECS = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "S3", "D4", "Q8")
 

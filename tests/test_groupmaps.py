@@ -37,7 +37,7 @@ from quandlekit import (
     symmetric,
     verify_F_iso,
 )
-from quandlekit import config
+from quandlekit import config, groupmaps
 from quandlekit.groupmaps import _all_f_ab_stack, _composes_as, preserving_mask, reversing_mask
 from quandlekit.groups import opposite, quotient_by_normal
 
@@ -221,6 +221,29 @@ class TestTranslationFamilies:
     def test_F_realises_the_quotient(self, spec):
         verdict = verify_F_iso(named_group(spec))
         assert verdict.holds, verdict.to_json()
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.sampled_from(["Z4", "S3", "D4", "Q8"]), data=st.data())
+    def test_well_defined_check_names_the_first_bad_coset(self, spec, data):
+        """Some f_{a,b} overwritten by others: the verdict and first bad pair of a per-coset loop."""
+        G = named_group(spec)
+        stack = _all_f_ab_stack(G).reshape(-1, G.n).copy()
+        rows = st.integers(0, len(stack) - 1)
+        for r, s in data.draw(st.lists(st.tuples(rows, rows), max_size=3)):
+            stack[r] = stack[s]
+        normal = [a * G.n + int(G.inverse[a]) for a in G.center()]
+        quotient, projection = quotient_by_normal(direct_product(G, opposite(G)), normal)
+        bad = None
+        for k in range(quotient.n):
+            members = np.flatnonzero(projection == k)
+            if not (stack[members] == stack[members[0]]).all():
+                bad = (int(members[0]), k)
+                break
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groupmaps, "_all_f_ab_stack", lambda G: stack)
+            well_defined = verify_F_iso(G).parts[0]
+        assert well_defined.holds == (bad is None)
+        assert well_defined.counterexample == bad
 
     @settings(max_examples=60, deadline=None)
     @given(spec=st.sampled_from(["Z4", "Z2xZ2", "S3", "D4", "Q8"]), data=st.data())

@@ -13,9 +13,11 @@ from quandlekit import (
     NotNormal,
     NotSubgroup,
     ParseError,
+    alex,
     cyclic,
     dihedral,
     direct_product,
+    enumerate_aut,
     group_from_table,
     group_from_text,
     group_to_text,
@@ -277,14 +279,26 @@ class TestTextFormat:
             group_from_text("")
 
 
-def _greedy_generators(table):
-    """Greedy least-index generators by plain closure: each the least point outside the last closure."""
+def _reach(table, members, c):
+    """The points outside ``members`` other than c that c * s or s * c reaches for s in ``members``."""
+    reached = {int(table[c, s]) for s in members} | {int(table[s, c]) for s in members}
+    return len(reached - set(map(int, members)) - {c})
+
+
+def _greedy_generators(table, by_growth=False):
+    """Greedy generators by plain closure, each outside the last closure: the least
+    such point, or with ``by_growth`` the first of the points of greatest reach."""
     n = table.shape[0]
     inside = np.zeros(n, dtype=bool)
     gens = []
     while not inside.all():
-        gens.append(int(np.argmin(inside)))
-        members = np.union1d(np.flatnonzero(inside), gens)
+        members = np.flatnonzero(inside)
+        if by_growth and members.size:
+            outside = [int(c) for c in np.flatnonzero(~inside)]
+            gens.append(max(outside, key=lambda c: (_reach(table, members, c), -c)))
+        else:
+            gens.append(int(np.argmin(inside)))
+        members = np.union1d(members, gens)
         while True:
             grown = np.union1d(members, table[np.ix_(members, members)])
             if grown.size == members.size:
@@ -295,7 +309,8 @@ def _greedy_generators(table):
 
 
 class TestGeneratorLevels:
-    """The contract the search plan and Light's test rely on, over every table they meet."""
+    """The contract the search plan and Light's test rely on, over every table they meet,
+    for both generator sequences: least-index and growth-ordered."""
 
     @pytest.fixture(scope="class")
     def tables(self, quandle_corpus):
@@ -304,17 +319,28 @@ class TestGeneratorLevels:
 
     def test_generators_are_the_greedy_ones(self, tables):
         for label, table in tables:
-            assert [g for g, _ in _generator_levels(table)] == _greedy_generators(table), label
+            for by_growth in (False, True):
+                gens = [g for g, _ in _generator_levels(table, by_growth=by_growth)]
+                assert gens == _greedy_generators(table, by_growth), (label, by_growth)
 
     def test_every_batch_derives_from_known_points(self, tables):
         for label, table in tables:
-            known = np.zeros(table.shape[0], dtype=bool)
-            for g, batches in _generator_levels(table):
-                assert not known[g], label
-                known[g] = True
-                for xs, a, b in batches:
-                    assert known[a].all() and known[b].all(), label
-                    assert np.array_equal(xs, table[a, b]), label
-                    assert not known[xs].any() and np.unique(xs).size == xs.size, label
-                    known[xs] = True
-            assert known.all(), label
+            for by_growth in (False, True):
+                known = np.zeros(table.shape[0], dtype=bool)
+                for g, batches in _generator_levels(table, by_growth=by_growth):
+                    assert not known[g], label
+                    known[g] = True
+                    for xs, a, b in batches:
+                        assert known[a].all() and known[b].all(), label
+                        assert np.array_equal(xs, table[a, b]), label
+                        assert not known[xs].any() and np.unique(xs).size == xs.size, label
+                        known[xs] = True
+                    members = np.flatnonzero(known)
+                    assert known[table[np.ix_(members, members)]].all(), label  # S_i is closed
+                assert known.all(), label
+
+    def test_growth_skips_the_points_that_add_only_themselves(self):
+        D6 = named_group("D6")
+        Q = alex(D6, enumerate_aut(D6)[1])  # 0..5 are a trivial subquandle
+        assert [g for g, _ in _generator_levels(Q.op)] == [0, 1, 2, 3, 4, 5, 6]
+        assert [g for g, _ in _generator_levels(Q.op, by_growth=True)] == [0, 6]

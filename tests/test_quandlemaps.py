@@ -192,20 +192,35 @@ class TestSearchPlan:
             lambda: dihedral_quandle(6),
             lambda: core(symmetric(3)),
             lambda: alex(named_group("D4"), enumerate_aut(named_group("D4"))[3]),
+            lambda: trivial(5),  # stalls, and the growth pick gives the same generators
+            lambda: alex(named_group("D6"), enumerate_aut(named_group("D6"))[1]),  # stalls
         ],
     )
     def test_one_quandle_builds_its_levels_once(self, monkeypatch, build):
         Q = build()
         perm = np.random.default_rng(Q.n).permutation(Q.n)
         relabelled = Quandle(_relabel(Q.op, perm), name="relabelled")
-        levels = _count_calls(monkeypatch, "_generator_levels")
+        real = groupmaps._generator_levels
+        built = []  # by_growth of each sequence built
+
+        def counted(table, by_growth=False):
+            built.append(by_growth)
+            return real(table, by_growth=by_growth)
+
+        monkeypatch.setattr(groupmaps, "_generator_levels", counted)
         auts = enumerate_quandle_auts(Q)
         enumerate_quandle_antis(Q)
         iso = are_isomorphic(Q, relabelled)
         f = iso.images
         assert auts and np.array_equal(f[Q.op], relabelled.op[f[:, None], f[None, :]])
-        assert levels == [Q.n]
         assert ("plan",) in Q._store and ("plan",) not in relabelled._store
+        plan = Q._store[("plan",)]
+        least = real(Q.op)
+        stalls = any(not batches for _, batches in least[1:])
+        # each sequence at most once, and the growth one only on a stall
+        assert built.count(False) == 1 and built.count(True) == int(stalls)
+        same = [g for g, _ in real(Q.op, by_growth=True)] == [g for g, _ in least]
+        assert (plan._ranked_by_growth is plan._ranked) == (same or not stalls)
 
     def test_automorphisms_read_one_table_profile(self, monkeypatch):
         profiles = _count_calls(monkeypatch, "_profiles")
@@ -234,7 +249,8 @@ class TestChunkedWalk:
         target = _relabel(data.draw(st.sampled_from([Q.op, np.ascontiguousarray(Q.op.T)])), perm)
         plan = _SearchPlan(Q.op)
         prof = _profiles(target)
-        counts = [int((prof == plan.profiles[lv.g]).all(axis=1).sum()) for lv in plan.levels]
+        levels = plan.levels + plan.full_levels  # the first hit's and the full walk's
+        counts = [int((prof == plan.profiles[lv.g]).all(axis=1).sum()) for lv in levels]
         k = data.draw(st.sampled_from(counts))  # the candidates of some level
         budget = data.draw(st.sampled_from([None, 1, max(k, 1), k + 1, 2 * k + 1]))
         expected = _oracle_isos(Q.op, target)
@@ -253,6 +269,39 @@ class TestChunkedWalk:
         Q = dihedral_quandle(3)
         rows = [tuple(map(int, r)) for r in _table_isos(Q.op, Q.op)]
         assert rows == _oracle_isos(Q.op, Q.op)
+
+
+class TestGrowthWalk:
+    """Full enumeration on growth-ordered levels: the small quandles whose least-index levels stall."""
+
+    @pytest.fixture(scope="class")
+    def stalling(self, quandle_corpus):
+        """Each distinct stalling table of order <= 7, with a relabelled table and its transpose."""
+        out = {}
+        for label, Q in quandle_corpus:
+            plan = _SearchPlan(Q.op)
+            if Q.n <= 7 and any(not lv.batches for lv in plan.levels[1:]):
+                perm = np.random.default_rng(Q.n).permutation(Q.n)
+                targets = [_relabel(t, perm) for t in (Q.op, np.ascontiguousarray(Q.op.T))]
+                out.setdefault(Q.op.tobytes(), (label, Q.op, plan, targets))
+        return list(out.values())
+
+    def test_the_corpus_has_stalls_that_change_the_levels(self, stalling):
+        changed = {label for label, _, plan, _ in stalling if plan._ranked_by_growth is not plan._ranked}
+        assert "Core(S3)" in changed and len(changed) >= 5
+        assert {"T7", "Core(S3)"} <= {label for label, *_ in stalling}
+
+    @pytest.mark.parametrize("budget", [1, 7, None])
+    def test_full_walk_and_first_hit_match_the_oracle(self, monkeypatch, stalling, budget):
+        if budget is not None:
+            monkeypatch.setattr(groupmaps, "_walk_budget", lambda n, first_only: budget)
+        for label, op, plan, targets in stalling:
+            for target in targets:
+                expected = _oracle_isos(op, target)
+                every = _table_isos(op, target, plan=plan)
+                first = _table_isos(op, target, first_only=True, plan=plan)
+                assert [tuple(map(int, row)) for row in every] == expected, label
+                assert [tuple(map(int, row)) for row in first] == expected[:1], label
 
 
 # A law block this small holds only a few children, one at the last level of Alex(D6, phi1).
