@@ -18,7 +18,7 @@ from typing import List, Optional
 from .constructions import build, spec_from_string
 from .errors import NotClosed, QuandleAxiomError, QuandleKitError
 from .groups import FiniteGroup, group_from_text, group_to_text, named_group
-from .groupmaps import enumerate_aaut, enumerate_aut
+from .groupmaps import _auts
 from .harness import CHECK_IDS, run_check, run_census
 from .quandles import Quandle, inn_group, quandle_from_text, quandle_to_text
 from .quandlemaps import (
@@ -142,8 +142,8 @@ def _group_info(G: FiniteGroup) -> dict:
         "center_size": len(G.center()),
         "commutator_subgroup_size": len(G.commutator_subgroup()),
         "exponent": G.exponent,
-        "aut_size": len(enumerate_aut(G)),
-        "aaut_size": len(enumerate_aaut(G)),
+        "aut_size": len(_auts(G).aut),
+        "aaut_size": len(_auts(G).aaut),
     }
 
 

@@ -26,10 +26,10 @@ import numpy as np
 from .errors import CompatibilityFail, ConstructionSpecError, WrongMapKind
 from .groupmaps import (
     ClassifiedMap,
+    _auts,
+    _family_maps,
     _flat_table,
     _products,
-    enumerate_aaut,
-    enumerate_aut,
     preserves_table,
     reverses_table,
 )
@@ -298,12 +298,11 @@ def spec_from_string(text: str, group: Optional[FiniteGroup] = None) -> Construc
         if group is None:
             raise ConstructionSpecError(f"{kind} needs a group to resolve its map index")
         index = take(_MAP_PARAM[kind])
-        pool = enumerate_aut(group) if _MAP_PARAM[kind] == "phi" else enumerate_aaut(group)
-        if not 0 <= index < len(pool):
-            raise ConstructionSpecError(
-                f"{_MAP_PARAM[kind]} index {index} outside 0..{len(pool) - 1}"
-            )
-        spec = ConstructionSpec(kind, group=group, map=pool[index])
+        family = "aut" if _MAP_PARAM[kind] == "phi" else "aaut"
+        size = len(getattr(_auts(group), family))
+        if not 0 <= index < size:
+            raise ConstructionSpecError(f"{_MAP_PARAM[kind]} index {index} outside 0..{size - 1}")
+        spec = ConstructionSpec(kind, group=group, map=_family_maps(group, family, index)[0])
     else:
         spec = ConstructionSpec(kind, group=group, c=take("c"))
     if params:

@@ -10,10 +10,10 @@ and the sets of quandle maps.  The semidirect, closure and centralizer
 checks read maps of Hol(G) = {x -> a*phi(x)} on B = ``G.hol_base`` only:
 an int64 key per map, |B| images instead of n (``_hol_keys``).  Each
 family (Aut(G), AAut(G), Inn(G), the Out(G) representatives, the
-centralizers, H, F and F') is built once, by a private function that
-returns its stack; the checks read only those stacks, and the public list
-functions are views of them.  Classification and enumeration
-live here; the same table laws are reused verbatim for quandles.
+centralizers, H, F and F') is a stack from a private function; Aut(G) and
+AAut(G) are kept in the group's store (``_auts``).  The checks read those
+stacks, and the public list functions build their maps from them per call.
+Classification and enumeration live here; quandles reuse the same table laws.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .groups import (
     Subset,
     _distinct,
     _generator_levels,
+    _stored,
     direct_product,
     opposite,
     quotient_by_normal,
@@ -567,43 +568,40 @@ def inversion_map(G: FiniteGroup) -> ClassifiedMap:
 
 
 class _AutEntry(NamedTuple):
-    """Aut(G) and AAut(G) of one group: sorted compact stacks and their maps."""
+    """Aut(G) and AAut(G) as sorted read-only compact stacks, and the kind of each AAut(G) row."""
 
     aut: np.ndarray
-    aut_maps: Tuple[ClassifiedMap, ...]
     aaut: np.ndarray
-    aaut_maps: Tuple[ClassifiedMap, ...]
+    aaut_kinds: np.ndarray
+
+
+def _auts(G: FiniteGroup) -> _AutEntry:
+    """Aut(G) and AAut(G) from G's store (``FiniteGroup._store``), enumerated on first use."""
+    return _stored(G, ("Aut(G), AAut(G)",), lambda: _aut_entry(G))
 
 
 def _aut_entry(G: FiniteGroup) -> _AutEntry:
-    """Enumerate Aut(G) and AAut(G); the group keeps the result as ``G._maps``."""
-    aut = _aut_stack(G)
-    aut.setflags(write=False)
-    aut_maps = _classified(G, aut, itertools.repeat(AUTOMORPHISM))
-    return _AutEntry(aut, aut_maps, *_aaut_of(G, aut))
-
-
-def _classified(G: FiniteGroup, stack: np.ndarray, kinds: Iterable[str]) -> Tuple[ClassifiedMap, ...]:
-    return tuple(ClassifiedMap(pm, kind, G) for pm, kind in zip(_point_maps(stack), kinds))
-
-
-def _aaut_of(G: FiniteGroup, aut: np.ndarray) -> Tuple[np.ndarray, Tuple[ClassifiedMap, ...]]:
-    """AAut(G) = {phi o inversion | phi in Aut(G)}, sorted and verified."""
+    """Aut(G), the isomorphisms of G's table onto itself, and AAut(G) = {phi o inversion}, verified."""
+    if G.n > config.MAX_AUT_GROUP_ORDER:
+        raise CapExceeded("automorphism enumeration", G.n, config.MAX_AUT_GROUP_ORDER)
+    aut = _table_isos(G.table, G.table)
     aaut = _unique_rows(aut[:, G.inverse])
-    aaut.setflags(write=False)
     reverses = reversing_mask(G.table, aaut)
     if not reverses.all():
         bad = tuple(int(v) for v in aaut[int(np.argmin(reverses))])
         raise NotAutomorphism("composition with inversion lost the reversal law", bad)
-    kinds = np.where(preserving_mask(G.table, aaut), AUTOMORPHISM, ANTIAUTOMORPHISM)
-    return aaut, _classified(G, aaut, [str(k) for k in kinds])
+    kinds = np.where(preserving_mask(G.table, aaut), AUTOMORPHISM, ANTIAUTOMORPHISM).astype(object)
+    for arr in (aut, aaut, kinds):
+        arr.setflags(write=False)
+    return _AutEntry(aut, aaut, kinds)
 
 
-def _aut_stack(G: FiniteGroup) -> np.ndarray:
-    """Aut(G) as a sorted compact stack: the isomorphisms of G's table onto itself."""
-    if G.n > config.MAX_AUT_GROUP_ORDER:
-        raise CapExceeded("automorphism enumeration", G.n, config.MAX_AUT_GROUP_ORDER)
-    return _table_isos(G.table, G.table)
+def _family_maps(G: FiniteGroup, family: str, index: Optional[int] = None) -> List[ClassifiedMap]:
+    """Fresh ClassifiedMaps of Aut(G) ("aut") or AAut(G) ("aaut"), all in order or row ``index`` alone."""
+    rows = slice(None) if index is None else slice(index, index + 1)
+    entry = _auts(G)
+    kinds = entry.aaut_kinds[rows] if family == "aaut" else itertools.repeat(AUTOMORPHISM)
+    return [ClassifiedMap(pm, k, G) for pm, k in zip(_point_maps(getattr(entry, family)[rows]), kinds)]
 
 
 def aut_oracle(G: FiniteGroup) -> List[ClassifiedMap]:
@@ -617,13 +615,13 @@ def aut_oracle(G: FiniteGroup) -> List[ClassifiedMap]:
 
 
 def enumerate_aut(G: FiniteGroup) -> List[ClassifiedMap]:
-    """Complete Aut(G), lexicographically sorted by images."""
-    return list(G._maps.aut_maps)
+    """Complete Aut(G), lexicographically sorted by images; fresh maps on each call."""
+    return _family_maps(G, "aut")
 
 
 def enumerate_aaut(G: FiniteGroup) -> List[ClassifiedMap]:
-    """Complete AAut(G) = {phi o inversion | phi in Aut(G)}, sorted, verified."""
-    return list(G._maps.aaut_maps)
+    """Complete AAut(G) = {phi o inversion | phi in Aut(G)}, sorted, verified; fresh maps on each call."""
+    return _family_maps(G, "aaut")
 
 
 # --- closure of map sets ---
@@ -757,7 +755,7 @@ def left_translation(G: FiniteGroup, a: int) -> PointMap:
 
 
 # Each family below is a private function returning its sorted compact stack;
-# the public list function of the same family is a view of it.
+# the public list function of the same family builds its maps from it.
 
 
 def _view(maps: Sequence, stack: np.ndarray, rows: np.ndarray) -> list:
@@ -773,7 +771,7 @@ def _inner_stack(G: FiniteGroup) -> np.ndarray:
 
 def inner_auts(G: FiniteGroup) -> List[ClassifiedMap]:
     """Conjugation maps x -> g*x*g^-1, deduplicated, sorted."""
-    return list(_classified(G, _inner_stack(G), itertools.repeat(AUTOMORPHISM)))
+    return [ClassifiedMap(pm, AUTOMORPHISM, G) for pm in _point_maps(_inner_stack(G))]
 
 
 def _coset_leaders(inner: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -791,31 +789,42 @@ def _coset_leaders(inner: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def _out_reps(G: FiniteGroup) -> np.ndarray:
     """One representative per coset of Inn(G) in Aut(G), the least member, sorted."""
-    aut = G._maps.aut
+    aut = _auts(G).aut
     return aut[(_coset_leaders(_inner_stack(G), aut) == aut).all(axis=1)]
 
 
 def out_coset_reps(G: FiniteGroup) -> List[ClassifiedMap]:
     """One representative per coset of Inn(G) in Aut(G): the least member."""
-    return _view(enumerate_aut(G), G._maps.aut, _out_reps(G))
+    return _view(enumerate_aut(G), _auts(G).aut, _out_reps(G))
 
 
 def _centralizer(G: FiniteGroup, stack: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The rows of a stack of (anti)automorphisms of G that commute with phi, in order.
 
-    With phi also one of these, psi o phi and phi o psi are of one kind, so
-    they are equal when they agree on B = ``G.hol_base``, which generates G.
+    Exact only when phi is one of these too: then psi o phi and phi o psi are
+    of one kind, so equal when they agree on B = ``G.hol_base``, which generates G.
     """
     base = G.hol_base
     return stack[(stack[:, phi[base]] == phi[stack[:, base]]).all(axis=1)]
 
 
+def _lawful(G: FiniteGroup, phi: ClassifiedMap) -> np.ndarray:
+    """phi's images, once G's table (not ``phi.kind``) shows phi to be an (anti)automorphism."""
+    images = phi.images
+    if images.size != G.n or not (preserves_table(G.table, images) or reverses_table(G.table, images)):
+        raise NotAutomorphism("centralizer needs an automorphism or an antiautomorphism",
+                              tuple(int(v) for v in images))
+    return images
+
+
 def centralizer_in_aut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _view(enumerate_aut(G), G._maps.aut, _centralizer(G, G._maps.aut, phi.images))
+    """The members of Aut(G) that commute with phi, an (anti)automorphism, sorted."""
+    return _view(enumerate_aut(G), _auts(G).aut, _centralizer(G, _auts(G).aut, _lawful(G, phi)))
 
 
 def centralizer_in_aaut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
-    return _view(enumerate_aaut(G), G._maps.aaut, _centralizer(G, G._maps.aaut, phi.images))
+    """The members of AAut(G) that commute with phi, an (anti)automorphism, sorted."""
+    return _view(enumerate_aaut(G), _auts(G).aaut, _centralizer(G, _auts(G).aaut, _lawful(G, phi)))
 
 
 def is_central_automorphism(G: FiniteGroup, theta: ClassifiedMap) -> bool:
@@ -857,7 +866,7 @@ def build_F(G: FiniteGroup) -> List[PointMap]:
 
 
 def _F_prime_stack(G: FiniteGroup, phi: np.ndarray) -> np.ndarray:
-    """F' = subgroup generated by {f_{a,b} | a in Fix(phi), b in G}, sorted.
+    """F' = subgroup generated by {f_{a,b} | a in Fix(phi), b in G}, sorted; phi in Aut(G).
 
     The generating set is already closed: Fix(phi) is a subgroup and
     f_{a,b} f_{c,d} = f_{ac,db}, so no further closure pass is needed.
@@ -866,7 +875,10 @@ def _F_prime_stack(G: FiniteGroup, phi: np.ndarray) -> np.ndarray:
 
 
 def build_F_prime(G: FiniteGroup, phi: ClassifiedMap) -> List[PointMap]:
-    """F' = subgroup generated by {f_{a,b} | a in Fix(phi), b in G}, sorted."""
+    """F' = subgroup generated by {f_{a,b} | a in Fix(phi), b in G}, sorted; phi in Aut(G)."""
+    if phi.images.size != G.n or not preserves_table(G.table, phi.images):
+        raise NotAutomorphism("F' needs an automorphism, whose Fix(phi) is a subgroup",
+                              tuple(int(v) for v in phi.images))
     return _point_maps(_F_prime_stack(G, phi.images))
 
 

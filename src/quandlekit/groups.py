@@ -212,6 +212,7 @@ class FiniteGroup:
     ``_store`` is a dict of what the checks of ``harness`` derive from G
     and read more than once, filled through ``_stored``, as a ``Quandle``'s
     store of its search plan and map stacks is:
+    - Aut(G) and AAut(G), with AAut(G)'s kinds, as read-only stacks (``groupmaps._auts``);
     - the quandles built on G, keyed by constructor name plus m, c or the
       image bytes of the map (``harness._quandle``);
     - C_Aut(phi) and C_AAut(phi), keyed by family plus phi's image bytes;
@@ -222,8 +223,8 @@ class FiniteGroup:
     No key is a map's label, a quandle's name or a table: maps with one
     label, and equal tables built from different parameters, get entries of
     their own.  ``harness.run_census`` empties the store once G's checks are
-    done, which frees its quandles at once; a standalone ``run_check``
-    leaves it filled for G's lifetime.
+    done, which frees its quandles and its Aut stacks at once; a standalone
+    ``run_check`` leaves it filled for G's lifetime.
     """
 
     def __init__(self, table, name: Optional[str] = None, validate: bool = True):
@@ -328,13 +329,6 @@ class FiniteGroup:
             raise CapExceeded("Hol(G) base key", self.n ** base.size, (1 << 63) - 1)
         base.setflags(write=False)
         return base
-
-    @cached_property
-    def _maps(self):
-        """Aut(G) and AAut(G) as sorted stacks and maps, enumerated on first use."""
-        from .groupmaps import _aut_entry
-
-        return _aut_entry(self)
 
     @cached_property
     def center_mask(self) -> np.ndarray:

@@ -6,18 +6,18 @@ quandles and testing induced maps) and returns a Verdict with witnesses.
 Census mode sweeps every check over a catalog of small groups.
 
 The checks read what they share through G's store (``FiniteGroup._store``):
-each quandle (``_quandle``, keyed by constructor name plus m, c or the
-map's image bytes), C_Aut(phi) and C_AAut(phi) (``_centralizer_of``, keyed
-by family plus phi's image bytes), and the facts of G that a check would
-otherwise decide again at every parameter.  So Conj_m(G), Core(G),
-Alex(G, phi) and P_i(G, c) are each built and validated once per group,
-however many checks read them.  The semidirect checks hand the preserving
-masks their membership verdicts took to ``quandlemaps._semidirect_verify``,
-which keeps its Q-free clauses in the same store.  ``run_census`` empties a
-group's store once the group's checks are done, which frees its quandles
-and the map stacks they keep (``Quandle._store``) at once; a standalone
-``run_check`` leaves it filled for as long as G lives.  The public constructors are
-untouched: each call still builds a fresh, validated quandle.
+Aut(G) and AAut(G) (``groupmaps._auts``), each quandle (``_quandle``, keyed
+by constructor name plus m, c or the map's image bytes), C_Aut(phi) and
+C_AAut(phi) (``_centralizer_of``, keyed by family plus phi's image bytes),
+and the facts of G that a check would otherwise decide again at every
+parameter.  So Conj_m(G), Core(G), Alex(G, phi) and P_i(G, c) are each built
+and validated once per group, however many checks read them.  The semidirect
+checks hand the preserving masks their membership verdicts took to
+``quandlemaps._semidirect_verify``, which keeps its Q-free clauses in the
+same store.  ``run_census`` empties a group's store once its checks are done,
+which frees its Aut stacks, its quandles and their stores at once; a standalone
+``run_check`` leaves it filled for as long as G lives.  The public
+constructors are untouched: each call still builds a fresh, validated quandle.
 
 Where a printed equivalence is provable in one direction only, the check
 asserts the provable implication and says so in its notes; the companion
@@ -59,10 +59,12 @@ from .errors import (
 from .groupmaps import (
     ClassifiedMap,
     _all_f_ab_stack,
+    _auts,
     _centralizer,
     _coset_leaders,
     _F_prime_stack,
     _F_stack,
+    _family_maps,
     _H_stack,
     _in_sorted,
     _inner_stack,
@@ -180,7 +182,7 @@ def _quandle(G: FiniteGroup, ctor: str, param=None) -> Quandle:
 def _centralizer_of(G: FiniteGroup, family: str, phi: ClassifiedMap) -> np.ndarray:
     """C_Aut(phi) (family "aut") or C_AAut(phi) ("aaut") from G's store."""
     return _stored(G, ("C_" + family, phi.images.tobytes()),
-                   lambda: _centralizer(G, getattr(G._maps, family), phi.images))
+                   lambda: _centralizer(G, getattr(_auts(G), family), phi.images))
 
 
 def _members(
@@ -274,7 +276,7 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
     inputs = f"{G.name}, m={m}"
     Q = _quandle(G, "conj_m", m)
     H = _H_stack(G)
-    auts = G._maps.aut
+    auts = _auts(G).aut
     masks = preserving_mask(Q.op, H), preserving_mask(Q.op, auts)
     parts = [
         _members_in(f"{tid}/H-members", inputs, masks[0], H,
@@ -344,7 +346,7 @@ def check_conj_aaut_intersection(G: FiniteGroup, m: int) -> Verdict:
     tid = "conj-aaut"
     inputs = f"{G.name}, m={m}"
     Q = _quandle(G, "conj_m", m)
-    stack = G._maps.aaut
+    stack = _auts(G).aaut
     induced = preserving_mask(Q.op, stack)
     lhs = bool(induced.any())
     powers = G.power_all(2 * m)
@@ -474,8 +476,8 @@ def check_core(G: FiniteGroup) -> Verdict:
     tid = "core"
     inputs = G.name
     Q = _quandle(G, "core")
-    aa_stack = G._maps.aaut
-    a_stack = G._maps.aut
+    aa_stack = _auts(G).aaut
+    a_stack = _auts(G).aut
     rhs = G.exponent in (1, 3)
     exp_note = "exponent divides 3 (the proofs need x^3 = e pointwise)"
     aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
@@ -508,7 +510,7 @@ def check_core_corollaries(G: FiniteGroup) -> Verdict:
     tid = "core-corollaries"
     inputs = G.name
     Q = _quandle(G, "core")
-    union = _unique_rows(np.concatenate([G._maps.aut, G._maps.aaut]))
+    union = _unique_rows(np.concatenate([_auts(G).aut, _auts(G).aaut]))
     anti_mask = reversing_mask(Q.op, union)
     parts = []
     if G.is_cyclic:
@@ -586,7 +588,7 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
                  f"all {len(fstack)} maps in F preserve Core(G)"),
         _members(f"{tid}/rep-members", inputs, Q.op, rstack,
                  f"all {len(rstack)} Out(G) representatives preserve Core(G)"),
-        _conjugation(f"{tid}/conjugation-identity", inputs, G._maps.aut,
+        _conjugation(f"{tid}/conjugation-identity", inputs, _auts(G).aut,
                      lambda phi, inv: np.array_equal(inv[all_fab[:, :, phi]], all_fab[inv][:, inv]),
                      "phi^-1 f_(a,b) phi = f_(phi^-1 a, phi^-1 b) for every automorphism"),
         _claim(f"{tid}/inner-in-F", inputs, inner_in_F,
@@ -618,7 +620,7 @@ def check_core_abelian_full(G: FiniteGroup) -> Verdict:
         return make_skipped(tid, inputs, "isomorphism", f"enumeration cap below |G| = {G.n}")
     Q = _quandle(G, "core")
     auts = enumerate_quandle_auts(Q)
-    expected = G.n * len(G._maps.aut)
+    expected = G.n * len(_auts(G).aut)
     stack = _stack_of(auts)
     a_vec = stack[:, G.identity]
     h_stack = G.table[G.inverse[a_vec][:, None], stack]  # t_a^-1 o f
@@ -703,7 +705,7 @@ def check_Pi_aut(G: FiniteGroup, c: int) -> Verdict:
     """phi induces an automorphism of P_i(G, c) iff c^-1 phi^-1(c) is central."""
     tid = "p-family-aut"
     inputs = f"{G.name}, c={c}"
-    stack = G._maps.aut
+    stack = _auts(G).aut
     phi_inv_c = np.argmax(stack == c, axis=1)  # phi^-1(c) per automorphism
     rhs_vals = G.table[G.inverse[c], phi_inv_c]
     rhs_mask = G.center_mask[rhs_vals]
@@ -734,7 +736,7 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
     tid = "p-family-anti"
     inputs = f"{G.name}, c={c}"
     idx = np.arange(G.n)
-    a_stack, aa_stack = (s[s[:, c] == c] for s in (G._maps.aut, G._maps.aaut))  # the maps fixing c
+    a_stack, aa_stack = (s[s[:, c] == c] for s in (_auts(G).aut, _auts(G).aaut))  # the maps fixing c
     cinv = G.inverse[c]
     comm = G.table[G.table[G.inverse, G.inverse[cinv]], G.table[idx, cinv]]  # [x, c^-1]
     rhs1 = bool((comm == idx).all())
@@ -805,11 +807,17 @@ class _Sweep:
     def cs(self) -> List[int]:
         return _pick(range(self.G.n), self.c, "c (an element of G)")
 
+    def _pick_maps(self, family: str, index: Optional[int], what: str) -> List[ClassifiedMap]:
+        """The public list of Aut(G) or AAut(G), built once per sweep, or only its map at ``index``."""
+        if index is None:
+            return enumerate_aut(self.G) if family == "aut" else enumerate_aaut(self.G)
+        return _family_maps(self.G, family, *_pick(range(len(getattr(_auts(self.G), family))), index, what))
+
     def phis(self) -> List[ClassifiedMap]:
-        return _pick(enumerate_aut(self.G), self.phi_index, "phi index into Aut(G)")
+        return self._pick_maps("aut", self.phi_index, "phi index into Aut(G)")
 
     def psis(self) -> List[ClassifiedMap]:
-        return _pick(enumerate_aaut(self.G), self.psi_index, "psi index into AAut(G)")
+        return self._pick_maps("aaut", self.psi_index, "psi index into AAut(G)")
 
 
 # Check id -> its sweep, read-only.  The order is the census order; only

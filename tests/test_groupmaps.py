@@ -9,7 +9,10 @@ from quandlekit import (
     ANTIAUTOMORPHISM,
     AUTOMORPHISM,
     CapExceeded,
+    ClassifiedMap,
     FiniteGroup,
+    NotAutomorphism,
+    PLAIN,
     PointMap,
     aut_oracle,
     build_F,
@@ -38,7 +41,14 @@ from quandlekit import (
     verify_F_iso,
 )
 from quandlekit import config, groupmaps
-from quandlekit.groupmaps import _all_f_ab_stack, _composes_as, preserving_mask, reversing_mask
+from quandlekit.groupmaps import (
+    _all_f_ab_stack,
+    _composes_as,
+    preserves_table,
+    preserving_mask,
+    reverses_table,
+    reversing_mask,
+)
 from quandlekit.groups import opposite, quotient_by_normal
 
 # Automorphism group orders, frozen from independent runs of the n! oracle
@@ -176,6 +186,37 @@ class TestCentralizers:
             assert cm.map in members
 
 
+    @pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "Z6", "D5", "Z2xZ2"])
+    def test_centralizers_match_brute_force_and_refuse_other_bijections(self, spec):
+        G = named_group(spec)
+        rng = np.random.default_rng(11)
+        plain = [classify(G, PointMap(rng.permutation(G.n))) for _ in range(30)]
+        for phi in enumerate_aut(G) + enumerate_aaut(G) + plain:
+            lawful = preserves_table(G.table, phi.images) or reverses_table(G.table, phi.images)
+            for members, centralizer in ((enumerate_aut, centralizer_in_aut),
+                                         (enumerate_aaut, centralizer_in_aaut)):
+                if not lawful:
+                    with pytest.raises(NotAutomorphism):
+                        centralizer(G, phi)
+                    continue
+                want = [m for m in members(G) if m.map.compose(phi.map) == phi.map.compose(m.map)]
+                assert centralizer(G, phi) == want
+
+    def test_centralizers_read_the_law_not_the_kind_label(self):
+        G = symmetric(3)
+        plain = PointMap([5, 4, 3, 0, 1, 2])  # neither law holds
+        assert classify(G, plain).kind == PLAIN
+        for centralizer in (centralizer_in_aut, centralizer_in_aaut):
+            with pytest.raises(NotAutomorphism):
+                centralizer(G, ClassifiedMap(plain, AUTOMORPHISM, G))
+        relabelled = ClassifiedMap(PointMap(G.inverse), PLAIN, G)
+        assert centralizer_in_aut(G, relabelled) == centralizer_in_aut(G, inversion_map(G))
+        foreign = enumerate_aut(symmetric(4))[1]  # a map of another carrier
+        for needs_a_law in (centralizer_in_aut, centralizer_in_aaut, build_F_prime):
+            with pytest.raises(NotAutomorphism):
+                needs_a_law(G, foreign)
+
+
 class TestTranslationFamilies:
     def test_f_ab_composition_law(self):
         G = symmetric(3)
@@ -216,6 +257,19 @@ class TestTranslationFamilies:
         F = set(build_F(G))
         for cm in enumerate_aut(G):
             assert set(build_F_prime(G, cm)) <= F
+
+    @pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "D5", "Z6"])
+    def test_F_prime_is_a_group_and_needs_an_automorphism(self, spec):
+        G = named_group(spec)
+        for cm in enumerate_aut(G):
+            fprime = build_F_prime(G, cm)
+            assert closure_of_point_maps(fprime) == fprime
+        for cm in enumerate_aaut(G):
+            if cm.kind == ANTIAUTOMORPHISM:
+                with pytest.raises(NotAutomorphism):
+                    build_F_prime(G, cm)
+        with pytest.raises(NotAutomorphism):
+            build_F_prime(G, ClassifiedMap(PointMap(np.roll(np.arange(G.n), 1)), AUTOMORPHISM, G))
 
     @pytest.mark.parametrize("spec", ["Z4", "S3", "D4", "Q8"])
     def test_F_realises_the_quotient(self, spec):

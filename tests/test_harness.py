@@ -15,8 +15,12 @@ import pytest
 
 import quandlekit
 from quandlekit import (
+    ANTIAUTOMORPHISM,
+    AUTOMORPHISM,
     CHECK_IDS,
+    ClassifiedMap,
     ConstructionSpecError,
+    FiniteGroup,
     PointMap,
     REPORT_SCHEMA,
     Verdict,
@@ -25,6 +29,10 @@ from quandlekit import (
     dihedral_quandle,
     is_quandle_anti,
     is_quandle_auto,
+    centralizer_in_aaut,
+    classify,
+    enumerate_aaut,
+    enumerate_aut,
     named_group,
     quaternion8,
     run_census,
@@ -35,7 +43,8 @@ from quandlekit import (
 )
 from quandlekit import harness, quandlemaps
 from quandlekit.constructions import _map_label
-from quandlekit.harness import M_RANGE, _members, _quandle
+from quandlekit.groupmaps import _auts
+from quandlekit.harness import CATALOG_SPECS, M_RANGE, _members, _quandle
 from quandlekit.quandlemaps import QuandleMap
 from quandlekit.verdicts import combine, make_iff, make_implies, make_skipped, report_json
 
@@ -261,7 +270,7 @@ class TestGroupStore:
         D6 = named_group("D6")
         Q = conj_m(D6, 0)  # the trivial quandle: every bijection preserves it
         H = harness._H_stack(D6)
-        auts = D6._maps.aut
+        auts = _auts(D6).aut
         assert semidirect_verify(H, auts, Q, D6).verdict
         calls = []
         real = quandlemaps._hol_mask
@@ -302,13 +311,13 @@ class TestGroupStore:
         S3, S4 = symmetric(3), symmetric(4)
         report = run_census([S3, S4])
         assert report["summary"]["failed"] == 0
+        assert S3._store == {} and S4._store == {}  # Aut(G) and AAut(G) went with the rest
         assert set(calls.values()) == {1}
         per_name = collections.Counter(name for name, _, _ in calls)
-        aut_sizes = len(S3._maps.aut) + len(S4._maps.aut)  # 6 + 24
+        aut_sizes = len(_auts(S3).aut) + len(_auts(S4).aut)  # 6 + 24, enumerated again
         assert per_name["alex"] == per_name["q1"] == aut_sizes
         assert per_name["conj_m"] == 2 * len(M_RANGE) and per_name["core"] == 2
         assert all(per_name[f"p{i}"] == S3.n + S4.n for i in range(1, 5))
-        assert S3._store == {} and S4._store == {}
 
     def test_standalone_checks_share_the_alex_build(self, monkeypatch):
         calls = self._counted(monkeypatch)
@@ -339,6 +348,72 @@ class TestGroupStore:
         finally:
             if enabled:
                 gc.enable()
+
+
+    def test_groups_are_freed_with_the_store(self):
+        """A group keeps only arrays: once its store is cleared it dies without the cyclic GC."""
+        S3 = symmetric(3)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_check("alex", S3, phi_index=1)
+            run_check("q-family", S3, phi_index=1, psi_index=2)
+            assert len(enumerate_aut(S3)) == len(enumerate_aaut(S3)) == 6
+            assert len(centralizer_in_aaut(S3, enumerate_aut(S3)[1])) == 2
+            reached = [obj for value in (vars(S3), S3._store) for obj in _reachable(value)]
+            assert not any(isinstance(obj, (ClassifiedMap, PointMap)) for obj in reached)
+            ref = weakref.ref(S3)
+            S3._store.clear()
+            del S3
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_census_leaves_no_group_to_the_cyclic_collector(self):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_census([cyclic(3), symmetric(3), quaternion8(), named_group("Z3xZ3")])
+            gc.collect()
+            assert not [obj for obj in gc.garbage if isinstance(obj, FiniteGroup)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+
+class TestPublicMapLists:
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_lists_are_fresh_maps_of_the_stored_rows(self, spec):
+        G = named_group(spec)
+        entry = _auts(G)
+        for lister, stack in ((enumerate_aut, entry.aut), (enumerate_aaut, entry.aaut)):
+            first, second = lister(G), lister(G)
+            assert [m.map.as_tuple() for m in first] == [tuple(map(int, row)) for row in stack]
+            assert first == second
+            assert all(a is not b and a.map is not b.map for a, b in zip(first, second))
+            assert all(m.group is G for m in first)
+        assert {m.kind for m in enumerate_aut(G)} == {AUTOMORPHISM}
+        kinds = [m.kind for m in enumerate_aaut(G)]
+        assert kinds == [classify(G, m.map).kind for m in enumerate_aaut(G)]
+        assert all(type(k) is str for k in kinds)
+        assert set(kinds) == ({AUTOMORPHISM} if G.is_abelian else {ANTIAUTOMORPHISM})
+
+    @pytest.mark.parametrize("spec", ["D6", "S4"])
+    def test_an_indexed_sweep_gives_that_verdict_of_the_full_sweep(self, spec):
+        G = named_group(spec)
+        full = run_check("alex", G)
+        assert len(full) == len(_auts(G).aut)
+        for k, verdict in enumerate(full):
+            (one,) = run_check("alex", G, phi_index=k)
+            assert one.inputs == verdict.inputs and one.to_json() == verdict.to_json()
+        full = run_check("q-family", G, phi_index=0)  # Q1 at phi 0, then Q2..Q4 per psi
+        assert len(full) == 1 + 3 * len(_auts(G).aaut)
+        for k in range(len(_auts(G).aaut)):
+            picked = run_check("q-family", G, phi_index=0, psi_index=k)
+            want = full[:1] + full[1 + 3 * k : 4 + 3 * k]
+            assert [v.inputs for v in picked] == [v.inputs for v in want]
+            assert [v.to_json() for v in picked] == [v.to_json() for v in want]
 
 
 def _reachable(obj):

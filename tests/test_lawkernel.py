@@ -36,6 +36,7 @@ from quandlekit import (
 )
 from quandlekit.constructions import _require_compatible
 from quandlekit.groupmaps import (
+    _auts,
     _compact,
     _law_blocks,
     _law_masks,
@@ -304,7 +305,7 @@ class TestMemory:
     def test_law_masks_peak_is_at_most_the_broadcast_formulas(self):
         G = named_group("heisenberg3")
         table = alex(G, enumerate_aut(G)[5]).op
-        aut = G._maps.aut
+        aut = _auts(G).aut
         parent = min(_peak(ref_preserving_mask, table, aut), _peak(ref_reversing_mask, table, aut))
         assert _peak(_law_masks, table, aut) <= parent
 

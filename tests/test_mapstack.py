@@ -46,6 +46,7 @@ from quandlekit import (
     run_check,
 )
 from quandlekit.groupmaps import (
+    _auts,
     _centralizer,
     _coset_leaders,
     _F_prime_stack,
@@ -304,7 +305,7 @@ class TestMapGroup:
 
     def test_aut_h3_is_a_group_and_its_near_misses_are_not(self):
         H3 = named_group("heisenberg3")
-        auts = H3._maps.aut  # 432 maps, 186,624 products
+        auts = _auts(H3).aut  # 432 maps, 186,624 products
         assert _is_map_group(H3, auts)
         assert not _is_map_group(H3, np.delete(auts, 100, axis=0))
         assert not _is_map_group(H3, np.concatenate([auts, auts[100:101]]))
@@ -339,7 +340,7 @@ class TestProductSetClosure:
     def test_h3_product_set_is_closed_and_a_missing_row_is_counted(self):
         H3 = named_group("heisenberg3")
         gop = H3.table.T  # row b is x -> x * b
-        P = gop[:, H3._maps.aut].reshape(-1, H3.n)  # every f_(1,b) o phi
+        P = gop[:, _auts(H3).aut].reshape(-1, H3.n)  # every f_(1,b) o phi
         assert _right_closure_size(H3, P, gop) == len(P) == 11664
         short = np.delete(P, 100, axis=0)  # P o G^op still reaches the missing map
         assert _right_closure_size(H3, short, gop) == len(short) + 1 == 11664
@@ -436,7 +437,7 @@ class TestViews:
     @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4", "heisenberg3"])
     def test_each_list_is_the_rows_of_its_stack_in_order(self, spec):
         G = named_group(spec)
-        maps = G._maps
+        maps = _auts(G)
         assert rows_of(enumerate_aut(G)) == stack_rows(maps.aut)
         assert rows_of(enumerate_aaut(G)) == stack_rows(maps.aaut)
         assert rows_of(inner_auts(G)) == stack_rows(_inner_stack(G))
@@ -453,8 +454,8 @@ class TestViews:
     @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4", "heisenberg3"])
     def test_centralizer_on_the_base_is_the_whole_row_comparison(self, spec):
         G = named_group(spec)
-        for phi in np.concatenate([G._maps.aut, G._maps.aaut]):
-            for stack in (G._maps.aut, G._maps.aaut):
+        for phi in np.concatenate([_auts(G).aut, _auts(G).aaut]):
+            for stack in (_auts(G).aut, _auts(G).aaut):
                 want = stack[(stack[:, phi] == phi[stack]).all(axis=1)]
                 assert np.array_equal(_centralizer(G, stack, phi), want)
 
@@ -462,9 +463,9 @@ class TestViews:
     def test_coset_leaders_are_the_least_members(self, spec):
         G = named_group(spec)
         inner = stack_rows(_inner_stack(G))
-        auts = stack_rows(G._maps.aut)
+        auts = stack_rows(_auts(G).aut)
         want = [min(compose(s, m) for s in inner) for m in auts]
-        assert stack_rows(_coset_leaders(_inner_stack(G), G._maps.aut)) == want
+        assert stack_rows(_coset_leaders(_inner_stack(G), _auts(G).aut)) == want
         assert stack_rows(_out_reps(G)) == [m for m, lead in zip(auts, want) if m == lead]
 
     @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4", "heisenberg3"])

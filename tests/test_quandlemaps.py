@@ -36,6 +36,7 @@ from quandlekit import (
 )
 from quandlekit import Q3Fail, groupmaps, quandlemaps
 from quandlekit.groupmaps import (
+    _auts,
     _is_map_group,
     _keys,
     _law_blocks,
@@ -339,7 +340,7 @@ class TestBlockedLawCheck:
     def test_small_blocks_give_the_same_masks(self, monkeypatch):
         D6 = named_group("D6")
         Q = alex(D6, enumerate_aut(D6)[1])
-        auts = D6._maps.aut
+        auts = _auts(D6).aut
         masks = _law_masks(Q.op, auts)
         preserving = preserving_mask(Q.op, auts)
         assert 0 < preserving.sum() < len(auts)  # 6 of the 12 preserve this table
