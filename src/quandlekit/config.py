@@ -16,9 +16,8 @@ MAX_AUT_GROUP_ORDER = 64
 # Bail out of quandle map enumeration (the table isomorphism engine) past this.
 MAX_QUANDLE_ENUM_ORDER = 12
 
-# The all-permutations oracle materialises n! maps at once.
+# The all-permutations oracles, of groups and of quandles, materialise n! maps at once.
 MAX_ORACLE_ORDER = 7
-MAX_GROUP_ORACLE_ORDER = 6
 
 # Closure computations (products of permutations / subgroup generation)
 # stop once this many distinct elements have been produced.

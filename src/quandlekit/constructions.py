@@ -23,15 +23,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CompatibilityFail, ConstructionSpecError, WrongMapKind
+from .errors import CompatibilityFail, ConstructionSpecError
 from .groupmaps import (
+    ANTIAUTOMORPHISM,
+    AUTOMORPHISM,
     ClassifiedMap,
     _auts,
+    _checked_images,
     _family_maps,
     _flat_table,
     _products,
-    preserves_table,
-    reverses_table,
 )
 from .groups import FiniteGroup
 from .quandles import Quandle, trivial
@@ -61,16 +62,6 @@ def _map_label(cm: ClassifiedMap) -> str:
     if len(images) <= 10:
         return "[" + ",".join(map(str, images)) + "]"
     return "[" + ",".join(map(str, images[:6])) + f",...#{len(images)}]"
-
-
-def _require_auto_law(G: FiniteGroup, cm: ClassifiedMap) -> None:
-    if not preserves_table(G.table, cm.images):
-        raise WrongMapKind("automorphism", cm.kind)
-
-
-def _require_anti_law(G: FiniteGroup, cm: ClassifiedMap) -> None:
-    if not reverses_table(G.table, cm.images):
-        raise WrongMapKind("antiautomorphism", cm.kind)
 
 
 def _require_compatible(G: FiniteGroup, cm: ClassifiedMap) -> None:
@@ -109,31 +100,28 @@ def dihedral_quandle(n: int) -> Quandle:
 
 def alex(G: FiniteGroup, phi: ClassifiedMap) -> Quandle:
     """Generalized Alexander quandle: x*y = phi(x y^-1) y."""
-    _require_auto_law(G, phi)
-    heads = phi.images[G.table[:, G.inverse]]  # [x, y] = phi(x y^-1)
+    heads = _checked_images(G, phi, (AUTOMORPHISM,))[G.table[:, G.inverse]]  # [x, y] = phi(x y^-1)
     op = G.table[heads, np.arange(G.n)[None, :]]
     return Quandle(op, name=f"Alex({G.name},phi={_map_label(phi)})")
 
 
 def q1(G: FiniteGroup, phi: ClassifiedMap) -> Quandle:
     """x*y = y phi(y^-1 x)."""
-    _require_auto_law(G, phi)
-    tails = phi.images[G.table[G.inverse]]  # [y, x] = phi(y^-1 x)
+    tails = _checked_images(G, phi, (AUTOMORPHISM,))[G.table[G.inverse]]  # [y, x] = phi(y^-1 x)
     by_yx = G.table[np.arange(G.n)[:, None], tails]
     return Quandle(by_yx.T, name=f"Q1({G.name},phi={_map_label(phi)})")
 
 
 def q2(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
     """x*y = y psi(y x^-1)."""
-    _require_anti_law(G, psi)
-    tails = psi.images[G.table[:, G.inverse]]  # [y, x] = psi(y x^-1)
+    tails = _checked_images(G, psi, (ANTIAUTOMORPHISM,))[G.table[:, G.inverse]]  # [y, x] = psi(y x^-1)
     by_yx = G.table[np.arange(G.n)[:, None], tails]
     return Quandle(by_yx.T, name=f"Q2({G.name},psi={_map_label(psi)})")
 
 
 def q3(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
     """x*y = psi(x y^-1) y, requiring the conjugation compatibility of psi."""
-    _require_anti_law(G, psi)
+    _checked_images(G, psi, (ANTIAUTOMORPHISM,))
     _require_compatible(G, psi)
     heads = psi.images[G.table[:, G.inverse]]  # [x, y] = psi(x y^-1)
     op = G.table[heads, np.arange(G.n)[None, :]]
@@ -142,21 +130,27 @@ def q3(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
 
 def q4(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
     """x*y = y psi(y^-1 x), requiring the conjugation compatibility of psi."""
-    _require_anti_law(G, psi)
+    _checked_images(G, psi, (ANTIAUTOMORPHISM,))
     _require_compatible(G, psi)
     tails = psi.images[G.table[G.inverse]]  # [y, x] = psi(y^-1 x)
     by_yx = G.table[np.arange(G.n)[:, None], tails]
     return Quandle(by_yx.T, name=f"Q4({G.name},psi={_map_label(psi)})")
 
 
-def _check_element(G: FiniteGroup, c: int) -> None:
-    if not 0 <= c < G.n:
-        raise ConstructionSpecError(f"element index {c} outside 0..{G.n - 1}")
+# What each index parameter counts, as its range error names it.
+_INDEXES = {"phi": "phi index into Aut(G)", "psi": "psi index into AAut(G)", "c": "c (an element of G)"}
+
+
+def _in_range(param: str, index: int, size: int) -> int:
+    """``index`` when it lies in 0..size-1; otherwise a spec error naming the parameter."""
+    if not 0 <= index < size:
+        raise ConstructionSpecError(f"{_INDEXES[param]} {index} is out of range 0..{size - 1}")
+    return index
 
 
 def p1(G: FiniteGroup, c: int) -> Quandle:
     """x*y = y c^-1 y^-1 x c."""
-    _check_element(G, c)
+    _in_range("c", c, G.n)
     t, inv = G.table, G.inverse
     idx = np.arange(G.n)
     prefix = t[t[idx, inv[c]], inv]  # y c^-1 y^-1
@@ -166,7 +160,7 @@ def p1(G: FiniteGroup, c: int) -> Quandle:
 
 def p2(G: FiniteGroup, c: int) -> Quandle:
     """x*y = y c^-1 x y^-1 c."""
-    _check_element(G, c)
+    _in_range("c", c, G.n)
     t, inv = G.table, G.inverse
     idx = np.arange(G.n)
     prefix = t[idx, inv[c]]  # y c^-1
@@ -177,7 +171,7 @@ def p2(G: FiniteGroup, c: int) -> Quandle:
 
 def p3(G: FiniteGroup, c: int) -> Quandle:
     """x*y = c^-1 y^-1 x c y."""
-    _check_element(G, c)
+    _in_range("c", c, G.n)
     t, inv = G.table, G.inverse
     idx = np.arange(G.n)
     prefix = t[inv[c], inv]  # c^-1 y^-1
@@ -188,7 +182,7 @@ def p3(G: FiniteGroup, c: int) -> Quandle:
 
 def p4(G: FiniteGroup, c: int) -> Quandle:
     """x*y = c^-1 x y^-1 c y."""
-    _check_element(G, c)
+    _in_range("c", c, G.n)
     t, inv = G.table, G.inverse
     idx = np.arange(G.n)
     heads = t[inv[c]]  # c^-1 x, indexed by x
@@ -297,11 +291,9 @@ def spec_from_string(text: str, group: Optional[FiniteGroup] = None) -> Construc
     elif kind in _MAP_PARAM:
         if group is None:
             raise ConstructionSpecError(f"{kind} needs a group to resolve its map index")
-        index = take(_MAP_PARAM[kind])
-        family = "aut" if _MAP_PARAM[kind] == "phi" else "aaut"
-        size = len(getattr(_auts(group), family))
-        if not 0 <= index < size:
-            raise ConstructionSpecError(f"{_MAP_PARAM[kind]} index {index} outside 0..{size - 1}")
+        param = _MAP_PARAM[kind]
+        family = "aut" if param == "phi" else "aaut"
+        index = _in_range(param, take(param), len(getattr(_auts(group), family)))
         spec = ConstructionSpec(kind, group=group, map=_family_maps(group, family, index)[0])
     else:
         spec = ConstructionSpec(kind, group=group, c=take("c"))

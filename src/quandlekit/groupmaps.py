@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import config
-from .errors import CapExceeded, NotAutomorphism, NotBijective
+from .errors import CapExceeded, CarrierMismatch, NotAutomorphism, NotBijective, WrongMapKind
 from .groups import (
     FiniteGroup,
     Subset,
@@ -37,7 +37,7 @@ from .groups import (
     opposite,
     quotient_by_normal,
 )
-from .verdicts import Verdict, combine, make_iff
+from .verdicts import Verdict, claim, combine
 
 __all__ = [
     "AUTOMORPHISM",
@@ -295,6 +295,27 @@ def preserving_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
 def reversing_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     blocks = _law_blocks(table, table, stack)
     return _joined([(lhs == rhs.transpose(0, 2, 1)).all(axis=(1, 2)) for lhs, rhs in blocks])
+
+
+_LAW_TESTS = {AUTOMORPHISM: preserves_table, ANTIAUTOMORPHISM: reverses_table}
+
+
+def _checked_images(G: FiniteGroup, cm: ClassifiedMap, laws: Sequence[str] = (), why: str = "") -> np.ndarray:
+    """cm's images, once they map G's carrier and G's table (not ``cm.kind``) shows one of ``laws``.
+
+    A map of another carrier raises CarrierMismatch before any law is read.
+    A map that obeys none of the laws, "automorphism" or "antiautomorphism",
+    raises NotAutomorphism(why) when a reason is given, else WrongMapKind,
+    the error of the constructions.
+    """
+    images = cm.images
+    if images.size != G.n:
+        raise CarrierMismatch(G.n, int(images.size))
+    if laws and not any(_LAW_TESTS[law](G.table, images) for law in laws):
+        if why:
+            raise NotAutomorphism(why, tuple(int(v) for v in images))
+        raise WrongMapKind(" or ".join(laws), cm.kind)
+    return images
 
 
 def _profiles(t: np.ndarray) -> np.ndarray:
@@ -604,14 +625,27 @@ def _family_maps(G: FiniteGroup, family: str, index: Optional[int] = None) -> Li
     return [ClassifiedMap(pm, k, G) for pm, k in zip(_point_maps(getattr(entry, family)[rows]), kinds)]
 
 
+def _oracle_rows(table: np.ndarray, reverse: bool) -> List[Tuple[int, ...]]:
+    """The bijections that preserve (or, with ``reverse``, reverse) a table, in order.
+
+    All n! permutations are gathered by plain indexing and compared whole,
+    without the law kernel (``_law_blocks``) that the oracle cross-checks.
+    """
+    n = table.shape[0]
+    if n > config.MAX_ORACLE_ORDER:
+        raise CapExceeded("n! map oracle", n, config.MAX_ORACLE_ORDER)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    lhs = perms[:, table]
+    rhs = table[perms[:, :, None], perms[:, None, :]]
+    if reverse:
+        rhs = rhs.transpose(0, 2, 1)
+    keep = (lhs == rhs).all(axis=(1, 2))
+    return [tuple(map(int, row)) for row in perms[keep]]
+
+
 def aut_oracle(G: FiniteGroup) -> List[ClassifiedMap]:
-    """Aut(G) by scanning all n! bijections; only for very small groups."""
-    if G.n > config.MAX_GROUP_ORACLE_ORDER:
-        raise CapExceeded("group automorphism oracle", G.n, config.MAX_GROUP_ORACLE_ORDER)
-    perms = np.array(list(itertools.permutations(range(G.n))), dtype=np.int64)
-    keep = preserving_mask(G.table, perms)
-    rows = sorted(tuple(map(int, row)) for row in perms[keep])
-    return [ClassifiedMap(PointMap(row), AUTOMORPHISM, G) for row in rows]
+    """Aut(G) by scanning all n! bijections, sorted; only for very small groups."""
+    return [ClassifiedMap(PointMap(row), AUTOMORPHISM, G) for row in _oracle_rows(G.table, False)]
 
 
 def enumerate_aut(G: FiniteGroup) -> List[ClassifiedMap]:
@@ -808,34 +842,29 @@ def _centralizer(G: FiniteGroup, stack: np.ndarray, phi: np.ndarray) -> np.ndarr
     return stack[(stack[:, phi[base]] == phi[stack[:, base]]).all(axis=1)]
 
 
-def _lawful(G: FiniteGroup, phi: ClassifiedMap) -> np.ndarray:
-    """phi's images, once G's table (not ``phi.kind``) shows phi to be an (anti)automorphism."""
-    images = phi.images
-    if images.size != G.n or not (preserves_table(G.table, images) or reverses_table(G.table, images)):
-        raise NotAutomorphism("centralizer needs an automorphism or an antiautomorphism",
-                              tuple(int(v) for v in images))
-    return images
+_EITHER_LAW = (AUTOMORPHISM, ANTIAUTOMORPHISM)
 
 
 def centralizer_in_aut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
     """The members of Aut(G) that commute with phi, an (anti)automorphism, sorted."""
-    return _view(enumerate_aut(G), _auts(G).aut, _centralizer(G, _auts(G).aut, _lawful(G, phi)))
+    images = _checked_images(G, phi, _EITHER_LAW, "centralizer needs an automorphism or an antiautomorphism")
+    return _view(enumerate_aut(G), _auts(G).aut, _centralizer(G, _auts(G).aut, images))
 
 
 def centralizer_in_aaut(G: FiniteGroup, phi: ClassifiedMap) -> List[ClassifiedMap]:
     """The members of AAut(G) that commute with phi, an (anti)automorphism, sorted."""
-    return _view(enumerate_aaut(G), _auts(G).aaut, _centralizer(G, _auts(G).aaut, _lawful(G, phi)))
+    images = _checked_images(G, phi, _EITHER_LAW, "centralizer needs an automorphism or an antiautomorphism")
+    return _view(enumerate_aaut(G), _auts(G).aaut, _centralizer(G, _auts(G).aaut, images))
 
 
 def is_central_automorphism(G: FiniteGroup, theta: ClassifiedMap) -> bool:
     """Whether x^-1 * theta(x) lies in Z(G) for every x."""
-    if not preserves_table(G.table, theta.images):
-        raise NotAutomorphism("central-automorphism test needs an automorphism")
-    return bool(G.center_mask[G.table[G.inverse, theta.images]].all())
+    images = _checked_images(G, theta, (AUTOMORPHISM,), "central-automorphism test needs an automorphism")
+    return bool(G.center_mask[G.table[G.inverse, images]].all())
 
 
 def fix_set(G: FiniteGroup, cm: ClassifiedMap) -> Subset:
-    hits = np.nonzero(cm.images == np.arange(G.n))[0]
+    hits = np.flatnonzero(_checked_images(G, cm) == np.arange(G.n))
     return Subset(G, tuple(int(x) for x in hits))
 
 
@@ -876,10 +905,9 @@ def _F_prime_stack(G: FiniteGroup, phi: np.ndarray) -> np.ndarray:
 
 def build_F_prime(G: FiniteGroup, phi: ClassifiedMap) -> List[PointMap]:
     """F' = subgroup generated by {f_{a,b} | a in Fix(phi), b in G}, sorted; phi in Aut(G)."""
-    if phi.images.size != G.n or not preserves_table(G.table, phi.images):
-        raise NotAutomorphism("F' needs an automorphism, whose Fix(phi) is a subgroup",
-                              tuple(int(v) for v in phi.images))
-    return _point_maps(_F_prime_stack(G, phi.images))
+    why = "F' needs an automorphism, whose Fix(phi) is a subgroup"
+    images = _checked_images(G, phi, (AUTOMORPHISM,), why)
+    return _point_maps(_F_prime_stack(G, images))
 
 
 def _composes_as(maps: np.ndarray, table: np.ndarray) -> bool:
@@ -918,34 +946,15 @@ def verify_F_iso(G: FiniteGroup) -> Verdict:
     well_defined = not off.size
     bad_pair = None if well_defined else (int(reps[cosets[off[0]]]), int(cosets[off[0]]))
     parts = [
-        make_iff(
-            "f-structure/well-defined",
-            inputs,
-            lhs=well_defined,
-            rhs=True,
-            counterexample=bad_pair,
-            notes="f depends only on the N-coset of (a,b)",
-        ),
-        make_iff(
-            "f-structure/bijective",
-            inputs,
-            lhs=f_size == quotient.n,
-            rhs=True,
-            notes=f"|F| = {f_size}, |(GxG^op)/N| = {quotient.n}",
-        ),
+        claim("f-structure/well-defined", inputs, "iff", well_defined, counterexample=bad_pair,
+              notes="f depends only on the N-coset of (a,b)"),
+        claim("f-structure/bijective", inputs, "iff", f_size == quotient.n,
+              notes=f"|F| = {f_size}, |(GxG^op)/N| = {quotient.n}"),
+        # Homomorphism: on coset representatives, composition of maps matches
+        # the quotient's multiplication.
+        # f_{a,b} f_{c,d} = f_{ac,db}, and (a,b)(c,d) = (ac, db) in G x G^op, so
+        # the correspondence is a straight homomorphism.
+        claim("f-structure/homomorphism", inputs, "iff", _composes_as(stack[reps], quotient.table),
+              notes="coset product maps to composition f_i o f_j = f(q_i * q_j)"),
     ]
-    # Homomorphism: on coset representatives, composition of maps matches
-    # the quotient's multiplication.
-    # f_{a,b} f_{c,d} = f_{ac,db}, and (a,b)(c,d) = (ac, db) in G x G^op, so
-    # the correspondence is a straight homomorphism.
-    hom_ok = _composes_as(stack[reps], quotient.table)
-    parts.append(
-        make_iff(
-            "f-structure/homomorphism",
-            inputs,
-            lhs=hom_ok,
-            rhs=True,
-            notes="coset product maps to composition f_i o f_j = f(q_i * q_j)",
-        )
-    )
     return combine("f-structure/iso", inputs, "isomorphism", parts)

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import config
 from .constructions import (
+    _in_range,
     _map_label,
     alex,
     conj_m,
@@ -94,7 +95,7 @@ from .quandlemaps import (
     semidirect_verify,
 )
 from .quandles import Quandle
-from .verdicts import Verdict, combine, make_iff, make_implies, make_skipped, report_json
+from .verdicts import Verdict, claim, combine, make_skipped, report_json
 
 __all__ = [
     "CHECK_IDS",
@@ -134,28 +135,6 @@ def default_catalog() -> List[FiniteGroup]:
 # --- the claim vocabulary ---
 
 
-def _claim(
-    theorem_id: str,
-    inputs: str,
-    ok: bool,
-    relationship: str = "subgroup-embedding",
-    counterexample=None,
-    notes: str = "",
-    vacuous: bool = False,
-) -> Verdict:
-    return Verdict(
-        theorem_id,
-        inputs,
-        relationship,
-        holds=bool(ok),
-        lhs=bool(ok),
-        rhs=True,
-        vacuous=vacuous,
-        counterexample=None if ok else counterexample,
-        notes=notes,
-    )
-
-
 def _first_failure(mask: np.ndarray, stack: np.ndarray) -> Optional[dict]:
     """The first row of the stack whose mask entry is False, or None."""
     bad = np.flatnonzero(~mask)
@@ -186,20 +165,12 @@ def _centralizer_of(G: FiniteGroup, family: str, phi: ClassifiedMap) -> np.ndarr
 
 
 def _members(
-    theorem_id: str, inputs: str, table: np.ndarray, stack: np.ndarray, notes: str,
-    vacuous: bool = False,
-) -> Verdict:
-    """Every row of the stack preserves the table; fails on the first row that does not."""
-    return _members_in(theorem_id, inputs, preserving_mask(table, stack), stack, notes, vacuous)
-
-
-def _members_in(
     theorem_id: str, inputs: str, mask: np.ndarray, stack: np.ndarray, notes: str,
     vacuous: bool = False,
 ) -> Verdict:
-    """``_members`` from a preserving mask already taken; fails on the first row outside it."""
-    return _claim(theorem_id, inputs, bool(mask.all()), counterexample=_first_failure(mask, stack),
-                  notes=notes, vacuous=vacuous)
+    """Every row of the stack is in its preserving mask; fails on the first row outside it."""
+    return claim(theorem_id, inputs, "subgroup-embedding", mask.all(), vacuous=vacuous,
+                 counterexample=_first_failure(mask, stack), notes=notes)
 
 
 def _forward(
@@ -207,17 +178,14 @@ def _forward(
     vacuous: bool = False,
 ) -> Verdict:
     """Some row is in the mask => rhs; fails on the first such row."""
-    return make_implies(theorem_id, inputs, lhs=bool(mask.any()), rhs=rhs, vacuous=vacuous,
-                        counterexample=_first_failure(~mask, stack), notes=notes)
+    return claim(theorem_id, inputs, "implies", mask.any(), rhs, vacuous=vacuous,
+                 counterexample=_first_failure(~mask, stack), notes=notes)
 
 
 def _emptiness(theorem_id: str, inputs: str, found: np.ndarray, notes: str) -> Verdict:
     """No map of the claimed kind exists; fails on the first row of ``found``."""
-    empty = not len(found)
-    return Verdict(
-        theorem_id, inputs, "emptiness", holds=empty, lhs=empty, rhs=True,
-        counterexample=None if empty else {"images": [int(v) for v in found[0]]}, notes=notes,
-    )
+    return claim(theorem_id, inputs, "emptiness", not len(found), notes=notes,
+                 counterexample={"images": [int(v) for v in found[0]]} if len(found) else None)
 
 
 def _per_map_iff(
@@ -229,17 +197,10 @@ def _per_map_iff(
 ) -> Verdict:
     """One sub-verdict folding 'for every map: induced <-> rhs'."""
     if lhs_mask.size == 0:
-        return make_iff(theorem_id, inputs, lhs=rhs, rhs=rhs, vacuous=True, notes=notes or "empty map set")
-    mismatch = np.nonzero(lhs_mask != rhs)[0]
-    lhs = bool(lhs_mask.all()) if rhs else bool(lhs_mask.any())
-    return make_iff(
-        theorem_id,
-        inputs,
-        lhs=lhs,
-        rhs=rhs,
-        counterexample=None if mismatch.size == 0 else {"map_index": int(mismatch[0])},
-        notes=notes,
-    )
+        return claim(theorem_id, inputs, "iff", rhs, rhs, vacuous=True, notes=notes or "empty map set")
+    mismatch = np.flatnonzero(lhs_mask != rhs)
+    return claim(theorem_id, inputs, "iff", lhs_mask.all() if rhs else lhs_mask.any(), rhs, notes=notes,
+                 counterexample={"map_index": int(mismatch[0])} if mismatch.size else None)
 
 
 def _conjugation(
@@ -248,13 +209,13 @@ def _conjugation(
 ) -> Verdict:
     """law(phi, phi^-1) for every row phi of an automorphism stack; fails on the first that breaks it."""
     bad = next((phi for phi, inv in zip(auts, np.argsort(auts, axis=1)) if not law(phi, inv)), None)
-    return _claim(theorem_id, inputs, bad is None, notes=notes,
-                  counterexample=None if bad is None else {"phi": [int(v) for v in bad]})
+    return claim(theorem_id, inputs, "subgroup-embedding", bad is None, notes=notes,
+                 counterexample=None if bad is None else {"phi": [int(v) for v in bad]})
 
 
 def _semidirect(theorem_id: str, inputs: str, report: SemidirectReport) -> Verdict:
-    return _claim(
-        theorem_id, inputs, report.verdict, counterexample=report.failing_clause,
+    return claim(
+        theorem_id, inputs, "subgroup-embedding", report.verdict, counterexample=report.failing_clause,
         notes=f"closure {report.closure_size} = {report.normal_part_size} x "
         f"{report.complement_size} ({report.mode})",
     )
@@ -279,10 +240,10 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
     auts = _auts(G).aut
     masks = preserving_mask(Q.op, H), preserving_mask(Q.op, auts)
     parts = [
-        _members_in(f"{tid}/H-members", inputs, masks[0], H,
-                    "every central translation t_a is an automorphism of Conj_m(G)"),
-        _members_in(f"{tid}/aut-members", inputs, masks[1], auts,
-                    "every group automorphism is an automorphism of Conj_m(G)"),
+        _members(f"{tid}/H-members", inputs, masks[0], H,
+                 "every central translation t_a is an automorphism of Conj_m(G)"),
+        _members(f"{tid}/aut-members", inputs, masks[1], auts,
+                 "every group automorphism is an automorphism of Conj_m(G)"),
     ]
     centre = np.flatnonzero(G.center_mask)
     identity = _stored(G, (f"{tid}/conjugation-identity",), lambda: _conjugation(
@@ -309,13 +270,15 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
         # so the out-quotient is the full symmetric group.
         report = semidirect_verify(H, reps, Q, G)
         parts = [
-            _claim(f"{tid}/inn-trivial", inputs,
-                   all(np.array_equal(Q.op[:, y], np.arange(G.n)) for y in range(G.n)),
-                   notes="right translations of the trivial quandle are the identity"),
-            _claim(f"{tid}/semidirect", inputs, report.verdict, counterexample=report.failing_clause,
-                   notes=f"H rtimes Aut(G) realised by {report.closure_size} distinct maps"),
-            _claim(f"{tid}/lagrange", inputs, math.factorial(G.n) % expected == 0 if expected else False,
-                   notes=f"|H|*|Out(G)| = {expected} divides |Sym(n)| = n!"),
+            claim(f"{tid}/inn-trivial", inputs, "subgroup-embedding",
+                  all(np.array_equal(Q.op[:, y], np.arange(G.n)) for y in range(G.n)),
+                  notes="right translations of the trivial quandle are the identity"),
+            claim(f"{tid}/semidirect", inputs, "subgroup-embedding", report.verdict,
+                  counterexample=report.failing_clause,
+                  notes=f"H rtimes Aut(G) realised by {report.closure_size} distinct maps"),
+            claim(f"{tid}/lagrange", inputs, "subgroup-embedding",
+                  math.factorial(G.n) % expected == 0 if expected else False,
+                  notes=f"|H|*|Out(G)| = {expected} divides |Sym(n)| = n!"),
         ]
         return combine(tid, inputs, "subgroup-embedding", parts,
                        notes="symbolic mode: Aut of a trivial quandle is all of Sym(n)")
@@ -328,12 +291,13 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
     products = H[:, reps].reshape(-1, G.n)  # t_a o rep, a-major
     injective = len(_distinct(_keys(_coset_leaders(_inn_stack(Q), products)))) == len(products)
     parts = [
-        _members(f"{tid}/members", inputs, Q.op, products,
+        _members(f"{tid}/members", inputs, preserving_mask(Q.op, products), products,
                  "every t_a o rep is an automorphism of Conj(G)"),
-        _claim(f"{tid}/coset-injective", inputs, injective,
-               notes=f"{len(products)} products land in distinct Inn(Conj(G))-cosets"),
-        _claim(f"{tid}/lagrange", inputs, out_index % expected == 0 if expected else False,
-               notes=f"|H|*|Out(G)| = {expected} divides |Out(Conj(G))| = {out_index}"),
+        claim(f"{tid}/coset-injective", inputs, "subgroup-embedding", injective,
+              notes=f"{len(products)} products land in distinct Inn(Conj(G))-cosets"),
+        claim(f"{tid}/lagrange", inputs, "subgroup-embedding",
+              out_index % expected == 0 if expected else False,
+              notes=f"|H|*|Out(G)| = {expected} divides |Out(Conj(G))| = {out_index}"),
     ]
     return combine(
         tid, inputs, "subgroup-embedding", parts,
@@ -347,22 +311,15 @@ def check_conj_aaut_intersection(G: FiniteGroup, m: int) -> Verdict:
     inputs = f"{G.name}, m={m}"
     Q = _quandle(G, "conj_m", m)
     stack = _auts(G).aaut
-    induced = preserving_mask(Q.op, stack)
-    lhs = bool(induced.any())
-    powers = G.power_all(2 * m)
-    central = G.center_mask[powers]
-    rhs = bool(central.all())
-    witness = None
-    counterexample: Optional[dict] = None
-    if lhs:
-        i = int(np.nonzero(induced)[0][0])
-        witness = {"psi_index": i, "images": [int(v) for v in stack[i]]}
-    if not rhs:
-        counterexample = {"y": int(np.nonzero(~central)[0][0])}
-    if lhs != rhs:
-        counterexample = {"lhs_witness": witness, "rhs_failure": counterexample}
-        witness = None
-    return make_iff(tid, inputs, lhs, rhs, witness=witness, counterexample=counterexample)
+    induced = np.flatnonzero(preserving_mask(Q.op, stack))  # the psi that preserve Conj_m(G)
+    off_centre = np.flatnonzero(~G.center_mask[G.power_all(2 * m)])  # the y with y^(2m) not central
+    w = f = None
+    if induced.size:
+        w = {"psi_index": int(induced[0]), "images": [int(v) for v in stack[induced[0]]]}
+    if off_centre.size:
+        f = {"y": int(off_centre[0])}
+    return claim(tid, inputs, "iff", w is not None, f is None,
+                 witness=w, counterexample={"lhs_witness": w, "rhs_failure": f})
 
 
 def check_conj_no_anti(G: FiniteGroup, m: int) -> Verdict:
@@ -432,10 +389,10 @@ def check_alex_semidirect(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     cent = _centralizer_of(G, "aut", phi)
     masks = preserving_mask(Q.op, right_translations), preserving_mask(Q.op, cent)
     parts = [
-        _members_in(f"{tid}/gop-members", inputs, masks[0], right_translations,
-                    "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
-        _members_in(f"{tid}/centralizer-members", inputs, masks[1], cent,
-                    "every member of C_Aut(phi) is an automorphism of Alex(G,phi)"),
+        _members(f"{tid}/gop-members", inputs, masks[0], right_translations,
+                 "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
+        _members(f"{tid}/centralizer-members", inputs, masks[1], cent,
+                 "every member of C_Aut(phi) is an automorphism of Alex(G,phi)"),
         _semidirect(f"{tid}/semidirect", inputs,
                     _semidirect_verify(right_translations, cent, Q, G, masks)),
     ]
@@ -447,10 +404,10 @@ def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict
     then F' inside Aut(Alex(G, phi)) for each phi: one verdict per phi."""
     tid = "f-structure"
     F = _F_stack(G)
-    in_core = _members(f"{tid}/F-in-core-aut", G.name, _quandle(G, "core").op, F,
+    in_core = _members(f"{tid}/F-in-core-aut", G.name, preserving_mask(_quandle(G, "core").op, F), F,
                        f"all {len(F)} maps f_(a,b) preserve Core(G)")
-    size = _claim(f"{tid}/F-size", G.name, len(F) == G.n * G.n // int(G.center_mask.sum()),
-                  relationship="iff", notes=f"|F| = {len(F)} = |G|^2/|Z(G)|")
+    size = claim(f"{tid}/F-size", G.name, "iff", len(F) == G.n * G.n // int(G.center_mask.sum()),
+                 notes=f"|F| = {len(F)} = |G|^2/|Z(G)|")
     iso = verify_F_iso(G)
     out = []
     for phi in phis:
@@ -459,7 +416,8 @@ def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict
         parts = [
             replace(in_core, inputs=inputs),
             replace(size, inputs=inputs),
-            _members(f"{tid}/Fprime-in-alex-aut", inputs, _quandle(G, "alex", phi).op, fprime,
+            _members(f"{tid}/Fprime-in-alex-aut", inputs,
+                     preserving_mask(_quandle(G, "alex", phi).op, fprime), fprime,
                      f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)"),
             iso,
         ]
@@ -482,8 +440,8 @@ def check_core(G: FiniteGroup) -> Verdict:
     exp_note = "exponent divides 3 (the proofs need x^3 = e pointwise)"
     aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
     parts = [
-        _members_in(f"{tid}/aaut-induce-auto", inputs, aa_auto, aa_stack,
-                    "every antiautomorphism of G is an automorphism of Core(G)"),
+        _members(f"{tid}/aaut-induce-auto", inputs, aa_auto, aa_stack,
+                 "every antiautomorphism of G is an automorphism of Core(G)"),
         _per_map_iff(f"{tid}/aaut-anti-iff-exp3", inputs, aa_anti, rhs, notes=exp_note),
         _per_map_iff(f"{tid}/aut-anti-iff-exp3", inputs, reversing_mask(Q.op, a_stack), rhs,
                      notes=exp_note),
@@ -491,16 +449,8 @@ def check_core(G: FiniteGroup) -> Verdict:
     if rhs:
         union = _unique_rows(np.concatenate([aa_stack, a_stack]))
         auto, anti = _law_masks(Q.op, union)
-        same = bool((auto == anti).all())
-        parts.append(
-            _claim(
-                f"{tid}/anti-set-equals-auto-set",
-                inputs,
-                same,
-                relationship="iff",
-                notes="among G-induced maps the two kinds coincide at exponent 3",
-            )
-        )
+        parts.append(claim(f"{tid}/anti-set-equals-auto-set", inputs, "iff", (auto == anti).all(),
+                           notes="among G-induced maps the two kinds coincide at exponent 3"))
     return combine(tid, inputs, "iff", parts)
 
 
@@ -514,17 +464,12 @@ def check_core_corollaries(G: FiniteGroup) -> Verdict:
     anti_mask = reversing_mask(Q.op, union)
     parts = []
     if G.is_cyclic:
-        parts.append(
-            make_iff(
-                f"{tid}/cyclic",
-                inputs,
-                lhs=bool(anti_mask.any()),
-                rhs=G.n == 3,
-                counterexample=_first_failure(~anti_mask, union),
-                notes="checked as the proof states it (antiautomorphism "
-                "nonemptiness), not the printed Aut-intersection wording",
-            )
-        )
+        parts.append(claim(
+            f"{tid}/cyclic", inputs, "iff", anti_mask.any(), G.n == 3,
+            counterexample=_first_failure(~anti_mask, union),
+            notes="checked as the proof states it (antiautomorphism "
+            "nonemptiness), not the printed Aut-intersection wording",
+        ))
     if G.center_mask.sum() == 1:
         parts.append(
             _emptiness(f"{tid}/centerless", inputs, union[anti_mask],
@@ -549,10 +494,8 @@ def check_dihedral_no_anti(n: int) -> Verdict:
     antis = _stack_of(enumerate_quandle_antis(Q))
     if n == 3:
         auts = _stack_of(enumerate_quandle_auts(Q))
-        return _claim(
-            tid, inputs, len(antis) == 6 and np.array_equal(antis, auts), relationship="iff",
-            notes=f"anti set equals the {len(auts)} automorphisms",
-        )
+        return claim(tid, inputs, "iff", len(antis) == 6 and np.array_equal(antis, auts),
+                     notes=f"anti set equals the {len(auts)} automorphisms")
     return _emptiness(tid, inputs, antis,
                       f"complete enumeration found {len(antis)} antiautomorphisms")
 
@@ -584,28 +527,26 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
     intersection_trivial = bool((rkeys[_in_sorted(rkeys, f_keys)] == identity_key).all())
 
     parts = [
-        _members(f"{tid}/F-members", inputs, Q.op, fstack,
+        _members(f"{tid}/F-members", inputs, preserving_mask(Q.op, fstack), fstack,
                  f"all {len(fstack)} maps in F preserve Core(G)"),
-        _members(f"{tid}/rep-members", inputs, Q.op, rstack,
+        _members(f"{tid}/rep-members", inputs, preserving_mask(Q.op, rstack), rstack,
                  f"all {len(rstack)} Out(G) representatives preserve Core(G)"),
         _conjugation(f"{tid}/conjugation-identity", inputs, _auts(G).aut,
                      lambda phi, inv: np.array_equal(inv[all_fab[:, :, phi]], all_fab[inv][:, inv]),
                      "phi^-1 f_(a,b) phi = f_(phi^-1 a, phi^-1 b) for every automorphism"),
-        _claim(f"{tid}/inner-in-F", inputs, inner_in_F,
-               notes="Inn(G) = {f_(g, g^-1)} lies in F, so rep products reduce into F"),
-        _claim(f"{tid}/trivial-intersection", inputs, intersection_trivial,
-               notes="F meets the transversal only in the identity"),
-        _claim(f"{tid}/distinct-products", inputs, distinct == expected,
-               notes=f"{distinct} distinct f o rep products, expected {expected}"),
+        claim(f"{tid}/inner-in-F", inputs, "subgroup-embedding", inner_in_F,
+              notes="Inn(G) = {f_(g, g^-1)} lies in F, so rep products reduce into F"),
+        claim(f"{tid}/trivial-intersection", inputs, "subgroup-embedding", intersection_trivial,
+              notes="F meets the transversal only in the identity"),
+        claim(f"{tid}/distinct-products", inputs, "subgroup-embedding", distinct == expected,
+              notes=f"{distinct} distinct f o rep products, expected {expected}"),
     ]
     gens = G.hol_base  # e and the generators; the identity adds no product
     # T: the reps, then f_(g,1) = x -> g*x and f_(1,g) = x -> x*g per generator g
     steps = np.concatenate([rstack, G.table[gens], G.table[:, gens].T])
     size = _right_closure_size(G, products, steps)
-    parts.append(
-        _claim(f"{tid}/closure", inputs, size == distinct == expected,
-               notes=f"materialized closure has {size} maps"),
-    )
+    parts.append(claim(f"{tid}/closure", inputs, "subgroup-embedding", size == distinct == expected,
+                       notes=f"materialized closure has {size} maps"))
     return combine(tid, inputs, "subgroup-embedding", parts)
 
 
@@ -627,14 +568,11 @@ def check_core_abelian_full(G: FiniteGroup) -> Verdict:
     h_ok = preserving_mask(G.table, h_stack)
     rebuilt = G.table[a_vec[:, None], h_stack]
     parts = [
-        make_iff(
-            f"{tid}/count", inputs, lhs=len(auts) == expected, rhs=True,
-            notes=f"|Aut(Core(G))| = {len(auts)}, |G| * |Aut(G)| = {expected}",
-        ),
-        _claim(
-            f"{tid}/factorization",
-            inputs,
-            bool(h_ok.all()) and bool((rebuilt == stack).all()),
+        claim(f"{tid}/count", inputs, "iff", len(auts) == expected,
+              notes=f"|Aut(Core(G))| = {len(auts)}, |G| * |Aut(G)| = {expected}"),
+        claim(
+            f"{tid}/factorization", inputs, "subgroup-embedding",
+            h_ok.all() and (rebuilt == stack).all(),
             counterexample=_first_failure(h_ok, stack),
             notes="each quandle automorphism f factors as t_a o h with "
             "a = f(e) and h = t_a^-1 o f an automorphism of G (a is forced, "
@@ -683,9 +621,9 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
     a_auto, a_anti = _law_masks(Q.op, a_stack)
     aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
     parts = [
-        _members_in(f"{tid}/centralizer-in-aut", inputs, a_auto, a_stack,
-                    "every member of C_Aut(base) is an automorphism of Q_i",
-                    vacuous=not len(a_stack)),
+        _members(f"{tid}/centralizer-in-aut", inputs, a_auto, a_stack,
+                 "every member of C_Aut(base) is an automorphism of Q_i",
+                 vacuous=not len(a_stack)),
         _forward(f"{tid}/aut-anti-implication", inputs, a_anti, a_stack,
                  anti_rhs, anti_note, vacuous=not len(a_stack)),
         _forward(f"{tid}/aaut-anti-implication", inputs, aa_anti, aa_stack,
@@ -768,13 +706,9 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
 # --- dispatch and census ---
 
 
-def _pick(pool: Sequence, index: Optional[int], what: str) -> list:
+def _pick(pool: Sequence, index: Optional[int], param: str) -> list:
     """The whole pool, or its one member at ``index``; an index out of range is a spec error."""
-    if index is None:
-        return list(pool)
-    if not 0 <= index < len(pool):
-        raise ConstructionSpecError(f"{what} {index} is out of range 0..{len(pool) - 1}")
-    return [pool[index]]
+    return list(pool) if index is None else [pool[_in_range(param, index, len(pool))]]
 
 
 @dataclass(frozen=True)
@@ -805,19 +739,19 @@ class _Sweep:
 
     @property
     def cs(self) -> List[int]:
-        return _pick(range(self.G.n), self.c, "c (an element of G)")
+        return _pick(range(self.G.n), self.c, "c")
 
-    def _pick_maps(self, family: str, index: Optional[int], what: str) -> List[ClassifiedMap]:
+    def _pick_maps(self, family: str, index: Optional[int], param: str) -> List[ClassifiedMap]:
         """The public list of Aut(G) or AAut(G), built once per sweep, or only its map at ``index``."""
         if index is None:
             return enumerate_aut(self.G) if family == "aut" else enumerate_aaut(self.G)
-        return _family_maps(self.G, family, *_pick(range(len(getattr(_auts(self.G), family))), index, what))
+        return _family_maps(self.G, family, *_pick(range(len(getattr(_auts(self.G), family))), index, param))
 
     def phis(self) -> List[ClassifiedMap]:
-        return self._pick_maps("aut", self.phi_index, "phi index into Aut(G)")
+        return self._pick_maps("aut", self.phi_index, "phi")
 
     def psis(self) -> List[ClassifiedMap]:
-        return self._pick_maps("aaut", self.psi_index, "psi index into AAut(G)")
+        return self._pick_maps("aaut", self.psi_index, "psi")
 
 
 # Check id -> its sweep, read-only.  The order is the census order; only

@@ -21,7 +21,6 @@ decides without Q in G's store.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,6 +38,7 @@ from .groupmaps import (
     _in_sorted,
     _is_map_group,
     _keys,
+    _oracle_rows,
     _point_maps,
     _right_closure_size,
     _stack_of,
@@ -164,19 +164,6 @@ def enumerate_quandle_auts(Q: Quandle) -> List[QuandleMap]:
 def enumerate_quandle_antis(Q: Quandle) -> List[QuandleMap]:
     """Complete set of antiautomorphisms of Q, lexicographically sorted."""
     return [QuandleMap(pm, "antiautomorphism", Q) for pm in _point_maps(_enumerate(Q, "antiautomorphism"))]
-
-
-def _oracle_rows(op: np.ndarray, reverse: bool) -> List[Tuple[int, ...]]:
-    n = op.shape[0]
-    if n > config.MAX_ORACLE_ORDER:
-        raise CapExceeded("quandle map oracle", n, config.MAX_ORACLE_ORDER)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    lhs = perms[:, op]
-    rhs = op[perms[:, :, None], perms[:, None, :]]
-    if reverse:
-        rhs = rhs.transpose(0, 2, 1)
-    keep = (lhs == rhs).all(axis=(1, 2))
-    return [tuple(map(int, row)) for row in perms[keep]]
 
 
 def quandle_aut_oracle(Q: Quandle) -> List[QuandleMap]:

@@ -4,6 +4,13 @@ A Verdict records what one check computed on each side of a claimed
 relationship, whether the relationship holds, and enough evidence (witness
 or counterexample) to replay the computation with the public operations.
 Checks that bundle several claims nest their pieces under ``parts``.
+
+Three constructors build the nodes, and each decides ``holds`` by one rule.
+``claim`` builds a two-sided node: under "implies" it holds when lhs is
+false or rhs is true, under every other relationship when lhs equals rhs;
+it keeps the witness only when the claim holds and the counterexample only
+when it fails.  ``combine`` rolls parts up: it holds when every part holds.
+``make_skipped`` records a claim that was not checked, with its reason.
 """
 
 from __future__ import annotations
@@ -80,52 +87,36 @@ class Verdict:
         return "\n".join(pieces)
 
 
-def make_iff(
+def claim(
     theorem_id: str,
     inputs: str,
+    relationship: str,
     lhs: bool,
-    rhs: bool,
+    rhs: bool = True,
+    *,
     witness: Any = None,
     counterexample: Any = None,
     vacuous: bool = False,
     notes: str = "",
 ) -> Verdict:
-    holds = bool(lhs) == bool(rhs)
+    """A two-sided verdict whose ``holds`` follows from lhs and rhs under the relationship.
+
+    Under "implies" the claim holds when lhs is false or rhs is true; under
+    every other relationship it holds when the two sides agree.  The witness
+    is kept only when the claim holds, the counterexample only when it fails.
+    """
+    lhs, rhs = bool(lhs), bool(rhs)
+    holds = ((not lhs) or rhs) if relationship == "implies" else lhs == rhs
     return Verdict(
         theorem_id,
         inputs,
-        "iff",
+        relationship,
         holds,
-        lhs=bool(lhs),
-        rhs=bool(rhs),
+        lhs=lhs,
+        rhs=rhs,
         vacuous=vacuous,
         witness=witness if holds else None,
-        counterexample=counterexample if not holds else None,
-        notes=notes,
-    )
-
-
-def make_implies(
-    theorem_id: str,
-    inputs: str,
-    lhs: bool,
-    rhs: bool,
-    witness: Any = None,
-    counterexample: Any = None,
-    vacuous: bool = False,
-    notes: str = "",
-) -> Verdict:
-    holds = (not lhs) or bool(rhs)
-    return Verdict(
-        theorem_id,
-        inputs,
-        "implies",
-        holds,
-        lhs=bool(lhs),
-        rhs=bool(rhs),
-        vacuous=vacuous,
-        witness=witness if holds else None,
-        counterexample=counterexample if not holds else None,
+        counterexample=None if holds else counterexample,
         notes=notes,
     )
 

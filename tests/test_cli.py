@@ -125,6 +125,18 @@ class TestVerifyCommand:
         assert "error: psi index into AAut(G) 6 is out of range 0..5" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("build_args,verify_args", [
+        (["--quandle", "alex:phi=99"], ["alex", "--phi", "99"]),
+        (["--quandle", "p1:c=9"], ["p-family-aut", "--c", "9"]),
+    ])
+    def test_one_index_error_for_build_and_verify(self, capsys, build_args, verify_args):
+        assert main(["quandle", "build", "--group", "S3", *build_args]) == 2
+        built = capsys.readouterr().err
+        assert main(["verify", *verify_args, "--group", "S3"]) == 2
+        verified = capsys.readouterr().err
+        assert built == verified
+        assert built.startswith("error: ") and "is out of range 0..5" in built
+
     def test_dihedral_claim_below_its_range_is_skipped(self, capsys):
         assert main(["verify", "dihedral-no-anti", "--n", "1"]) == 0
         assert "[skip] dihedral-no-anti :: R1" in capsys.readouterr().out

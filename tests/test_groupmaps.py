@@ -9,6 +9,7 @@ from quandlekit import (
     ANTIAUTOMORPHISM,
     AUTOMORPHISM,
     CapExceeded,
+    CarrierMismatch,
     ClassifiedMap,
     FiniteGroup,
     NotAutomorphism,
@@ -40,6 +41,7 @@ from quandlekit import (
     symmetric,
     verify_F_iso,
 )
+from quandlekit import alex, q1, q2, q3, q4
 from quandlekit import config, groupmaps
 from quandlekit.groupmaps import (
     _all_f_ab_stack,
@@ -69,7 +71,7 @@ AUT_ORDERS = {
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "S3", "D3"])
+    @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z2xZ2", "S3", "D3"])
     def test_search_agrees_with_oracle_on_small_groups(self, spec):
         G = named_group(spec)
         fast = {cm.map.as_tuple() for cm in enumerate_aut(G)}
@@ -213,8 +215,34 @@ class TestCentralizers:
         assert centralizer_in_aut(G, relabelled) == centralizer_in_aut(G, inversion_map(G))
         foreign = enumerate_aut(symmetric(4))[1]  # a map of another carrier
         for needs_a_law in (centralizer_in_aut, centralizer_in_aaut, build_F_prime):
-            with pytest.raises(NotAutomorphism):
+            with pytest.raises(CarrierMismatch):
                 needs_a_law(G, foreign)
+
+
+# Every public function that takes a map of G, with the family its map is drawn from.
+_TAKES_A_MAP = [
+    (alex, enumerate_aut),
+    (q1, enumerate_aut),
+    (q2, enumerate_aaut),
+    (q3, enumerate_aaut),
+    (q4, enumerate_aaut),
+    (is_central_automorphism, enumerate_aut),
+    (fix_set, enumerate_aut),
+    (centralizer_in_aut, enumerate_aut),
+    (centralizer_in_aaut, enumerate_aaut),
+    (build_F_prime, enumerate_aut),
+]
+
+
+@pytest.mark.parametrize("own,other", [("S3", "S4"), ("S4", "S3")])
+@pytest.mark.parametrize("takes_a_map,family", _TAKES_A_MAP, ids=lambda f: f.__name__)
+def test_a_map_of_another_carrier_is_a_carrier_mismatch(own, other, takes_a_map, family):
+    """The size is checked before any law is read: a lawful map of another group never reaches numpy."""
+    G, H = named_group(own), named_group(other)
+    foreign = family(H)[-1]
+    assert foreign.kind in (AUTOMORPHISM, ANTIAUTOMORPHISM)
+    with pytest.raises(CarrierMismatch, match=f"expected {G.n}, got {H.n}"):
+        takes_a_map(G, foreign)
 
 
 class TestTranslationFamilies:

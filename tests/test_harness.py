@@ -43,10 +43,10 @@ from quandlekit import (
 )
 from quandlekit import harness, quandlemaps
 from quandlekit.constructions import _map_label
-from quandlekit.groupmaps import _auts
+from quandlekit.groupmaps import _auts, preserving_mask
 from quandlekit.harness import CATALOG_SPECS, M_RANGE, _members, _quandle
 from quandlekit.quandlemaps import QuandleMap
-from quandlekit.verdicts import combine, make_iff, make_implies, make_skipped, report_json
+from quandlekit.verdicts import claim, combine, make_skipped, report_json
 
 
 CONJ_NO_ANTI_NOTE = (
@@ -212,6 +212,15 @@ class TestScope:
         assert "partial" not in report["summary"]
         for node in nodes:
             assert "partial" not in node, node["theorem_id"]
+
+    def test_every_two_sided_node_obeys_the_holds_rule(self, s3_s4_census):
+        """holds follows from lhs and rhs: (not lhs) or rhs under implies, lhs == rhs otherwise."""
+        _, nodes = s3_s4_census
+        sided = [c for c in nodes if c["lhs"] is not None and c["rhs"] is not None]
+        assert len(sided) > 1000
+        for c in sided:
+            rule = (not c["lhs"]) or c["rhs"] if c["relationship"] == "implies" else c["lhs"] == c["rhs"]
+            assert c["holds"] == rule, (c["theorem_id"], c["inputs"])
 
     def test_complete_conj_no_anti_is_not_partial(self):
         for spec in ("Z2", "S3", "Z7", "D4", "Z12", "S4"):  # one note at every order
@@ -434,7 +443,7 @@ class TestClaimVocabulary:
         perms = np.array(list(itertools.permutations(range(Q.n)))[:40], dtype=np.uint8)
         replays = [is_quandle_auto(Q, PointMap(row)) for row in perms]
         assert True in replays and False in replays
-        v = _members("t", "Conj(S3)", Q.op, perms, "every row is an automorphism")
+        v = _members("t", "Conj(S3)", preserving_mask(Q.op, perms), perms, "every row is an automorphism")
         assert not v.holds and v.lhs is False
         first = replays.index(False)
         assert v.counterexample == {"index": first, "images": [int(x) for x in perms[first]]}
@@ -483,16 +492,25 @@ class TestCensus:
 
 class TestVerdictMechanics:
     def test_iff_failure_keeps_the_counterexample(self):
-        v = make_iff("t", "in", True, False, counterexample={"x": 1})
+        v = claim("t", "in", "iff", True, False, counterexample={"x": 1})
         assert not v.holds and v.counterexample == {"x": 1} and v.witness is None
 
     def test_implication_is_vacuous_only_when_marked(self):
-        v = make_implies("t", "in", False, False, vacuous=True)
+        v = claim("t", "in", "implies", False, False, vacuous=True)
         assert v.holds and v.vacuous
 
+    @pytest.mark.parametrize("lhs,rhs", itertools.product([False, True], repeat=2))
+    def test_claim_decides_holds_by_one_rule(self, lhs, rhs):
+        for relationship in ("iff", "implies", "subgroup-embedding", "isomorphism", "emptiness"):
+            # numpy booleans, as the masks give them, come out as plain ones
+            v = claim("t", "in", relationship, np.bool_(lhs), np.bool_(rhs), witness="w", counterexample="c")
+            expected = (not lhs) or rhs if relationship == "implies" else lhs == rhs
+            assert v.holds is expected and v.lhs is lhs and v.rhs is rhs, relationship
+            assert (v.witness, v.counterexample) == (("w", None) if expected else (None, "c"))
+
     def test_combine_rolls_up_failures(self):
-        good = make_iff("t/a", "in", True, True)
-        bad = make_iff("t/b", "in", True, False, counterexample=(0,))
+        good = claim("t/a", "in", "iff", True, True)
+        bad = claim("t/b", "in", "iff", True, False, counterexample=(0,))
         rolled = combine("t", "in", "iff", [good, bad])
         assert not rolled.holds
         assert [n.holds for n in rolled.walk()] == [False, True, False]
@@ -528,9 +546,10 @@ class TestVerdictMechanics:
         # with a deliberately false right-hand side and confirm the failure
         # survives into the report with its counterexample intact.
         Q_order = 4
-        wrong = make_iff(
+        wrong = claim(
             "self-test",
             "T4",
+            "iff",
             lhs=True,
             rhs=Q_order == 5,
             counterexample={"order": Q_order},
