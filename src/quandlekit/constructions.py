@@ -2,7 +2,9 @@
 
 Every constructor takes a validated group (plus parameters) and returns a
 quandle on the same carrier, re-checking the axioms so that a failing
-formula surfaces a concrete witness instead of a wrong table.  Formulas:
+formula surfaces a concrete witness instead of a wrong table.  Each group
+constructor is its map's law check, a private table entry (``_TABLES``)
+that gives the raw op table, and ``Quandle(...)``.  Formulas:
 
     conj_m:  x*y = y^-m x y^m          core:   x*y = y x^-1 y
     R_n:     i*j = 2j - i (mod n)      alex:   x*y = phi(x y^-1) y
@@ -64,9 +66,9 @@ def _map_label(cm: ClassifiedMap) -> str:
     return "[" + ",".join(map(str, images[:6])) + f",...#{len(images)}]"
 
 
-def _require_compatible(G: FiniteGroup, cm: ClassifiedMap) -> None:
+def _require_compatible(G: FiniteGroup, psi: np.ndarray) -> None:
     """x psi(y) x^-1 = psi(x y x^-1) for all x, y."""
-    t, inv, psi = G.table, G.inverse, cm.images
+    t, inv = G.table, G.inverse
     flat = _flat_table(t)
     lhs = _products(flat, G.n, t[:, psi], inv[:, None])  # [x, y] = x psi(y) x^-1
     rhs = psi[_products(flat, G.n, t, inv[:, None])]  # [x, y] = psi(x y x^-1)
@@ -74,67 +76,6 @@ def _require_compatible(G: FiniteGroup, cm: ClassifiedMap) -> None:
     if bad.any():
         x, y = map(int, np.argwhere(bad)[0])
         raise CompatibilityFail(x, y)
-
-
-def conj_m(G: FiniteGroup, m: int) -> Quandle:
-    """Conjugation quandle: x*y = y^-m x y^m."""
-    ym = G.power_all(m)
-    yminv = G.inverse[ym]
-    by_yx = G.table[G.table[yminv], ym[:, None]]  # [y, x] = y^-m x y^m
-    return Quandle(by_yx.T, name=f"Conj_{m}({G.name})")
-
-
-def core(G: FiniteGroup) -> Quandle:
-    """Core quandle: x*y = y x^-1 y."""
-    by_yx = G.table[G.table[:, G.inverse], np.arange(G.n)[:, None]]
-    return Quandle(by_yx.T, name=f"Core({G.name})")
-
-
-def dihedral_quandle(n: int) -> Quandle:
-    """R_n on 0..n-1: i*j = 2j - i (mod n)."""
-    if n < 1:
-        raise ConstructionSpecError("dihedral_quandle(n) needs n >= 1")
-    idx = np.arange(n)
-    return Quandle((2 * idx[None, :] - idx[:, None]) % n, name=f"R{n}")
-
-
-def alex(G: FiniteGroup, phi: ClassifiedMap) -> Quandle:
-    """Generalized Alexander quandle: x*y = phi(x y^-1) y."""
-    heads = _checked_images(G, phi, (AUTOMORPHISM,))[G.table[:, G.inverse]]  # [x, y] = phi(x y^-1)
-    op = G.table[heads, np.arange(G.n)[None, :]]
-    return Quandle(op, name=f"Alex({G.name},phi={_map_label(phi)})")
-
-
-def q1(G: FiniteGroup, phi: ClassifiedMap) -> Quandle:
-    """x*y = y phi(y^-1 x)."""
-    tails = _checked_images(G, phi, (AUTOMORPHISM,))[G.table[G.inverse]]  # [y, x] = phi(y^-1 x)
-    by_yx = G.table[np.arange(G.n)[:, None], tails]
-    return Quandle(by_yx.T, name=f"Q1({G.name},phi={_map_label(phi)})")
-
-
-def q2(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
-    """x*y = y psi(y x^-1)."""
-    tails = _checked_images(G, psi, (ANTIAUTOMORPHISM,))[G.table[:, G.inverse]]  # [y, x] = psi(y x^-1)
-    by_yx = G.table[np.arange(G.n)[:, None], tails]
-    return Quandle(by_yx.T, name=f"Q2({G.name},psi={_map_label(psi)})")
-
-
-def q3(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
-    """x*y = psi(x y^-1) y, requiring the conjugation compatibility of psi."""
-    _checked_images(G, psi, (ANTIAUTOMORPHISM,))
-    _require_compatible(G, psi)
-    heads = psi.images[G.table[:, G.inverse]]  # [x, y] = psi(x y^-1)
-    op = G.table[heads, np.arange(G.n)[None, :]]
-    return Quandle(op, name=f"Q3({G.name},psi={_map_label(psi)})")
-
-
-def q4(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
-    """x*y = y psi(y^-1 x), requiring the conjugation compatibility of psi."""
-    _checked_images(G, psi, (ANTIAUTOMORPHISM,))
-    _require_compatible(G, psi)
-    tails = psi.images[G.table[G.inverse]]  # [y, x] = psi(y^-1 x)
-    by_yx = G.table[np.arange(G.n)[:, None], tails]
-    return Quandle(by_yx.T, name=f"Q4({G.name},psi={_map_label(psi)})")
 
 
 # What each index parameter counts, as its range error names it.
@@ -148,47 +89,157 @@ def _in_range(param: str, index: int, size: int) -> int:
     return index
 
 
-def p1(G: FiniteGroup, c: int) -> Quandle:
-    """x*y = y c^-1 y^-1 x c."""
+# --- the table entries ---
+#
+# Each group constructor's formula, as a function of G and m, c or a map's
+# images that returns the raw op table [x, y] = x*y.  An entry keeps the
+# construction's own preconditions (c in range, the q3/q4 compatibility) but
+# not the map's law: the public constructors check that on G's table first,
+# and the harness passes rows of the verified Aut(G)/AAut(G) stacks.
+
+
+def _conj_m_table(G: FiniteGroup, m: int) -> np.ndarray:
+    ym = G.power_all(m)
+    return G.table[G.table[G.inverse[ym]], ym[:, None]].T  # [x, y] = y^-m x y^m
+
+
+def _core_table(G: FiniteGroup) -> np.ndarray:
+    return G.table[G.table[:, G.inverse], np.arange(G.n)[:, None]].T  # [x, y] = y x^-1 y
+
+
+def _alex_table(G: FiniteGroup, phi: np.ndarray) -> np.ndarray:
+    heads = phi[G.table[:, G.inverse]]  # [x, y] = phi(x y^-1)
+    return G.table[heads, np.arange(G.n)[None, :]]
+
+
+def _q1_table(G: FiniteGroup, phi: np.ndarray) -> np.ndarray:
+    tails = phi[G.table[G.inverse]]  # [y, x] = phi(y^-1 x)
+    return G.table[np.arange(G.n)[:, None], tails].T
+
+
+def _q2_table(G: FiniteGroup, psi: np.ndarray) -> np.ndarray:
+    tails = psi[G.table[:, G.inverse]]  # [y, x] = psi(y x^-1)
+    return G.table[np.arange(G.n)[:, None], tails].T
+
+
+def _q3_table(G: FiniteGroup, psi: np.ndarray) -> np.ndarray:
+    _require_compatible(G, psi)
+    return _alex_table(G, psi)  # x*y = psi(x y^-1) y, the Alexander formula
+
+
+def _q4_table(G: FiniteGroup, psi: np.ndarray) -> np.ndarray:
+    _require_compatible(G, psi)
+    return _q1_table(G, psi)  # x*y = y psi(y^-1 x), the q1 formula
+
+
+def _p1_table(G: FiniteGroup, c: int) -> np.ndarray:
     _in_range("c", c, G.n)
     t, inv = G.table, G.inverse
-    idx = np.arange(G.n)
-    prefix = t[t[idx, inv[c]], inv]  # y c^-1 y^-1
-    by_yx = t[t[prefix], c]
-    return Quandle(by_yx.T, name=f"P1({G.name},c={c})")
+    prefix = t[t[np.arange(G.n), inv[c]], inv]  # y c^-1 y^-1
+    return t[t[prefix], c].T
+
+
+def _p2_table(G: FiniteGroup, c: int) -> np.ndarray:
+    _in_range("c", c, G.n)
+    t, inv = G.table, G.inverse
+    prefix = t[np.arange(G.n), inv[c]]  # y c^-1
+    suffix = t[inv, c]  # y^-1 c
+    return t[t[prefix], suffix[:, None]].T
+
+
+def _p3_table(G: FiniteGroup, c: int) -> np.ndarray:
+    _in_range("c", c, G.n)
+    t, inv = G.table, G.inverse
+    prefix = t[inv[c], inv]  # c^-1 y^-1
+    suffix = t[c, np.arange(G.n)]  # c y
+    return t[t[prefix], suffix[:, None]].T
+
+
+def _p4_table(G: FiniteGroup, c: int) -> np.ndarray:
+    _in_range("c", c, G.n)
+    t, inv = G.table, G.inverse
+    heads = t[inv[c]]  # c^-1 x, indexed by x
+    suffix = t[t[inv, c], np.arange(G.n)]  # y^-1 c y
+    return t[np.ix_(heads, suffix)]
+
+
+# Public constructor name -> its table entry.
+_TABLES = {
+    "conj_m": _conj_m_table, "core": _core_table, "alex": _alex_table,
+    "q1": _q1_table, "q2": _q2_table, "q3": _q3_table, "q4": _q4_table,
+    "p1": _p1_table, "p2": _p2_table, "p3": _p3_table, "p4": _p4_table,
+}
+
+
+# --- the public constructors: law gate, table entry, validated quandle ---
+
+
+def conj_m(G: FiniteGroup, m: int) -> Quandle:
+    """Conjugation quandle: x*y = y^-m x y^m."""
+    return Quandle(_conj_m_table(G, m), name=f"Conj_{m}({G.name})")
+
+
+def core(G: FiniteGroup) -> Quandle:
+    """Core quandle: x*y = y x^-1 y."""
+    return Quandle(_core_table(G), name=f"Core({G.name})")
+
+
+def dihedral_quandle(n: int) -> Quandle:
+    """R_n on 0..n-1: i*j = 2j - i (mod n)."""
+    if n < 1:
+        raise ConstructionSpecError("dihedral_quandle(n) needs n >= 1")
+    idx = np.arange(n)
+    return Quandle((2 * idx[None, :] - idx[:, None]) % n, name=f"R{n}")
+
+
+def alex(G: FiniteGroup, phi: ClassifiedMap) -> Quandle:
+    """Generalized Alexander quandle: x*y = phi(x y^-1) y."""
+    op = _alex_table(G, _checked_images(G, phi, (AUTOMORPHISM,)))
+    return Quandle(op, name=f"Alex({G.name},phi={_map_label(phi)})")
+
+
+def q1(G: FiniteGroup, phi: ClassifiedMap) -> Quandle:
+    """x*y = y phi(y^-1 x)."""
+    op = _q1_table(G, _checked_images(G, phi, (AUTOMORPHISM,)))
+    return Quandle(op, name=f"Q1({G.name},phi={_map_label(phi)})")
+
+
+def q2(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
+    """x*y = y psi(y x^-1)."""
+    op = _q2_table(G, _checked_images(G, psi, (ANTIAUTOMORPHISM,)))
+    return Quandle(op, name=f"Q2({G.name},psi={_map_label(psi)})")
+
+
+def q3(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
+    """x*y = psi(x y^-1) y, requiring the conjugation compatibility of psi."""
+    op = _q3_table(G, _checked_images(G, psi, (ANTIAUTOMORPHISM,)))
+    return Quandle(op, name=f"Q3({G.name},psi={_map_label(psi)})")
+
+
+def q4(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
+    """x*y = y psi(y^-1 x), requiring the conjugation compatibility of psi."""
+    op = _q4_table(G, _checked_images(G, psi, (ANTIAUTOMORPHISM,)))
+    return Quandle(op, name=f"Q4({G.name},psi={_map_label(psi)})")
+
+
+def p1(G: FiniteGroup, c: int) -> Quandle:
+    """x*y = y c^-1 y^-1 x c."""
+    return Quandle(_p1_table(G, c), name=f"P1({G.name},c={c})")
 
 
 def p2(G: FiniteGroup, c: int) -> Quandle:
     """x*y = y c^-1 x y^-1 c."""
-    _in_range("c", c, G.n)
-    t, inv = G.table, G.inverse
-    idx = np.arange(G.n)
-    prefix = t[idx, inv[c]]  # y c^-1
-    suffix = t[inv, c]  # y^-1 c
-    by_yx = t[t[prefix], suffix[:, None]]
-    return Quandle(by_yx.T, name=f"P2({G.name},c={c})")
+    return Quandle(_p2_table(G, c), name=f"P2({G.name},c={c})")
 
 
 def p3(G: FiniteGroup, c: int) -> Quandle:
     """x*y = c^-1 y^-1 x c y."""
-    _in_range("c", c, G.n)
-    t, inv = G.table, G.inverse
-    idx = np.arange(G.n)
-    prefix = t[inv[c], inv]  # c^-1 y^-1
-    suffix = t[c, idx]  # c y
-    by_yx = t[t[prefix], suffix[:, None]]
-    return Quandle(by_yx.T, name=f"P3({G.name},c={c})")
+    return Quandle(_p3_table(G, c), name=f"P3({G.name},c={c})")
 
 
 def p4(G: FiniteGroup, c: int) -> Quandle:
     """x*y = c^-1 x y^-1 c y."""
-    _in_range("c", c, G.n)
-    t, inv = G.table, G.inverse
-    idx = np.arange(G.n)
-    heads = t[inv[c]]  # c^-1 x, indexed by x
-    suffix = t[t[inv, c], idx]  # y^-1 c y
-    op = t[np.ix_(heads, suffix)]
-    return Quandle(op, name=f"P4({G.name},c={c})")
+    return Quandle(_p4_table(G, c), name=f"P4({G.name},c={c})")
 
 
 KINDS = (

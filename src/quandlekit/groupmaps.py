@@ -247,11 +247,14 @@ def _law_blocks(t1: np.ndarray, t2: np.ndarray, stack: np.ndarray):
     """Per row block of a stack of maps f, in order: lhs and rhs, indexed [r, x, y].
 
     lhs = f_r(t1[x, y]) and rhs = t2[f_r(x), f_r(y)]; images must lie in
-    {0..n-1}.
+    {0..n-1}.  A stack with rows that are not n wide raises CarrierMismatch.
     """
     if not len(stack):
         return
     n = int(t1.shape[0])
+    width = int(np.shape(stack)[-1])
+    if width != n:
+        raise CarrierMismatch(n, width)
     flat = _flat_table(t2)
     rows = np.asarray(stack).astype(flat.dtype, copy=False)
     step = _block_rows(n)

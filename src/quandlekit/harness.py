@@ -6,18 +6,29 @@ quandles and testing induced maps) and returns a Verdict with witnesses.
 Census mode sweeps every check over a catalog of small groups.
 
 The checks read what they share through G's store (``FiniteGroup._store``):
-Aut(G) and AAut(G) (``groupmaps._auts``), each quandle (``_quandle``, keyed
-by constructor name plus m, c or the map's image bytes), C_Aut(phi) and
-C_AAut(phi) (``_centralizer_of``, keyed by family plus phi's image bytes),
+Aut(G) and AAut(G) (``groupmaps._auts``), C_Aut(phi) and C_AAut(phi)
+(``_centralizer_of``, keyed by family plus phi's image bytes), the quandles,
 and the facts of G that a check would otherwise decide again at every
-parameter.  So Conj_m(G), Core(G), Alex(G, phi) and P_i(G, c) are each built
-and validated once per group, however many checks read them.  The semidirect
-checks hand the preserving masks their membership verdicts took to
-``quandlemaps._semidirect_verify``, which keeps its Q-free clauses in the
-same store.  ``run_census`` empties a group's store once its checks are done,
-which frees its Aut stacks, its quandles and their stores at once; a standalone
-``run_check`` leaves it filled for as long as G lives.  The public
-constructors are untouched: each call still builds a fresh, validated quandle.
+parameter.  A quandle has two keys (``_quandle``): the constructor's name
+plus m, c or the map's image bytes, and the compact bytes of its op table,
+which the constructor's table entry (``constructions._TABLES``) gives
+without building a Quandle.  So each distinct table that Conj_m(G),
+Core(G), Alex(G, phi) and P_i(G, c) give is validated once per group,
+however many constructions and checks give it: over an abelian G every
+Conj_m(G) and P_i(G, c) is the trivial quandle.  ``check_Qi`` reads a Q_i
+table from the store when it is there and otherwise validates a Q_i that it
+does not keep.  Every law mask that a check takes on a quandle's table goes
+through ``_laws``, which keeps the preserving/reversing pair in the
+quandle's own store keyed by the stack's compact bytes, so equal tables
+share their pairs too.  The semidirect checks hand the preserving masks
+their membership verdicts took to ``quandlemaps._semidirect_verify``, which
+keeps its Q-free clauses in G's store.  ``run_census`` empties a group's
+store once its checks are done, which frees its Aut stacks, its quandles
+and their stores at once; a standalone ``run_check`` leaves it filled for
+as long as G lives.  The maps that the checks take are rows of the verified
+Aut(G)/AAut(G) stacks, so their images go into the table entries
+unchecked.  The public constructors are untouched: each call still checks
+its map's law and builds a fresh, validated quandle.
 
 Where a printed equivalence is provable in one direction only, the check
 asserts the provable implication and says so in its notes; the companion
@@ -35,33 +46,15 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import config
-from .constructions import (
-    _in_range,
-    _map_label,
-    alex,
-    conj_m,
-    core,
-    dihedral_quandle,
-    q1,
-    q2,
-    q3,
-    q4,
-    p1,
-    p2,
-    p3,
-    p4,
-)
-from .errors import (
-    CompatibilityFail,
-    ConstructionSpecError,
-    WrongMapKind,
-)
+from . import config, groupmaps
+from .constructions import _TABLES, _in_range, _map_label, dihedral_quandle
+from .errors import CompatibilityFail, ConstructionSpecError
 from .groupmaps import (
     ClassifiedMap,
     _all_f_ab_stack,
     _auts,
     _centralizer,
+    _compact,
     _coset_leaders,
     _F_prime_stack,
     _F_stack,
@@ -80,7 +73,6 @@ from .groupmaps import (
     enumerate_aut,
     is_central_automorphism,
     preserving_mask,
-    reversing_mask,
     verify_F_iso,
 )
 from .groups import FiniteGroup, _distinct, _stored, named_group
@@ -144,18 +136,61 @@ def _first_failure(mask: np.ndarray, stack: np.ndarray) -> Optional[dict]:
     return {"index": i, "images": [int(v) for v in stack[i]]}
 
 
+def _table(G: FiniteGroup, ctor: str, param=None) -> np.ndarray:
+    """The op table of ``ctor(G)``, or ``ctor(G, param)``, from its entry in ``constructions._TABLES``.
+
+    The entry is read at call time.  A map goes in as its images, unchecked:
+    the sweeps draw every map from the verified Aut(G)/AAut(G) stacks.
+    """
+    if param is None:
+        return _TABLES[ctor](G)
+    return _TABLES[ctor](G, param.images if isinstance(param, ClassifiedMap) else param)
+
+
+def _on_table(G: FiniteGroup, op: np.ndarray, keep: bool) -> Quandle:
+    """The quandle on the table ``op`` of a construction on G: the one in G's store, or a new one.
+
+    The store key is the table's compact bytes.  A new quandle is validated,
+    and stored under the key only with ``keep``.
+    """
+    key = ("table", _compact(op).tobytes())
+    if key in G._store:
+        return G._store[key]
+    Q = Quandle(op)
+    if keep:
+        G._store[key] = Q
+    return Q
+
+
 def _quandle(G: FiniteGroup, ctor: str, param=None) -> Quandle:
     """The quandle ``ctor(G)``, or ``ctor(G, param)``, from G's store: built on first use.
 
-    The key is the constructor's name plus ``param``: m, c, or the image
-    bytes of a ClassifiedMap.  The constructor is this module's attribute of
-    that name, read at call time.
+    The first key is the constructor's name plus ``param``: m, c, or the
+    image bytes of a ClassifiedMap.  It resolves to the second, the table's
+    compact bytes (``_on_table``), so constructions that give equal tables
+    share one validated quandle, and with it the law masks in its store.
     """
-    build = globals()[ctor]
-    if param is None:
-        return _stored(G, (ctor,), lambda: build(G))
-    key = param.images.tobytes() if isinstance(param, ClassifiedMap) else param
-    return _stored(G, (ctor, key), lambda: build(G, param))
+    tag = param.images.tobytes() if isinstance(param, ClassifiedMap) else param
+    key = (ctor,) if param is None else (ctor, tag)
+    return _stored(G, key, lambda: _on_table(G, _table(G, ctor, param), keep=True))
+
+
+def _laws(Q: Quandle, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Which rows of a stack preserve Q's table and which reverse it, from Q's store.
+
+    One ``_law_masks`` gather pair per distinct stack: the key is the
+    stack's compact bytes and shape, so a stack of another integer type or
+    layout reads the same pair.  The masks are read-only.
+    """
+    rows = _compact(stack)
+
+    def gather() -> Tuple[np.ndarray, np.ndarray]:
+        masks = _law_masks(Q.op, rows)
+        for mask in masks:
+            mask.setflags(write=False)
+        return masks
+
+    return _stored(Q, ("laws", rows.shape, rows.tobytes()), gather)
 
 
 def _centralizer_of(G: FiniteGroup, family: str, phi: ClassifiedMap) -> np.ndarray:
@@ -205,10 +240,21 @@ def _per_map_iff(
 
 def _conjugation(
     theorem_id: str, inputs: str, auts: np.ndarray,
-    law: Callable[[np.ndarray, np.ndarray], bool], notes: str,
+    law: Callable[[np.ndarray, np.ndarray], np.ndarray], row_entries: int, notes: str,
 ) -> Verdict:
-    """law(phi, phi^-1) for every row phi of an automorphism stack; fails on the first that breaks it."""
-    bad = next((phi for phi, inv in zip(auts, np.argsort(auts, axis=1)) if not law(phi, inv)), None)
+    """law(phis, phis^-1), a row mask over a block of an automorphism stack, holds on every row.
+
+    The blocks hold ``_LAW_ENTRIES`` entries at ``row_entries`` a row; the
+    claim fails on the first row outside the mask.
+    """
+    invs = np.argsort(auts, axis=1)
+    step = max(1, groupmaps._LAW_ENTRIES // row_entries)
+    bad = None
+    for i in range(0, len(auts), step):
+        off = np.flatnonzero(~law(auts[i : i + step], invs[i : i + step]))
+        if off.size:
+            bad = auts[i + off[0]]
+            break
     return claim(theorem_id, inputs, "subgroup-embedding", bad is None, notes=notes,
                  counterexample=None if bad is None else {"phi": [int(v) for v in bad]})
 
@@ -238,7 +284,7 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
     Q = _quandle(G, "conj_m", m)
     H = _H_stack(G)
     auts = _auts(G).aut
-    masks = preserving_mask(Q.op, H), preserving_mask(Q.op, auts)
+    masks = _laws(Q, H)[0], _laws(Q, auts)[0]
     parts = [
         _members(f"{tid}/H-members", inputs, masks[0], H,
                  "every central translation t_a is an automorphism of Conj_m(G)"),
@@ -246,9 +292,15 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
                  "every group automorphism is an automorphism of Conj_m(G)"),
     ]
     centre = np.flatnonzero(G.center_mask)
+    by_centre = G.table[centre]  # [a, x] = a x
+
+    def identity_holds(phis: np.ndarray, invs: np.ndarray) -> np.ndarray:
+        # phi(a phi^-1(x)) = phi(a) x, as [r, a, x]
+        lhs = np.take_along_axis(phis, by_centre[:, invs].transpose(1, 0, 2).reshape(len(phis), -1), axis=1)
+        return (lhs == G.table[phis[:, centre]].reshape(len(phis), -1)).all(axis=1)
+
     identity = _stored(G, (f"{tid}/conjugation-identity",), lambda: _conjugation(
-        f"{tid}/conjugation-identity", inputs, auts,
-        lambda phi, inv: np.array_equal(phi[G.table[centre][:, inv]], G.table[phi[centre]]),
+        f"{tid}/conjugation-identity", inputs, auts, identity_holds, centre.size * G.n,
         "phi t_a phi^-1 = t_phi(a) for a in Z(G)"))  # a fact of G: decided at the first m
     parts += [
         replace(identity, inputs=inputs),
@@ -291,7 +343,7 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
     products = H[:, reps].reshape(-1, G.n)  # t_a o rep, a-major
     injective = len(_distinct(_keys(_coset_leaders(_inn_stack(Q), products)))) == len(products)
     parts = [
-        _members(f"{tid}/members", inputs, preserving_mask(Q.op, products), products,
+        _members(f"{tid}/members", inputs, _laws(Q, products)[0], products,
                  "every t_a o rep is an automorphism of Conj(G)"),
         claim(f"{tid}/coset-injective", inputs, "subgroup-embedding", injective,
               notes=f"{len(products)} products land in distinct Inn(Conj(G))-cosets"),
@@ -311,7 +363,7 @@ def check_conj_aaut_intersection(G: FiniteGroup, m: int) -> Verdict:
     inputs = f"{G.name}, m={m}"
     Q = _quandle(G, "conj_m", m)
     stack = _auts(G).aaut
-    induced = np.flatnonzero(preserving_mask(Q.op, stack))  # the psi that preserve Conj_m(G)
+    induced = np.flatnonzero(_laws(Q, stack)[0])  # the psi that preserve Conj_m(G)
     off_centre = np.flatnonzero(~G.center_mask[G.power_all(2 * m)])  # the y with y^(2m) not central
     w = f = None
     if induced.size:
@@ -353,7 +405,7 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     Q = _quandle(G, "alex", phi)
     aa_stack = _centralizer_of(G, "aaut", phi)
     a_stack = _centralizer_of(G, "aut", phi)
-    aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
+    aa_auto, aa_anti = _laws(Q, aa_stack)
     parts = [
         _per_map_iff(
             f"{tid}/aaut-induces-auto-iff-central",
@@ -371,7 +423,7 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
         ),
         _forward(
             f"{tid}/aut-anti-intersection-implies-abelian", inputs,
-            reversing_mask(Q.op, a_stack), a_stack, G.is_abelian,
+            _laws(Q, a_stack)[1], a_stack, G.is_abelian,
             "C_Aut(phi) members acting as antiautomorphisms of Alex "
             "exist only over abelian groups (forward direction)",
             vacuous=not len(a_stack),
@@ -387,7 +439,7 @@ def check_alex_semidirect(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     Q = _quandle(G, "alex", phi)
     right_translations = G.table.T  # row b is f_{1,b}
     cent = _centralizer_of(G, "aut", phi)
-    masks = preserving_mask(Q.op, right_translations), preserving_mask(Q.op, cent)
+    masks = _laws(Q, right_translations)[0], _laws(Q, cent)[0]
     parts = [
         _members(f"{tid}/gop-members", inputs, masks[0], right_translations,
                  "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
@@ -404,7 +456,7 @@ def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict
     then F' inside Aut(Alex(G, phi)) for each phi: one verdict per phi."""
     tid = "f-structure"
     F = _F_stack(G)
-    in_core = _members(f"{tid}/F-in-core-aut", G.name, preserving_mask(_quandle(G, "core").op, F), F,
+    in_core = _members(f"{tid}/F-in-core-aut", G.name, _laws(_quandle(G, "core"), F)[0], F,
                        f"all {len(F)} maps f_(a,b) preserve Core(G)")
     size = claim(f"{tid}/F-size", G.name, "iff", len(F) == G.n * G.n // int(G.center_mask.sum()),
                  notes=f"|F| = {len(F)} = |G|^2/|Z(G)|")
@@ -417,7 +469,7 @@ def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict
             replace(in_core, inputs=inputs),
             replace(size, inputs=inputs),
             _members(f"{tid}/Fprime-in-alex-aut", inputs,
-                     preserving_mask(_quandle(G, "alex", phi).op, fprime), fprime,
+                     _laws(_quandle(G, "alex", phi), fprime)[0], fprime,
                      f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)"),
             iso,
         ]
@@ -438,17 +490,17 @@ def check_core(G: FiniteGroup) -> Verdict:
     a_stack = _auts(G).aut
     rhs = G.exponent in (1, 3)
     exp_note = "exponent divides 3 (the proofs need x^3 = e pointwise)"
-    aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
+    aa_auto, aa_anti = _laws(Q, aa_stack)
     parts = [
         _members(f"{tid}/aaut-induce-auto", inputs, aa_auto, aa_stack,
                  "every antiautomorphism of G is an automorphism of Core(G)"),
         _per_map_iff(f"{tid}/aaut-anti-iff-exp3", inputs, aa_anti, rhs, notes=exp_note),
-        _per_map_iff(f"{tid}/aut-anti-iff-exp3", inputs, reversing_mask(Q.op, a_stack), rhs,
+        _per_map_iff(f"{tid}/aut-anti-iff-exp3", inputs, _laws(Q, a_stack)[1], rhs,
                      notes=exp_note),
     ]
     if rhs:
         union = _unique_rows(np.concatenate([aa_stack, a_stack]))
-        auto, anti = _law_masks(Q.op, union)
+        auto, anti = _laws(Q, union)
         parts.append(claim(f"{tid}/anti-set-equals-auto-set", inputs, "iff", (auto == anti).all(),
                            notes="among G-induced maps the two kinds coincide at exponent 3"))
     return combine(tid, inputs, "iff", parts)
@@ -461,7 +513,7 @@ def check_core_corollaries(G: FiniteGroup) -> Verdict:
     inputs = G.name
     Q = _quandle(G, "core")
     union = _unique_rows(np.concatenate([_auts(G).aut, _auts(G).aaut]))
-    anti_mask = reversing_mask(Q.op, union)
+    anti_mask = _laws(Q, union)[1]
     parts = []
     if G.is_cyclic:
         parts.append(claim(
@@ -526,13 +578,19 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
     rkeys = _keys(rstack)
     intersection_trivial = bool((rkeys[_in_sorted(rkeys, f_keys)] == identity_key).all())
 
+    def identity_holds(phis: np.ndarray, invs: np.ndarray) -> np.ndarray:
+        # phi^-1(f_(a,b)(phi(x))) = f_(phi^-1 a, phi^-1 b)(x), as [r, a, b, x]
+        rows = len(phis)
+        lhs = np.take_along_axis(invs, all_fab[:, :, phis].transpose(2, 0, 1, 3).reshape(rows, -1), axis=1)
+        rhs = all_fab[invs[:, :, None], invs[:, None, :]].reshape(rows, -1)
+        return (lhs == rhs).all(axis=1)
+
     parts = [
-        _members(f"{tid}/F-members", inputs, preserving_mask(Q.op, fstack), fstack,
+        _members(f"{tid}/F-members", inputs, _laws(Q, fstack)[0], fstack,
                  f"all {len(fstack)} maps in F preserve Core(G)"),
-        _members(f"{tid}/rep-members", inputs, preserving_mask(Q.op, rstack), rstack,
+        _members(f"{tid}/rep-members", inputs, _laws(Q, rstack)[0], rstack,
                  f"all {len(rstack)} Out(G) representatives preserve Core(G)"),
-        _conjugation(f"{tid}/conjugation-identity", inputs, _auts(G).aut,
-                     lambda phi, inv: np.array_equal(inv[all_fab[:, :, phi]], all_fab[inv][:, inv]),
+        _conjugation(f"{tid}/conjugation-identity", inputs, _auts(G).aut, identity_holds, G.n**3,
                      "phi^-1 f_(a,b) phi = f_(phi^-1 a, phi^-1 b) for every automorphism"),
         claim(f"{tid}/inner-in-F", inputs, "subgroup-embedding", inner_in_F,
               notes="Inn(G) = {f_(g, g^-1)} lies in F, so rep products reduce into F"),
@@ -598,14 +656,14 @@ def _qi_auto_predicate(G: FiniteGroup, i: int, base: ClassifiedMap) -> Tuple[boo
 
 
 def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
-    """The four Q_i claims for one base map."""
+    """The four Q_i claims for one base map: a row of Aut(G) for Q1, of AAut(G) for Q2-Q4."""
     tid = "q-family"
     inputs = f"{G.name}, Q{i}, base={_map_label(base)}"
-    ctor = {1: q1, 2: q2, 3: q3, 4: q4}[i]
     try:
-        Q = ctor(G, base)
-    except (WrongMapKind, CompatibilityFail) as exc:
+        op = _table(G, f"q{i}", base)
+    except CompatibilityFail as exc:
         return make_skipped(tid, inputs, "iff", f"construction rejected: {exc}")
+    Q = _on_table(G, op, keep=False)  # not stored: a new Q_i is freed with its masks on return
     a_stack = _centralizer_of(G, "aut", base)
     aa_stack = _centralizer_of(G, "aaut", base)
     if i <= 2:
@@ -618,8 +676,8 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
             "trivial (forward direction)"
         )
     pred, pred_note = _qi_auto_predicate(G, i, base)
-    a_auto, a_anti = _law_masks(Q.op, a_stack)
-    aa_auto, aa_anti = _law_masks(Q.op, aa_stack)
+    a_auto, a_anti = _laws(Q, a_stack)
+    aa_auto, aa_anti = _laws(Q, aa_stack)
     parts = [
         _members(f"{tid}/centralizer-in-aut", inputs, a_auto, a_stack,
                  "every member of C_Aut(base) is an automorphism of Q_i",
@@ -650,7 +708,7 @@ def check_Pi_aut(G: FiniteGroup, c: int) -> Verdict:
     parts = []
     for i in range(1, 5):
         Q = _quandle(G, f"p{i}", c)
-        lhs_mask = preserving_mask(Q.op, stack)
+        lhs_mask = _laws(Q, stack)[0]
         mism = np.nonzero(lhs_mask != rhs_mask)[0]
         parts.append(
             Verdict(
@@ -686,7 +744,7 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
             _per_map_iff(
                 f"{tid}/P{i}-fixing-aut-anti-iff",
                 inputs,
-                reversing_mask(Q.op, a_stack),
+                _laws(Q, a_stack)[1],
                 rhs1,
                 notes="phi with phi(c) = c reverses P_i iff x = [x, c^-1] for all x",
             )
@@ -694,7 +752,7 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
         parts.append(
             _forward(
                 f"{tid}/P{i}-fixing-aaut-auto-implication", inputs,
-                preserving_mask(Q.op, aa_stack), aa_stack, rhs2,
+                _laws(Q, aa_stack)[0], aa_stack, rhs2,
                 "psi with psi(c) = c preserving P_i forces c^2 central "
                 "(forward direction; the reverse fails e.g. on S3 with a transposition)",
                 vacuous=not len(aa_stack),

@@ -101,7 +101,8 @@ class Quandle:
         self.n = n
         self.name = name if name is not None else f"Q{n}"
         self.dual = _dual_table(arr)
-        # ("plan",) -> search plan, (kind,) -> enumeration, ("inner",) -> Inn(Q); no map objects
+        # ("plan",) -> search plan, (kind,) -> enumeration, ("inner",) -> Inn(Q),
+        # ("laws", shape, stack bytes) -> the stack's law masks (harness._laws); no map objects
         self._store: dict = {}
         self.op.setflags(write=False)
         self.dual.setflags(write=False)

@@ -2,7 +2,6 @@
 
 import ast
 import collections
-import functools
 import gc
 import itertools
 import pathlib
@@ -19,12 +18,15 @@ from quandlekit import (
     AUTOMORPHISM,
     CHECK_IDS,
     ClassifiedMap,
+    CompatibilityFail,
     ConstructionSpecError,
     FiniteGroup,
     PointMap,
     REPORT_SCHEMA,
     Verdict,
+    alex,
     conj_m,
+    core,
     cyclic,
     dihedral_quandle,
     is_quandle_anti,
@@ -34,6 +36,14 @@ from quandlekit import (
     enumerate_aaut,
     enumerate_aut,
     named_group,
+    p1,
+    p2,
+    p3,
+    p4,
+    q1,
+    q2,
+    q3,
+    q4,
     quaternion8,
     run_census,
     run_check,
@@ -41,9 +51,9 @@ from quandlekit import (
     summarize,
     symmetric,
 )
-from quandlekit import harness, quandlemaps
+from quandlekit import groupmaps, harness, quandlemaps, quandles
 from quandlekit.constructions import _map_label
-from quandlekit.groupmaps import _auts, preserving_mask
+from quandlekit.groupmaps import _all_f_ab_stack, _auts, preserving_mask
 from quandlekit.harness import CATALOG_SPECS, M_RANGE, _members, _quandle
 from quandlekit.quandlemaps import QuandleMap
 from quandlekit.verdicts import claim, combine, make_skipped, report_json
@@ -58,6 +68,69 @@ def assert_all_hold(verdicts, context=""):
     for v in verdicts:
         for node in v.walk():
             assert node.holds, f"{context}: {node.render_text()}"
+
+
+def _census_tables(G):
+    """The distinct op tables that the public constructors give over the census parameters of G."""
+    built = [conj_m(G, m) for m in M_RANGE] + [core(G)]
+    built += [ctor(G, phi) for phi in enumerate_aut(G) for ctor in (alex, q1)]
+    for psi in enumerate_aaut(G):
+        built.append(q2(G, psi))
+        for ctor in (q3, q4):
+            try:
+                built.append(ctor(G, psi))
+            except CompatibilityFail:
+                pass
+    built += [ctor(G, c) for c in range(G.n) for ctor in (p1, p2, p3, p4)]
+    return {Q.op.tobytes() for Q in built}
+
+
+def _builds(monkeypatch):
+    """Record each table validation and each law gather that the harness makes.
+
+    A validation is a call of ``quandles._check_q3``, which every validated
+    quandle runs once: it is recorded as (group, check, table).  A gather is
+    a call of ``groupmaps._law_masks`` from ``harness._laws``: it is recorded
+    as (group, check, table, stack shape, stack).  The group and the check
+    are those of the ``run_check`` that a census is running.
+    """
+    running = [None, None]
+    validations, gathers = [], []
+    real_run, real_q3, real_masks = harness.run_check, quandles._check_q3, harness._law_masks
+
+    def run(theorem_id, G=None, **params):
+        running[:] = [None if G is None else G.name, theorem_id]
+        return real_run(theorem_id, G, **params)
+
+    def q3(op):
+        validations.append((*running, op.tobytes()))
+        return real_q3(op)
+
+    def masks(table, stack):
+        gathers.append((*running, table.tobytes(), stack.shape, stack.tobytes()))
+        return real_masks(table, stack)
+
+    monkeypatch.setattr(harness, "run_check", run)
+    monkeypatch.setattr(quandles, "_check_q3", q3)
+    monkeypatch.setattr(harness, "_law_masks", masks)
+    return validations, gathers
+
+
+def _once_per_group(records, key) -> dict:
+    """The checks that made each key's records, in order, once it is asserted that only q-family repeats a key.
+
+    A stored quandle is validated once per group, and each of its (table,
+    stack) pairs gathered once.  q-family validates a Q_i table that G's
+    store does not hold, and gathers its masks, without storing it, so a
+    later build of that table in the same group repeats the work: every
+    record of a key but the last comes from q-family.
+    """
+    by_key = collections.defaultdict(list)
+    for record in records:
+        by_key[key(record)].append(record[1])
+    for checks in by_key.values():
+        assert all(check == "q-family" for check in checks[:-1]), checks
+    return by_key
 
 
 class TestIndividualChecks:
@@ -233,7 +306,7 @@ class TestScope:
         from quandlekit import harness
 
         R3 = dihedral_quandle(3)  # its six automorphisms also reverse it
-        monkeypatch.setattr(harness, "conj_m", lambda G, m: R3)
+        monkeypatch.setitem(harness._TABLES, "conj_m", lambda G, m: R3.op)
         (v,) = run_check("conj-no-anti", cyclic(3), m=1)
         assert not v.holds and v.lhs is False
         assert is_quandle_anti(R3, PointMap(v.counterexample["images"]))
@@ -261,9 +334,7 @@ class TestOncePerSweep:
 
 
 class TestGroupStore:
-    """What G's store keys, and that a check builds each quandle of G once."""
-
-    CONSTRUCTORS = ("conj_m", "core", "alex", "q1", "q2", "q3", "q4", "p1", "p2", "p3", "p4")
+    """What G's store keys, and that the checks validate each table of G once."""
 
     def test_alex_tables_are_keyed_by_images_not_labels(self):
         D6 = named_group("D6")
@@ -272,7 +343,7 @@ class TestGroupStore:
         assert len(phis) == 12 and len({_map_label(phi) for phi in phis}) == 2
         assert len({t.tobytes() for t in tables}) == 12
         for phi, table in zip(phis, tables):
-            assert np.array_equal(table, harness.alex(D6, phi).op)
+            assert np.array_equal(table, alex(D6, phi).op)
             assert _quandle(D6, "alex", phi).op is table  # built once, then read back
 
     def test_semidirect_part_clauses_are_keyed_by_content(self, monkeypatch):
@@ -300,40 +371,47 @@ class TestGroupStore:
                 assert not report.verdict and report.failing_clause == clause
         assert semidirect_verify(H, auts, Q, D6).verdict
 
-    def _counted(self, monkeypatch):
-        """Count harness constructor calls per (name, group, parameter)."""
-        calls = collections.Counter()
-        for name in self.CONSTRUCTORS:
-            real = getattr(harness, name)
-
-            @functools.wraps(real)
-            def counted(G, *param, _name=name, _real=real):
-                key = param[0].images.tobytes() if param and hasattr(param[0], "images") else param
-                calls[_name, G.name, key] += 1
-                return _real(G, *param)
-
-            monkeypatch.setattr(harness, name, counted)
-        return calls
-
     def test_census_builds_each_quandle_once_and_drops_the_store(self, monkeypatch):
-        calls = self._counted(monkeypatch)
         S3, S4 = symmetric(3), symmetric(4)
+        wanted = {(G.name, table) for G in (S3, S4) for table in _census_tables(G)}
+        wanted |= {(None, dihedral_quandle(n).op.tobytes()) for n in range(3, 11)}
+        validations, gathers = _builds(monkeypatch)
         report = run_census([S3, S4])
         assert report["summary"]["failed"] == 0
         assert S3._store == {} and S4._store == {}  # Aut(G) and AAut(G) went with the rest
-        assert set(calls.values()) == {1}
-        per_name = collections.Counter(name for name, _, _ in calls)
-        aut_sizes = len(_auts(S3).aut) + len(_auts(S4).aut)  # 6 + 24, enumerated again
-        assert per_name["alex"] == per_name["q1"] == aut_sizes
-        assert per_name["conj_m"] == 2 * len(M_RANGE) and per_name["core"] == 2
-        assert all(per_name[f"p{i}"] == S3.n + S4.n for i in range(1, 5))
+        tables = _once_per_group(validations, lambda r: (r[0], r[2]))
+        assert set(tables) == wanted  # every distinct table of S3 and S4, validated once per group
+        stored = [r for r in validations if r[1] != "q-family"]
+        assert len(stored) == len({(r[0], r[2]) for r in stored})
+        _once_per_group(gathers, lambda r: (r[0], *r[2:]))
+
+    def test_census_validates_and_gathers_each_key_once(self, monkeypatch):
+        catalog = [cyclic(6), symmetric(3), quaternion8()]
+        wanted = {(G.name, table) for G in catalog for table in _census_tables(G)}
+        validations, gathers = _builds(monkeypatch)
+        assert run_census(catalog)["summary"]["failed"] == 0
+        tables = _once_per_group(validations, lambda r: (r[0], r[2]))
+        pairs = _once_per_group(gathers, lambda r: (r[0], *r[2:]))
+        assert {key for key in tables if key[0] is not None} == wanted
+        # Only a table that q-family built and did not keep is validated or gathered again.
+        rebuilt = sum(len(checks) - 1 for checks in tables.values())
+        regathered = sum(len(checks) - 1 for checks in pairs.values())
+        assert len(validations) == len(tables) + rebuilt and len(gathers) == len(pairs) + regathered
+        stored = [r for r in gathers if r[1] != "q-family"]
+        assert len(stored) == len({(r[0], *r[2:]) for r in stored})
+        # Z6 is abelian: each of its Q_i tables is an Alexander table, stored before q-family runs.
+        assert all(len(checks) == 1 for (group, _), checks in tables.items() if group == "Z6")
 
     def test_standalone_checks_share_the_alex_build(self, monkeypatch):
-        calls = self._counted(monkeypatch)
         S3 = symmetric(3)
+        table = alex(S3, enumerate_aut(S3)[1]).op.tobytes()
+        validations, gathers = _builds(monkeypatch)
         assert_all_hold(run_check("alex", S3, phi_index=1))
         assert_all_hold(run_check("alex-semidirect", S3, phi_index=1))
-        assert [name for name, _, _ in calls.elements()] == ["alex"]
+        assert [r[2] for r in validations] == [table]
+        # C_Aut(phi) is gathered once for both checks, C_AAut(phi) and G^op once each
+        assert len(gathers) == len({r[2:] for r in gathers}) == 3
+        assert {r[2] for r in gathers} == {table}
         assert S3._store  # kept while S3 lives
 
     def test_stored_quandles_are_freed_with_the_store(self):
@@ -435,6 +513,42 @@ def _reachable(obj):
         seen.add(id(obj))
         yield obj
         todo.extend(gc.get_referents(obj))
+
+
+class TestConjugationIdentity:
+    """conj-semidirect and core-semidirect decide their conjugation identity over row blocks."""
+
+    @staticmethod
+    def _first_failure(G, check, stack):
+        """The images of the first row that the identity, checked one map at a time, rejects."""
+        centre = np.flatnonzero(G.center_mask)
+        all_fab = _all_f_ab_stack(G)
+        for phi in stack.astype(np.int64):
+            inv = np.argsort(phi)
+            if check == "conj-semidirect":
+                holds = np.array_equal(phi[G.table[centre][:, inv]], G.table[phi[centre]])
+            else:
+                holds = np.array_equal(inv[all_fab[:, :, phi]], all_fab[inv][:, inv])
+            if not holds:
+                return [int(v) for v in phi]
+        return None
+
+    @pytest.mark.parametrize("entries", [1, 100, 1 << 16])
+    @pytest.mark.parametrize("check", ["conj-semidirect", "core-semidirect"])
+    @pytest.mark.parametrize("spec", ["Z4", "S3", "D4", "Q8"])
+    def test_the_counterexample_is_the_first_failing_row(self, monkeypatch, spec, check, entries):
+        G = named_group(spec)
+        real = _auts(G)
+        rng = np.random.default_rng(G.n)
+        planted = np.concatenate([real.aut, [rng.permutation(G.n) for _ in range(3)], real.aut[::-1]])
+        planted = planted.astype(np.uint8)
+        expected = self._first_failure(G, check, planted)
+        assert expected is not None and self._first_failure(G, check, real.aut) is None
+        monkeypatch.setattr(harness, "_auts", lambda H: real._replace(aut=planted))
+        monkeypatch.setattr(groupmaps, "_LAW_ENTRIES", entries)
+        (verdict,) = run_check(check, G, m=1) if check == "conj-semidirect" else run_check(check, G)
+        (part,) = [p for p in verdict.parts if p.theorem_id.endswith("/conjugation-identity")]
+        assert not part.holds and part.counterexample == {"phi": expected}
 
 
 class TestClaimVocabulary:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
+    CarrierMismatch,
     CompatibilityFail,
     Q3Fail,
     alex,
@@ -46,7 +47,7 @@ from quandlekit.groupmaps import (
     reverses_table,
     reversing_mask,
 )
-from quandlekit.harness import CATALOG_SPECS
+from quandlekit.harness import CATALOG_SPECS, _laws
 from quandlekit.quandles import _check_q3
 
 # --- the broadcast formulas the kernel replaced ---
@@ -195,6 +196,20 @@ class TestLawKernel:
         expect = (stack[:, t1] == t2[stack[:, :, None], stack[:, None, :]]).all(axis=(1, 2))
         assert got.tolist() == expect.tolist()
 
+    @pytest.mark.parametrize("width", [5, 7])
+    @pytest.mark.parametrize(
+        "kernel",
+        [preserves_table, reverses_table, preserving_mask, reversing_mask, _law_masks],
+        ids=lambda kernel: kernel.__name__,
+    )
+    def test_a_map_of_another_width_is_a_carrier_mismatch(self, kernel, width):
+        table = core(named_group("S3")).op
+        images = np.arange(width)
+        with pytest.raises(CarrierMismatch, match=f"expected 6, got {width}"):
+            kernel(table, images if kernel in (preserves_table, reverses_table) else images[None])
+        with pytest.raises(CarrierMismatch, match=f"expected 6, got {width}"):
+            _laws(quandle_from_table(table), images[None])
+
     @pytest.mark.parametrize("spec", ["Z5", "S3", "heisenberg3"])
     def test_empty_and_one_row_stacks(self, spec):
         G = named_group(spec)
@@ -281,11 +296,51 @@ class TestCompatibilityWitness:
         for psi in enumerate_aaut(G):
             expect = ref_compatibility_witness(G, psi.images)
             if expect is None:
-                _require_compatible(G, psi)
+                _require_compatible(G, psi.images)
                 continue
             with pytest.raises(CompatibilityFail) as exc:
-                _require_compatible(G, psi)
+                _require_compatible(G, psi.images)
             assert exc.value.witness == expect
+
+
+class TestStoredLaws:
+    """``harness._laws`` keeps one mask pair per stack content in the quandle's store."""
+
+    FORMS = ("int64", "uint8", "table.T", "empty", "repeated")
+
+    @staticmethod
+    def _stack(G, rows, form, picks):
+        if form == "table.T":
+            return G.table.T  # the right translations, a non-contiguous int64 view
+        if form == "empty":
+            return rows[:0]
+        picked = rows[picks]
+        if form == "repeated":
+            return np.concatenate([picked, picked[::-1], picked])
+        return picked.astype(np.int64) if form == "int64" else picked
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.sampled_from(["Z5", "Z2xZ2", "S3", "D4", "Q8"]),
+        build=st.sampled_from(["core", "conj", "alex", "p3"]),
+        form=st.sampled_from(FORMS),
+        data=st.data(),
+    )
+    def test_the_stored_pair_equals_fresh_masks(self, spec, build, form, data):
+        G = named_group(spec)
+        Q = {"core": lambda: core(G), "conj": lambda: conj_m(G, 1),
+             "alex": lambda: alex(G, enumerate_aut(G)[-1]), "p3": lambda: p3(G, G.n - 1)}[build]()
+        rows = _group_rows(G)
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12), label="picks")
+        stack = self._stack(G, rows, form, picks)
+        auto, anti = _laws(Q, stack)
+        assert auto.tolist() == preserving_mask(Q.op, stack).tolist()
+        assert anti.tolist() == reversing_mask(Q.op, stack).tolist()
+        assert not auto.flags.writeable and not anti.flags.writeable
+        for same in (np.ascontiguousarray(stack, dtype=np.int64), _compact(stack) if len(stack) else stack):
+            again = _laws(Q, same)
+            assert again[0] is auto and again[1] is anti  # read back from Q's store, not gathered again
+        assert len(Q._store) == 1
 
 
 # --- memory ---
