@@ -3,8 +3,10 @@
 Every constructor takes a validated group (plus parameters) and returns a
 quandle on the same carrier, re-checking the axioms so that a failing
 formula surfaces a concrete witness instead of a wrong table.  Each group
-constructor is its map's law check, a private table entry (``_TABLES``)
-that gives the raw op table, and ``Quandle(...)``.  Formulas:
+construction is one row of ``_KINDS``: its parameter, the law that a map
+parameter obeys, a private table entry that gives the raw op table, and its
+name.  Each public group constructor is one ``_construct`` call, the one
+place where a map's law is checked.  Formulas:
 
     conj_m:  x*y = y^-m x y^m          core:   x*y = y x^-1 y
     R_n:     i*j = 2j - i (mod n)      alex:   x*y = phi(x y^-1) y
@@ -21,7 +23,7 @@ On abelian groups the two laws coincide, so either kind is accepted there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,8 +61,8 @@ __all__ = [
 ]
 
 
-def _map_label(cm: ClassifiedMap) -> str:
-    images = list(map(int, cm.images))
+def _map_label(images: np.ndarray) -> str:
+    images = list(map(int, images))
     if len(images) <= 10:
         return "[" + ",".join(map(str, images)) + "]"
     return "[" + ",".join(map(str, images[:6])) + f",...#{len(images)}]"
@@ -91,11 +93,12 @@ def _in_range(param: str, index: int, size: int) -> int:
 
 # --- the table entries ---
 #
-# Each group constructor's formula, as a function of G and m, c or a map's
-# images that returns the raw op table [x, y] = x*y.  An entry keeps the
-# construction's own preconditions (c in range, the q3/q4 compatibility) but
-# not the map's law: the public constructors check that on G's table first,
-# and the harness passes rows of the verified Aut(G)/AAut(G) stacks.
+# Each group constructor's formula, as a function of G and its parameter (m,
+# c or a map's images; core reads none) that returns the raw op table
+# [x, y] = x*y.  An entry keeps the construction's own preconditions (c in
+# range, the q3/q4 compatibility) but not the map's law: ``_construct`` checks
+# that on G's table first, and the harness passes rows of the verified
+# Aut(G)/AAut(G) stacks.
 
 
 def _conj_m_table(G: FiniteGroup, m: int) -> np.ndarray:
@@ -103,7 +106,7 @@ def _conj_m_table(G: FiniteGroup, m: int) -> np.ndarray:
     return G.table[G.table[G.inverse[ym]], ym[:, None]].T  # [x, y] = y^-m x y^m
 
 
-def _core_table(G: FiniteGroup) -> np.ndarray:
+def _core_table(G: FiniteGroup, _=None) -> np.ndarray:
     return G.table[G.table[:, G.inverse], np.arange(G.n)[:, None]].T  # [x, y] = y x^-1 y
 
 
@@ -163,25 +166,55 @@ def _p4_table(G: FiniteGroup, c: int) -> np.ndarray:
     return t[np.ix_(heads, suffix)]
 
 
-# Public constructor name -> its table entry.
-_TABLES = {
-    "conj_m": _conj_m_table, "core": _core_table, "alex": _alex_table,
-    "q1": _q1_table, "q2": _q2_table, "q3": _q3_table, "q4": _q4_table,
-    "p1": _p1_table, "p2": _p2_table, "p3": _p3_table, "p4": _p4_table,
+class _Kind(NamedTuple):
+    """One group construction: its parameter, the law a map parameter obeys, its table entry, its name."""
+
+    param: Optional[str]  # "m", "phi", "psi", "c", or None for core
+    law: Optional[str]  # the group law of a map parameter; None for m and c
+    table: Callable[[FiniteGroup, object], np.ndarray]
+    name: str  # str.format pattern over G (the group's name) and v (the parameter)
+
+
+# Spec kind -> its construction; the spec parser, ``build``, the public
+# constructors and the harness read this one table.
+_KINDS: Dict[str, _Kind] = {
+    "conj": _Kind("m", None, _conj_m_table, "Conj_{v}({G})"),
+    "core": _Kind(None, None, _core_table, "Core({G})"),
+    "alex": _Kind("phi", AUTOMORPHISM, _alex_table, "Alex({G},phi={v})"),
+    "q1": _Kind("phi", AUTOMORPHISM, _q1_table, "Q1({G},phi={v})"),
+    "q2": _Kind("psi", ANTIAUTOMORPHISM, _q2_table, "Q2({G},psi={v})"),
+    "q3": _Kind("psi", ANTIAUTOMORPHISM, _q3_table, "Q3({G},psi={v})"),
+    "q4": _Kind("psi", ANTIAUTOMORPHISM, _q4_table, "Q4({G},psi={v})"),
+    "p1": _Kind("c", None, _p1_table, "P1({G},c={v})"),
+    "p2": _Kind("c", None, _p2_table, "P2({G},c={v})"),
+    "p3": _Kind("c", None, _p3_table, "P3({G},c={v})"),
+    "p4": _Kind("c", None, _p4_table, "P4({G},c={v})"),
 }
 
+KINDS = ("trivial", "dihedral", *_KINDS)
 
-# --- the public constructors: law gate, table entry, validated quandle ---
+
+def _construct(kind: str, G: FiniteGroup, param=None) -> Quandle:
+    """The validated quandle of a group construction, once a map parameter passes its law on G's table."""
+    row = _KINDS[kind]
+    value = label = param
+    if row.law is not None:
+        value = _checked_images(G, param, (row.law,))
+        label = _map_label(value)
+    return Quandle(row.table(G, value), name=row.name.format(G=G.name, v=label))
+
+
+# --- the public constructors ---
 
 
 def conj_m(G: FiniteGroup, m: int) -> Quandle:
     """Conjugation quandle: x*y = y^-m x y^m."""
-    return Quandle(_conj_m_table(G, m), name=f"Conj_{m}({G.name})")
+    return _construct("conj", G, m)
 
 
 def core(G: FiniteGroup) -> Quandle:
     """Core quandle: x*y = y x^-1 y."""
-    return Quandle(_core_table(G), name=f"Core({G.name})")
+    return _construct("core", G)
 
 
 def dihedral_quandle(n: int) -> Quandle:
@@ -194,72 +227,47 @@ def dihedral_quandle(n: int) -> Quandle:
 
 def alex(G: FiniteGroup, phi: ClassifiedMap) -> Quandle:
     """Generalized Alexander quandle: x*y = phi(x y^-1) y."""
-    op = _alex_table(G, _checked_images(G, phi, (AUTOMORPHISM,)))
-    return Quandle(op, name=f"Alex({G.name},phi={_map_label(phi)})")
+    return _construct("alex", G, phi)
 
 
 def q1(G: FiniteGroup, phi: ClassifiedMap) -> Quandle:
     """x*y = y phi(y^-1 x)."""
-    op = _q1_table(G, _checked_images(G, phi, (AUTOMORPHISM,)))
-    return Quandle(op, name=f"Q1({G.name},phi={_map_label(phi)})")
+    return _construct("q1", G, phi)
 
 
 def q2(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
     """x*y = y psi(y x^-1)."""
-    op = _q2_table(G, _checked_images(G, psi, (ANTIAUTOMORPHISM,)))
-    return Quandle(op, name=f"Q2({G.name},psi={_map_label(psi)})")
+    return _construct("q2", G, psi)
 
 
 def q3(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
     """x*y = psi(x y^-1) y, requiring the conjugation compatibility of psi."""
-    op = _q3_table(G, _checked_images(G, psi, (ANTIAUTOMORPHISM,)))
-    return Quandle(op, name=f"Q3({G.name},psi={_map_label(psi)})")
+    return _construct("q3", G, psi)
 
 
 def q4(G: FiniteGroup, psi: ClassifiedMap) -> Quandle:
     """x*y = y psi(y^-1 x), requiring the conjugation compatibility of psi."""
-    op = _q4_table(G, _checked_images(G, psi, (ANTIAUTOMORPHISM,)))
-    return Quandle(op, name=f"Q4({G.name},psi={_map_label(psi)})")
+    return _construct("q4", G, psi)
 
 
 def p1(G: FiniteGroup, c: int) -> Quandle:
     """x*y = y c^-1 y^-1 x c."""
-    return Quandle(_p1_table(G, c), name=f"P1({G.name},c={c})")
+    return _construct("p1", G, c)
 
 
 def p2(G: FiniteGroup, c: int) -> Quandle:
     """x*y = y c^-1 x y^-1 c."""
-    return Quandle(_p2_table(G, c), name=f"P2({G.name},c={c})")
+    return _construct("p2", G, c)
 
 
 def p3(G: FiniteGroup, c: int) -> Quandle:
     """x*y = c^-1 y^-1 x c y."""
-    return Quandle(_p3_table(G, c), name=f"P3({G.name},c={c})")
+    return _construct("p3", G, c)
 
 
 def p4(G: FiniteGroup, c: int) -> Quandle:
     """x*y = c^-1 x y^-1 c y."""
-    return Quandle(_p4_table(G, c), name=f"P4({G.name},c={c})")
-
-
-KINDS = (
-    "trivial",
-    "dihedral",
-    "conj",
-    "core",
-    "alex",
-    "q1",
-    "q2",
-    "q3",
-    "q4",
-    "p1",
-    "p2",
-    "p3",
-    "p4",
-)
-
-_GROUP_FREE = {"trivial", "dihedral"}
-_MAP_PARAM = {"alex": "phi", "q1": "phi", "q2": "psi", "q3": "psi", "q4": "psi"}
+    return _construct("p4", G, c)
 
 
 @dataclass(frozen=True)
@@ -281,27 +289,19 @@ class ConstructionSpec:
 def build(spec: ConstructionSpec) -> Quandle:
     """Dispatch a ConstructionSpec to its constructor."""
     kind = spec.kind
-    if kind in _GROUP_FREE:
+    if kind not in _KINDS:
         if spec.n is None:
             raise ConstructionSpecError(f"{kind} needs n")
         return trivial(spec.n) if kind == "trivial" else dihedral_quandle(spec.n)
     if spec.group is None:
         raise ConstructionSpecError(f"{kind} needs a group")
-    if kind == "conj":
-        if spec.m is None:
-            raise ConstructionSpecError("conj needs m")
-        return conj_m(spec.group, spec.m)
-    if kind == "core":
-        return core(spec.group)
-    if kind in _MAP_PARAM:
-        if spec.map is None:
-            raise ConstructionSpecError(f"{kind} needs {_MAP_PARAM[kind]}")
-        ctor = {"alex": alex, "q1": q1, "q2": q2, "q3": q3, "q4": q4}[kind]
-        return ctor(spec.group, spec.map)
-    if spec.c is None:
-        raise ConstructionSpecError(f"{kind} needs c")
-    ctor = {"p1": p1, "p2": p2, "p3": p3, "p4": p4}[kind]
-    return ctor(spec.group, spec.c)
+    row = _KINDS[kind]
+    if row.param is None:
+        return _construct(kind, spec.group)
+    param = getattr(spec, "map" if row.law else row.param)
+    if param is None:
+        raise ConstructionSpecError(f"{kind} needs {row.param}")
+    return _construct(kind, spec.group, param)
 
 
 def spec_from_string(text: str, group: Optional[FiniteGroup] = None) -> ConstructionSpec:
@@ -333,23 +333,23 @@ def spec_from_string(text: str, group: Optional[FiniteGroup] = None) -> Construc
         return params.pop(key)
 
     spec: ConstructionSpec
-    if kind in _GROUP_FREE:
+    row = _KINDS.get(kind)
+    if row is None:
         spec = ConstructionSpec(kind, n=take("n"))
-    elif kind == "conj":
+    elif row.param == "m":
         spec = ConstructionSpec(kind, group=group, m=params.pop("m", 1))
-    elif kind == "core":
-        spec = ConstructionSpec(kind, group=group)
-    elif kind in _MAP_PARAM:
+    elif row.law is not None:
         if group is None:
             raise ConstructionSpecError(f"{kind} needs a group to resolve its map index")
-        param = _MAP_PARAM[kind]
-        family = "aut" if param == "phi" else "aaut"
-        index = _in_range(param, take(param), len(getattr(_auts(group), family)))
+        family = "aut" if row.param == "phi" else "aaut"
+        index = _in_range(row.param, take(row.param), len(getattr(_auts(group), family)))
         spec = ConstructionSpec(kind, group=group, map=_family_maps(group, family, index)[0])
-    else:
+    elif row.param is not None:
         spec = ConstructionSpec(kind, group=group, c=take("c"))
+    else:
+        spec = ConstructionSpec(kind, group=group)
     if params:
         raise ConstructionSpecError(f"unexpected parameters {sorted(params)} for {kind}")
-    if kind not in _GROUP_FREE and group is None:
+    if row is not None and group is None:
         raise ConstructionSpecError(f"{kind} needs a group")
     return spec

@@ -5,30 +5,13 @@ Each check evaluates the two sides of a claimed relationship independently
 quandles and testing induced maps) and returns a Verdict with witnesses.
 Census mode sweeps every check over a catalog of small groups.
 
-The checks read what they share through G's store (``FiniteGroup._store``):
-Aut(G) and AAut(G) (``groupmaps._auts``), C_Aut(phi) and C_AAut(phi)
-(``_centralizer_of``, keyed by family plus phi's image bytes), the quandles,
-and the facts of G that a check would otherwise decide again at every
-parameter.  A quandle has two keys (``_quandle``): the constructor's name
-plus m, c or the map's image bytes, and the compact bytes of its op table,
-which the constructor's table entry (``constructions._TABLES``) gives
-without building a Quandle.  So each distinct table that Conj_m(G),
-Core(G), Alex(G, phi) and P_i(G, c) give is validated once per group,
-however many constructions and checks give it: over an abelian G every
-Conj_m(G) and P_i(G, c) is the trivial quandle.  ``check_Qi`` reads a Q_i
-table from the store when it is there and otherwise validates a Q_i that it
-does not keep.  Every law mask that a check takes on a quandle's table goes
-through ``_laws``, which keeps the preserving/reversing pair in the
-quandle's own store keyed by the stack's compact bytes, so equal tables
-share their pairs too.  The semidirect checks hand the preserving masks
-their membership verdicts took to ``quandlemaps._semidirect_verify``, which
-keeps its Q-free clauses in G's store.  ``run_census`` empties a group's
-store once its checks are done, which frees its Aut stacks, its quandles
-and their stores at once; a standalone ``run_check`` leaves it filled for
-as long as G lives.  The maps that the checks take are rows of the verified
-Aut(G)/AAut(G) stacks, so their images go into the table entries
-unchecked.  The public constructors are untouched: each call still checks
-its map's law and builds a fresh, validated quandle.
+Every map a check takes is an int64 image row of the verified Aut(G) or
+AAut(G) stack, so no map's law is checked here; the public constructors
+check it.  G's store (``FiniteGroup._store``) keys Aut(G)/AAut(G), the
+centralizers (family plus phi's image bytes), the quandles (construction
+kind plus m, c or image bytes, resolving to the op table's compact bytes)
+and facts of G; a quandle's store keys its law-mask pairs by the stack's
+compact bytes.  ``run_census`` empties a group's store after its checks.
 
 Where a printed equivalence is provable in one direction only, the check
 asserts the provable implication and says so in its notes; the companion
@@ -42,15 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import config, groupmaps
-from .constructions import _TABLES, _in_range, _map_label, dihedral_quandle
+from .constructions import _KINDS, _in_range, _map_label, dihedral_quandle
 from .errors import CompatibilityFail, ConstructionSpecError
 from .groupmaps import (
-    ClassifiedMap,
     _all_f_ab_stack,
     _auts,
     _centralizer,
@@ -58,7 +40,6 @@ from .groupmaps import (
     _coset_leaders,
     _F_prime_stack,
     _F_stack,
-    _family_maps,
     _H_stack,
     _in_sorted,
     _inner_stack,
@@ -71,7 +52,6 @@ from .groupmaps import (
     _unique_rows,
     enumerate_aaut,
     enumerate_aut,
-    is_central_automorphism,
     preserving_mask,
     verify_F_iso,
 )
@@ -136,15 +116,9 @@ def _first_failure(mask: np.ndarray, stack: np.ndarray) -> Optional[dict]:
     return {"index": i, "images": [int(v) for v in stack[i]]}
 
 
-def _table(G: FiniteGroup, ctor: str, param=None) -> np.ndarray:
-    """The op table of ``ctor(G)``, or ``ctor(G, param)``, from its entry in ``constructions._TABLES``.
-
-    The entry is read at call time.  A map goes in as its images, unchecked:
-    the sweeps draw every map from the verified Aut(G)/AAut(G) stacks.
-    """
-    if param is None:
-        return _TABLES[ctor](G)
-    return _TABLES[ctor](G, param.images if isinstance(param, ClassifiedMap) else param)
+def _table(G: FiniteGroup, kind: str, param=None) -> np.ndarray:
+    """The op table of construction ``kind`` on G at m, c or a map's images, read from ``_KINDS`` at call time."""
+    return _KINDS[kind].table(G, param)
 
 
 def _on_table(G: FiniteGroup, op: np.ndarray, keep: bool) -> Quandle:
@@ -162,17 +136,17 @@ def _on_table(G: FiniteGroup, op: np.ndarray, keep: bool) -> Quandle:
     return Q
 
 
-def _quandle(G: FiniteGroup, ctor: str, param=None) -> Quandle:
-    """The quandle ``ctor(G)``, or ``ctor(G, param)``, from G's store: built on first use.
+def _quandle(G: FiniteGroup, kind: str, param=None) -> Quandle:
+    """The quandle of construction ``kind`` on G at ``param``, from G's store: built on first use.
 
-    The first key is the constructor's name plus ``param``: m, c, or the
-    image bytes of a ClassifiedMap.  It resolves to the second, the table's
-    compact bytes (``_on_table``), so constructions that give equal tables
-    share one validated quandle, and with it the law masks in its store.
+    The first key is the kind plus ``param``: m, c, or a map's image bytes.
+    It resolves to the second, the table's compact bytes (``_on_table``), so
+    constructions that give equal tables share one validated quandle, and
+    with it the law masks in its store.
     """
-    tag = param.images.tobytes() if isinstance(param, ClassifiedMap) else param
-    key = (ctor,) if param is None else (ctor, tag)
-    return _stored(G, key, lambda: _on_table(G, _table(G, ctor, param), keep=True))
+    tag = param.tobytes() if _KINDS[kind].law else param
+    key = (kind,) if param is None else (kind, tag)
+    return _stored(G, key, lambda: _on_table(G, _table(G, kind, param), keep=True))
 
 
 def _laws(Q: Quandle, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -193,27 +167,22 @@ def _laws(Q: Quandle, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return _stored(Q, ("laws", rows.shape, rows.tobytes()), gather)
 
 
-def _centralizer_of(G: FiniteGroup, family: str, phi: ClassifiedMap) -> np.ndarray:
-    """C_Aut(phi) (family "aut") or C_AAut(phi) ("aaut") from G's store."""
-    return _stored(G, ("C_" + family, phi.images.tobytes()),
-                   lambda: _centralizer(G, getattr(_auts(G), family), phi.images))
+def _centralizer_of(G: FiniteGroup, family: str, phi: np.ndarray) -> np.ndarray:
+    """C_Aut(phi) (family "aut") or C_AAut(phi) ("aaut") from G's store, phi a row of Aut(G) or AAut(G)."""
+    return _stored(G, ("C_" + family, phi.tobytes()), lambda: _centralizer(G, getattr(_auts(G), family), phi))
 
 
-def _members(
-    theorem_id: str, inputs: str, mask: np.ndarray, stack: np.ndarray, notes: str,
-    vacuous: bool = False,
-) -> Verdict:
-    """Every row of the stack is in its preserving mask; fails on the first row outside it."""
-    return claim(theorem_id, inputs, "subgroup-embedding", mask.all(), vacuous=vacuous,
+def _members(theorem_id: str, inputs: str, mask: np.ndarray, stack: np.ndarray, notes: str) -> Verdict:
+    """Every row of the stack is in its preserving mask; fails on the first row outside it, vacuous on no rows."""
+    return claim(theorem_id, inputs, "subgroup-embedding", mask.all(), vacuous=not len(stack),
                  counterexample=_first_failure(mask, stack), notes=notes)
 
 
 def _forward(
     theorem_id: str, inputs: str, mask: np.ndarray, stack: np.ndarray, rhs: bool, notes: str,
-    vacuous: bool = False,
 ) -> Verdict:
-    """Some row is in the mask => rhs; fails on the first such row."""
-    return claim(theorem_id, inputs, "implies", mask.any(), rhs, vacuous=vacuous,
+    """Some row is in the mask => rhs; fails on the first such row, vacuous on no rows."""
+    return claim(theorem_id, inputs, "implies", mask.any(), rhs, vacuous=not len(stack),
                  counterexample=_first_failure(~mask, stack), notes=notes)
 
 
@@ -267,6 +236,11 @@ def _semidirect(theorem_id: str, inputs: str, report: SemidirectReport) -> Verdi
     )
 
 
+def _all_central(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> bool:
+    """Whether left[x] * right[x] lies in Z(G) for every x."""
+    return bool(G.center_mask[G.table[left, right]].all())
+
+
 def _derived_central_cubes(G: FiniteGroup) -> bool:
     """Whether [G,G] is central with every cube trivial."""
     derived = list(G.commutator_subgroup())
@@ -281,7 +255,7 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
     identity phi t_a phi^-1 = t_phi(a), and the semidirect clauses."""
     tid = "conj-semidirect"
     inputs = f"{G.name}, m={m}"
-    Q = _quandle(G, "conj_m", m)
+    Q = _quandle(G, "conj", m)
     H = _H_stack(G)
     auts = _auts(G).aut
     masks = _laws(Q, H)[0], _laws(Q, auts)[0]
@@ -313,7 +287,7 @@ def check_conj_out(G: FiniteGroup) -> Verdict:
     """H rtimes Out(G) embeds in Out(Conj(G))."""
     tid = "conj-out"
     inputs = G.name
-    Q = _quandle(G, "conj_m", 1)
+    Q = _quandle(G, "conj", 1)
     H = _H_stack(G)
     reps = _out_reps(G)
     expected = len(H) * len(reps)
@@ -361,7 +335,7 @@ def check_conj_aaut_intersection(G: FiniteGroup, m: int) -> Verdict:
     """AAut(G) meets Aut(Conj_m(G)) iff y^(2m) is central for every y."""
     tid = "conj-aaut"
     inputs = f"{G.name}, m={m}"
-    Q = _quandle(G, "conj_m", m)
+    Q = _quandle(G, "conj", m)
     stack = _auts(G).aaut
     induced = np.flatnonzero(_laws(Q, stack)[0])  # the psi that preserve Conj_m(G)
     off_centre = np.flatnonzero(~G.center_mask[G.power_all(2 * m)])  # the y with y^(2m) not central
@@ -387,7 +361,7 @@ def check_conj_no_anti(G: FiniteGroup, m: int) -> Verdict:
     inputs = f"{G.name}, m={m}"
     if G.n < 2:
         return make_skipped(tid, inputs, "emptiness", "stated for |G| >= 2 only")
-    Q = _quandle(G, "conj_m", m)
+    Q = _quandle(G, "conj", m)
     found = _table_isos(Q.op, np.ascontiguousarray(Q.op.T), first_only=True, plan=_plan(Q))
     return _emptiness(
         tid, inputs, found,
@@ -398,8 +372,8 @@ def check_conj_no_anti(G: FiniteGroup, m: int) -> Verdict:
 # --- Alexander checks ---
 
 
-def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
-    """Induced maps on Alex(G, phi) versus centrality and commutativity."""
+def check_alex(G: FiniteGroup, phi: np.ndarray) -> Verdict:
+    """Induced maps on Alex(G, phi), phi a row of Aut(G), versus centrality and commutativity."""
     tid = "alex"
     inputs = f"{G.name}, phi={_map_label(phi)}"
     Q = _quandle(G, "alex", phi)
@@ -411,7 +385,7 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
             f"{tid}/aaut-induces-auto-iff-central",
             inputs,
             aa_auto,
-            is_central_automorphism(G, phi),
+            _all_central(G, G.inverse, phi),  # x^-1 phi(x) central for every x
             notes="psi in C_AAut(phi) is an automorphism of Alex(G,phi) iff phi is central",
         ),
         _forward(
@@ -419,21 +393,19 @@ def check_alex(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
             aa_anti, aa_stack, G.is_abelian,
             "forward direction of the printed equivalence; the reverse "
             "fails on small abelian groups where Alex has no antiautomorphisms",
-            vacuous=not len(aa_stack),
         ),
         _forward(
             f"{tid}/aut-anti-intersection-implies-abelian", inputs,
             _laws(Q, a_stack)[1], a_stack, G.is_abelian,
             "C_Aut(phi) members acting as antiautomorphisms of Alex "
             "exist only over abelian groups (forward direction)",
-            vacuous=not len(a_stack),
         ),
     ]
     return combine(tid, inputs, "iff", parts)
 
 
-def check_alex_semidirect(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
-    """G^op rtimes C_Aut(phi) embeds in Aut(Alex(G, phi))."""
+def check_alex_semidirect(G: FiniteGroup, phi: np.ndarray) -> Verdict:
+    """G^op rtimes C_Aut(phi) embeds in Aut(Alex(G, phi)), phi a row of Aut(G)."""
     tid = "alex-semidirect"
     inputs = f"{G.name}, phi={_map_label(phi)}"
     Q = _quandle(G, "alex", phi)
@@ -451,9 +423,9 @@ def check_alex_semidirect(G: FiniteGroup, phi: ClassifiedMap) -> Verdict:
     return combine(tid, inputs, "subgroup-embedding", parts)
 
 
-def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict]:
+def check_F_props(G: FiniteGroup, phis: Sequence[np.ndarray]) -> List[Verdict]:
     """F inside Aut(Core(G)) and F = (GxG^op)/N, checked once for the group,
-    then F' inside Aut(Alex(G, phi)) for each phi: one verdict per phi."""
+    then F' inside Aut(Alex(G, phi)) for each phi, a row of Aut(G): one verdict per phi."""
     tid = "f-structure"
     F = _F_stack(G)
     in_core = _members(f"{tid}/F-in-core-aut", G.name, _laws(_quandle(G, "core"), F)[0], F,
@@ -464,7 +436,7 @@ def check_F_props(G: FiniteGroup, phis: Sequence[ClassifiedMap]) -> List[Verdict
     out = []
     for phi in phis:
         inputs = f"{G.name}, phi={_map_label(phi)}"
-        fprime = _F_prime_stack(G, phi.images)
+        fprime = _F_prime_stack(G, phi)
         parts = [
             replace(in_core, inputs=inputs),
             replace(size, inputs=inputs),
@@ -643,19 +615,17 @@ def check_core_abelian_full(G: FiniteGroup) -> Verdict:
 # --- Q_i and P_i checks ---
 
 
-def _qi_auto_predicate(G: FiniteGroup, i: int, base: ClassifiedMap) -> Tuple[bool, str]:
+def _qi_auto_predicate(G: FiniteGroup, i: int, base: np.ndarray) -> Tuple[bool, str]:
     """Group-side predicate for 'psi in C_AAut(base) induces an automorphism
     of Q_i', by base kind."""
     if i == 1:
-        return is_central_automorphism(G, base), "base automorphism is central"
+        return _all_central(G, G.inverse, base), "base automorphism is central"
     if i == 2:
-        other, note = base.images[G.inverse], "u * (base o inv)(u) central for every u"
-    else:
-        other, note = np.argsort(base.images), "y * base^-1(y) central for every y"
-    return bool(G.center_mask[G.table[np.arange(G.n), other]].all()), note
+        return _all_central(G, np.arange(G.n), base[G.inverse]), "u * (base o inv)(u) central for every u"
+    return _all_central(G, np.arange(G.n), np.argsort(base)), "y * base^-1(y) central for every y"
 
 
-def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
+def check_Qi(G: FiniteGroup, i: int, base: np.ndarray) -> Verdict:
     """The four Q_i claims for one base map: a row of Aut(G) for Q1, of AAut(G) for Q2-Q4."""
     tid = "q-family"
     inputs = f"{G.name}, Q{i}, base={_map_label(base)}"
@@ -680,12 +650,9 @@ def check_Qi(G: FiniteGroup, i: int, base: ClassifiedMap) -> Verdict:
     aa_auto, aa_anti = _laws(Q, aa_stack)
     parts = [
         _members(f"{tid}/centralizer-in-aut", inputs, a_auto, a_stack,
-                 "every member of C_Aut(base) is an automorphism of Q_i",
-                 vacuous=not len(a_stack)),
-        _forward(f"{tid}/aut-anti-implication", inputs, a_anti, a_stack,
-                 anti_rhs, anti_note, vacuous=not len(a_stack)),
-        _forward(f"{tid}/aaut-anti-implication", inputs, aa_anti, aa_stack,
-                 anti_rhs, anti_note, vacuous=not len(aa_stack)),
+                 "every member of C_Aut(base) is an automorphism of Q_i"),
+        _forward(f"{tid}/aut-anti-implication", inputs, a_anti, a_stack, anti_rhs, anti_note),
+        _forward(f"{tid}/aaut-anti-implication", inputs, aa_anti, aa_stack, anti_rhs, anti_note),
         _per_map_iff(
             f"{tid}/aaut-auto-iff",
             inputs,
@@ -755,18 +722,12 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
                 _laws(Q, aa_stack)[0], aa_stack, rhs2,
                 "psi with psi(c) = c preserving P_i forces c^2 central "
                 "(forward direction; the reverse fails e.g. on S3 with a transposition)",
-                vacuous=not len(aa_stack),
             )
         )
     return combine(tid, inputs, "iff", parts)
 
 
 # --- dispatch and census ---
-
-
-def _pick(pool: Sequence, index: Optional[int], param: str) -> list:
-    """The whole pool, or its one member at ``index``; an index out of range is a spec error."""
-    return list(pool) if index is None else [pool[_in_range(param, index, len(pool))]]
 
 
 @dataclass(frozen=True)
@@ -797,40 +758,49 @@ class _Sweep:
 
     @property
     def cs(self) -> List[int]:
-        return _pick(range(self.G.n), self.c, "c")
+        return list(range(self.G.n)) if self.c is None else [_in_range("c", self.c, self.G.n)]
 
-    def _pick_maps(self, family: str, index: Optional[int], param: str) -> List[ClassifiedMap]:
-        """The public list of Aut(G) or AAut(G), built once per sweep, or only its map at ``index``."""
+    def _rows(self, family: str, index: Optional[int], param: str) -> List[np.ndarray]:
+        """The int64 image rows of Aut(G) or AAut(G), all in order or only the one at ``index``."""
         if index is None:
-            return enumerate_aut(self.G) if family == "aut" else enumerate_aaut(self.G)
-        return _family_maps(self.G, family, *_pick(range(len(getattr(_auts(self.G), family))), index, param))
+            # The public list: the census's one call into perfbench's traced groupmaps.aut layer.
+            return [cm.images for cm in (enumerate_aut(self.G) if family == "aut" else enumerate_aaut(self.G))]
+        stack = getattr(_auts(self.G), family)
+        return [stack[_in_range(param, index, len(stack))].astype(np.int64)]
 
-    def phis(self) -> List[ClassifiedMap]:
-        return self._pick_maps("aut", self.phi_index, "phi")
+    def phis(self) -> List[np.ndarray]:
+        return self._rows("aut", self.phi_index, "phi")
 
-    def psis(self) -> List[ClassifiedMap]:
-        return self._pick_maps("aaut", self.psi_index, "psi")
+    def psis(self) -> List[np.ndarray]:
+        return self._rows("aaut", self.psi_index, "psi")
+
+
+class _Check(NamedTuple):
+    """The ``run_check`` parameters a check reads, space-separated, and its sweep over them."""
+
+    reads: str
+    sweep: Callable[[_Sweep], List[Verdict]]
 
 
 # Check id -> its sweep, read-only.  The order is the census order; only
 # dihedral-no-anti reads no group.
-_SWEEPS: Mapping[str, Callable[[_Sweep], List[Verdict]]] = MappingProxyType({
-    "conj-semidirect": lambda s: [check_conj_semidirect(s.G, m) for m in s.ms],
-    "conj-out": lambda s: [check_conj_out(s.G)],
-    "conj-aaut": lambda s: [check_conj_aaut_intersection(s.G, m) for m in s.ms],
-    "conj-no-anti": lambda s: [check_conj_no_anti(s.G, m) for m in s.ms],
-    "alex": lambda s: [check_alex(s.G, phi) for phi in s.phis()],
-    "alex-semidirect": lambda s: [check_alex_semidirect(s.G, phi) for phi in s.phis()],
-    "f-structure": lambda s: check_F_props(s.G, s.phis()),
-    "core": lambda s: [check_core(s.G)],
-    "core-corollaries": lambda s: [check_core_corollaries(s.G)],
-    "dihedral-no-anti": lambda s: [check_dihedral_no_anti(k) for k in s.ns],
-    "core-semidirect": lambda s: [check_core_semidirect(s.G)],
-    "core-abelian-aut": lambda s: [check_core_abelian_full(s.G)],
-    "q-family": lambda s: [check_Qi(s.G, 1, phi) for phi in s.phis()]
-    + [check_Qi(s.G, i, psi) for psi in s.psis() for i in (2, 3, 4)],
-    "p-family-aut": lambda s: [check_Pi_aut(s.G, c) for c in s.cs],
-    "p-family-anti": lambda s: [check_Pi_anti(s.G, c) for c in s.cs],
+_SWEEPS: Mapping[str, _Check] = MappingProxyType({
+    "conj-semidirect": _Check("group m", lambda s: [check_conj_semidirect(s.G, m) for m in s.ms]),
+    "conj-out": _Check("group", lambda s: [check_conj_out(s.G)]),
+    "conj-aaut": _Check("group m", lambda s: [check_conj_aaut_intersection(s.G, m) for m in s.ms]),
+    "conj-no-anti": _Check("group m", lambda s: [check_conj_no_anti(s.G, m) for m in s.ms]),
+    "alex": _Check("group phi_index", lambda s: [check_alex(s.G, phi) for phi in s.phis()]),
+    "alex-semidirect": _Check("group phi_index", lambda s: [check_alex_semidirect(s.G, phi) for phi in s.phis()]),
+    "f-structure": _Check("group phi_index", lambda s: check_F_props(s.G, s.phis())),
+    "core": _Check("group", lambda s: [check_core(s.G)]),
+    "core-corollaries": _Check("group", lambda s: [check_core_corollaries(s.G)]),
+    "dihedral-no-anti": _Check("n", lambda s: [check_dihedral_no_anti(k) for k in s.ns]),
+    "core-semidirect": _Check("group", lambda s: [check_core_semidirect(s.G)]),
+    "core-abelian-aut": _Check("group", lambda s: [check_core_abelian_full(s.G)]),
+    "q-family": _Check("group phi_index psi_index", lambda s: [check_Qi(s.G, 1, phi) for phi in s.phis()]
+                       + [check_Qi(s.G, i, psi) for psi in s.psis() for i in (2, 3, 4)]),
+    "p-family-aut": _Check("group c", lambda s: [check_Pi_aut(s.G, c) for c in s.cs]),
+    "p-family-anti": _Check("group c", lambda s: [check_Pi_anti(s.G, c) for c in s.cs]),
 })
 
 CHECK_IDS = tuple(_SWEEPS)
@@ -846,12 +816,20 @@ def run_check(
     phi_index: Optional[int] = None,
     psi_index: Optional[int] = None,
 ) -> List[Verdict]:
-    """Run one named check, sweeping any parameter left unspecified."""
+    """Run one named check, sweeping any parameter left unspecified.
+
+    A parameter that the check does not read is a spec error.
+    """
     if theorem_id not in _SWEEPS:
         raise ConstructionSpecError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(CHECK_IDS)}"
         )
-    return _SWEEPS[theorem_id](_Sweep(theorem_id, G, m, n, c, phi_index, psi_index))
+    reads, sweep = _SWEEPS[theorem_id]
+    given = {"group": G, "m": m, "n": n, "c": c, "phi_index": phi_index, "psi_index": psi_index}
+    unread = [name for name, value in given.items() if value is not None and name not in reads.split()]
+    if unread:
+        raise ConstructionSpecError(f"{theorem_id} does not read {', '.join(unread)}; it reads: {reads}")
+    return sweep(_Sweep(theorem_id, G, m, n, c, phi_index, psi_index))
 
 
 def run_census(catalog: Optional[Sequence[FiniteGroup]] = None) -> dict:

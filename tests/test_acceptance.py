@@ -314,7 +314,7 @@ def test_criterion_12_oracle_equivalence_on_census_quandles(capsys, monkeypatch)
         slow_auts = {m.map.as_tuple() for m in quandle_aut_oracle(Q)}
         fast_antis = {m.map.as_tuple() for m in enumerate_quandle_antis(Q)}
         slow_antis = {m.map.as_tuple() for m in quandle_anti_oracle(Q)}
-        monkeypatch.setitem(harness._TABLES, "conj_m", lambda G, m, Q=Q: Q.op)
+        monkeypatch.setitem(harness._KINDS, "conj", harness._KINDS["conj"]._replace(table=lambda G, m, Q=Q: Q.op))
         (v,) = run_check("conj-no-anti", cyclic(Q.n), m=1)
         expected = {"images": list(min(slow_antis))} if slow_antis else None
         outcomes.add(v.holds)

@@ -137,6 +137,17 @@ class TestVerifyCommand:
         assert built == verified
         assert built.startswith("error: ") and "is out of range 0..5" in built
 
+    @pytest.mark.parametrize("verify_args", [
+        ["conj-out", "--group", "S3", "--m", "7", "--c", "99"],
+        ["core", "--group", "S3", "--phi", "3"],
+        ["dihedral-no-anti", "--group", "S3"],
+    ])
+    def test_a_parameter_the_check_does_not_read_is_a_usage_error(self, capsys, verify_args):
+        assert main(["verify", *verify_args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {verify_args[0]} does not read ")
+        assert "HOLDS" not in captured.out
+
     def test_dihedral_claim_below_its_range_is_skipped(self, capsys):
         assert main(["verify", "dihedral-no-anti", "--n", "1"]) == 0
         assert "[skip] dihedral-no-anti :: R1" in capsys.readouterr().out

@@ -1,10 +1,13 @@
 """Quandle constructors: identities between families, rejection rules."""
 
+import re
+
 import numpy as np
 import pytest
 
 from quandlekit import (
     CompatibilityFail,
+    ConstructionSpec,
     ConstructionSpecError,
     PointMap,
     WrongMapKind,
@@ -32,6 +35,7 @@ from quandlekit import (
     symmetric,
     trivial,
 )
+from quandlekit.constructions import KINDS
 
 
 def identity_auto(G):
@@ -226,3 +230,62 @@ class TestSpecParsing:
     def test_bad_parameter_rejected(self):
         with pytest.raises(ConstructionSpecError):
             spec_from_string("conj:m=two", named_group("Z4"))
+
+
+# Per kind: a spec on S3, the public constructor call it stands for, and the
+# quandle's name.  psi 0 of S3 is the one AAut(S3) row that q3 and q4 accept.
+EDGE = {
+    "trivial": ("trivial:n=4", lambda G: trivial(4), "T4"),
+    "dihedral": ("dihedral:n=5", lambda G: dihedral_quandle(5), "R5"),
+    "conj": ("conj:m=2", lambda G: conj_m(G, 2), "Conj_2(S3)"),
+    "core": ("core", core, "Core(S3)"),
+    "alex": ("alex:phi=1", lambda G: alex(G, enumerate_aut(G)[1]), "Alex(S3,phi=[0,1,5,4,3,2])"),
+    "q1": ("q1:phi=2", lambda G: q1(G, enumerate_aut(G)[2]), "Q1(S3,phi=[0,2,1,4,3,5])"),
+    "q2": ("q2:psi=3", lambda G: q2(G, enumerate_aaut(G)[3]), "Q2(S3,psi=[0,2,5,4,3,1])"),
+    "q3": ("q3:psi=0", lambda G: q3(G, enumerate_aaut(G)[0]), "Q3(S3,psi=[0,1,2,4,3,5])"),
+    "q4": ("q4:psi=0", lambda G: q4(G, enumerate_aaut(G)[0]), "Q4(S3,psi=[0,1,2,4,3,5])"),
+    "p1": ("p1:c=3", lambda G: p1(G, 3), "P1(S3,c=3)"),
+    "p2": ("p2:c=1", lambda G: p2(G, 1), "P2(S3,c=1)"),
+    "p3": ("p3:c=4", lambda G: p3(G, 4), "P3(S3,c=4)"),
+    "p4": ("p4:c=5", lambda G: p4(G, 5), "P4(S3,c=5)"),
+}
+
+
+class TestPublicEdge:
+    """The spec parser, ``build`` and the public constructors agree on every kind."""
+
+    def test_every_kind_has_a_case(self):
+        assert tuple(EDGE) == KINDS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_spec_builds_the_public_constructors_quandle(self, kind):
+        text, ctor, name = EDGE[kind]
+        G = symmetric(3)
+        built, direct = build(spec_from_string(text, G)), ctor(G)
+        assert built == direct
+        assert built.name == direct.name == name
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda G: build(ConstructionSpec("conj", group=G)), "conj needs m"),
+        (lambda G: build(ConstructionSpec("alex", group=G)), "alex needs phi"),
+        (lambda G: build(ConstructionSpec("q2", group=G)), "q2 needs psi"),
+        (lambda G: build(ConstructionSpec("p1", group=G)), "p1 needs c"),
+        (lambda G: build(ConstructionSpec("trivial")), "trivial needs n"),
+        (lambda G: build(ConstructionSpec("core")), "core needs a group"),
+        (lambda G: spec_from_string("core"), "core needs a group"),
+        (lambda G: spec_from_string("p1", G), "p1 needs c=<int>"),
+        (lambda G: spec_from_string("alex:phi=1"), "alex needs a group to resolve its map index"),
+    ])
+    def test_spec_errors_keep_their_messages(self, call, message):
+        with pytest.raises(ConstructionSpecError, match=f"^{re.escape(message)}$"):
+            call(symmetric(3))
+
+    @pytest.mark.parametrize("kind", ["q2", "q3", "q4"])
+    def test_an_automorphism_is_the_wrong_kind_for_q2_to_q4(self, kind):
+        G = symmetric(3)
+        phi = enumerate_aut(G)[1]
+        message = "construction needs a map satisfying the antiautomorphism law, got automorphism"
+        for call in (lambda: build(ConstructionSpec(kind, group=G, map=phi)),
+                     lambda: {"q2": q2, "q3": q3, "q4": q4}[kind](G, phi)):
+            with pytest.raises(WrongMapKind, match=f"^{re.escape(message)}$"):
+                call()

@@ -231,6 +231,20 @@ class TestRunCheckErrors:
         with pytest.raises(ConstructionSpecError, match="out of range"):
             run_check(theorem_id, symmetric(3), **params)
 
+    @pytest.mark.parametrize(
+        "theorem_id, group, params, unread",
+        [
+            ("conj-out", "S3", {"m": 7, "c": 99}, "m, c"),
+            ("core", "S3", {"phi_index": 3}, "phi_index"),
+            ("alex", "S3", {"psi_index": 0}, "psi_index"),
+            ("p-family-aut", "S3", {"m": 1}, "m"),
+            ("dihedral-no-anti", "S3", {}, "group"),
+        ],
+    )
+    def test_a_parameter_the_check_does_not_read_is_rejected(self, theorem_id, group, params, unread):
+        with pytest.raises(ConstructionSpecError, match=f"^{theorem_id} does not read {unread};"):
+            run_check(theorem_id, named_group(group), **params)
+
     def test_last_valid_indices_run(self):
         assert len(run_check("alex", symmetric(3), phi_index=5)) == 1
         assert len(run_check("q-family", symmetric(3), phi_index=0, psi_index=5)) == 4
@@ -306,7 +320,7 @@ class TestScope:
         from quandlekit import harness
 
         R3 = dihedral_quandle(3)  # its six automorphisms also reverse it
-        monkeypatch.setitem(harness._TABLES, "conj_m", lambda G, m: R3.op)
+        monkeypatch.setitem(harness._KINDS, "conj", harness._KINDS["conj"]._replace(table=lambda G, m: R3.op))
         (v,) = run_check("conj-no-anti", cyclic(3), m=1)
         assert not v.holds and v.lhs is False
         assert is_quandle_anti(R3, PointMap(v.counterexample["images"]))
@@ -339,12 +353,12 @@ class TestGroupStore:
     def test_alex_tables_are_keyed_by_images_not_labels(self):
         D6 = named_group("D6")
         phis = harness.enumerate_aut(D6)
-        tables = [_quandle(D6, "alex", phi).op for phi in phis]
-        assert len(phis) == 12 and len({_map_label(phi) for phi in phis}) == 2
+        tables = [_quandle(D6, "alex", phi.images).op for phi in phis]
+        assert len(phis) == 12 and len({_map_label(phi.images) for phi in phis}) == 2
         assert len({t.tobytes() for t in tables}) == 12
         for phi, table in zip(phis, tables):
             assert np.array_equal(table, alex(D6, phi).op)
-            assert _quandle(D6, "alex", phi).op is table  # built once, then read back
+            assert _quandle(D6, "alex", phi.images).op is table  # built once, then read back
 
     def test_semidirect_part_clauses_are_keyed_by_content(self, monkeypatch):
         D6 = named_group("D6")
@@ -414,6 +428,24 @@ class TestGroupStore:
         assert {r[2] for r in gathers} == {table}
         assert S3._store  # kept while S3 lives
 
+    def test_census_checks_no_map_law_and_the_public_edge_does(self, monkeypatch):
+        """Every map of a census is a row of the verified Aut(G)/AAut(G) stacks, so no law gate runs."""
+        calls = []
+        real = groupmaps._checked_images
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        for module in (groupmaps, harness, quandlemaps, quandlekit.constructions):
+            if getattr(module, "_checked_images", None) is real:
+                monkeypatch.setattr(module, "_checked_images", counted)
+        S3 = symmetric(3)
+        assert run_census([S3, cyclic(4), quaternion8()])["summary"]["failed"] == 0
+        assert calls == []
+        alex(S3, enumerate_aut(S3)[1])  # positive control: the public constructor gates its map
+        assert calls == ["S3"]
+
     def test_stored_quandles_are_freed_with_the_store(self):
         """A stored quandle keeps only arrays: once G's store is cleared it dies without the cyclic GC."""
         S3, Z5 = symmetric(3), cyclic(5)
@@ -423,7 +455,7 @@ class TestGroupStore:
             assert_all_hold(run_check("conj-out", S3))
             assert_all_hold(run_check("core-abelian-aut", Z5))
             refs = []
-            for Q in (_quandle(S3, "conj_m", 1), _quandle(Z5, "core")):
+            for Q in (_quandle(S3, "conj", 1), _quandle(Z5, "core")):
                 assert ("automorphism",) in Q._store  # the check enumerated Aut(Q)
                 reached = [obj for value in Q._store.values() for obj in _reachable(value)]
                 assert not any(obj is Q or isinstance(obj, QuandleMap) for obj in reached)
@@ -645,9 +677,9 @@ class TestVerdictMechanics:
         import quandlekit.harness as harness
         from quandlekit import report_json
 
-        real = harness.is_central_automorphism
+        real = harness._all_central
         monkeypatch.setattr(
-            harness, "is_central_automorphism", lambda G, cm: not real(G, cm)
+            harness, "_all_central", lambda G, left, right: not real(G, left, right)
         )
         verdicts = harness.run_check("alex", cyclic(4))
         failing = [n for v in verdicts for n in v.walk() if not n.holds]

@@ -364,7 +364,7 @@ class TestProductSetClosure:
         for phi in enumerate_aut(G):
             cent = [cm.map for cm in centralizer_in_aut(G, phi)]
             want = len(closure_of_point_maps(right_translations + cent))
-            assert reported_size(check_alex_semidirect(G, phi), r"closure (\d+) =") == want
+            assert reported_size(check_alex_semidirect(G, phi.images), r"closure (\d+) =") == want
 
     @pytest.mark.parametrize("spec", SMALL_CATALOG + ["S4"])
     def test_core_semidirect_size_equals_the_closure_search(self, spec):
