@@ -286,9 +286,27 @@ class ConstructionSpec:
             raise ConstructionSpecError(f"unknown construction kind {self.kind!r}")
 
 
+def _reads(kind: str) -> str:
+    """The spec fields a kind reads, space-separated."""
+    row = _KINDS.get(kind)
+    if row is None:
+        return "n"
+    if row.param is None:
+        return "group"
+    return "group " + ("map" if row.law else row.param)
+
+
 def build(spec: ConstructionSpec) -> Quandle:
-    """Dispatch a ConstructionSpec to its constructor."""
+    """Dispatch a ConstructionSpec to its constructor.
+
+    A field that the kind does not read is a spec error.
+    """
     kind = spec.kind
+    reads = _reads(kind)
+    given = {"group": spec.group, "n": spec.n, "m": spec.m, "map": spec.map, "c": spec.c}
+    unread = [name for name, value in given.items() if value is not None and name not in reads.split()]
+    if unread:
+        raise ConstructionSpecError(f"{kind} does not read {', '.join(unread)}; it reads: {reads}")
     if kind not in _KINDS:
         if spec.n is None:
             raise ConstructionSpecError(f"{kind} needs n")

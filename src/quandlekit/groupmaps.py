@@ -778,6 +778,33 @@ def _right_closure_size(G: FiniteGroup, P: np.ndarray, T: np.ndarray) -> int:
                                          _hol_keys(G, P[:, T[:, base]]).ravel()])))
 
 
+def _hol_generators(G: FiniteGroup, group: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ascending Hol(G) keys of a group of Hol(G) maps, and rows of it that generate it.
+
+    Greedy on the keys: each pick is the row with the least key outside the
+    group that the earlier picks generate, closed from the identity by right
+    multiplication.  A pick at least doubles that group (Lagrange), so there
+    are at most log2 |group| picks.  The rows must be distinct and form a
+    group, as ``_is_map_group`` decides: every product is then looked up by
+    one searchsorted, with no membership test.
+    """
+    base = G.hol_base
+    keys = _hol_keys(G, group[:, base])
+    order = np.argsort(keys)
+    keys, rows = keys[order], group[order]
+    reached = keys == _hol_keys(G, base)  # the identity
+    picks: List[int] = []
+    while not reached.all():
+        picks.append(int(np.argmin(reached)))
+        gens = rows[picks][:, base]
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            steps = np.searchsorted(keys, _hol_keys(G, rows[frontier][:, gens]).ravel())
+            frontier = _distinct(steps[~reached[steps]])
+            reached[frontier] = True
+    return keys, rows[picks]
+
+
 # --- map families ---
 
 

@@ -195,15 +195,12 @@ def _find_identity(table: np.ndarray) -> int:
 
 
 def _find_inverses(table: np.ndarray, identity: int) -> np.ndarray:
-    n = table.shape[0]
-    inv = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        hits = np.nonzero(table[a] == identity)[0]
-        two_sided = [int(b) for b in hits if table[b, a] == identity]
-        if not two_sided:
-            raise NoInverse(a)
-        inv[a] = two_sided[0]
-    return inv
+    """inv[a] = the least b with a*b = b*a = e; NoInverse names the least a without one."""
+    two_sided = (table == identity) & (table.T == identity)
+    found = two_sided.any(axis=1)
+    if not found.all():
+        raise NoInverse(int(np.argmin(found)))
+    return np.argmax(two_sided, axis=1).astype(np.int64)
 
 
 class FiniteGroup:
@@ -218,7 +215,8 @@ class FiniteGroup:
     - C_Aut(phi) and C_AAut(phi), keyed by family plus phi's image bytes;
     - what ``quandlemaps.semidirect_verify`` decides without Q: the
       membership clauses of one part, keyed by its distinct rows as bytes,
-      and the product clauses of two parts, keyed by both;
+      a normal part's sorted keys and generating set, and the product
+      clauses of two parts, keyed by both;
     - facts of G that a check reads at every parameter, keyed by the claim.
     No key is a map's label, a quandle's name or a table: maps with one
     label, and equal tables built from different parameters, get entries of

@@ -174,16 +174,18 @@ def _centralizer_of(G: FiniteGroup, family: str, phi: np.ndarray) -> np.ndarray:
 
 def _members(theorem_id: str, inputs: str, mask: np.ndarray, stack: np.ndarray, notes: str) -> Verdict:
     """Every row of the stack is in its preserving mask; fails on the first row outside it, vacuous on no rows."""
-    return claim(theorem_id, inputs, "subgroup-embedding", mask.all(), vacuous=not len(stack),
-                 counterexample=_first_failure(mask, stack), notes=notes)
+    holds = mask.all()
+    return claim(theorem_id, inputs, "subgroup-embedding", holds, vacuous=not len(stack),
+                 counterexample=None if holds else _first_failure(mask, stack), notes=notes)
 
 
 def _forward(
     theorem_id: str, inputs: str, mask: np.ndarray, stack: np.ndarray, rhs: bool, notes: str,
 ) -> Verdict:
     """Some row is in the mask => rhs; fails on the first such row, vacuous on no rows."""
-    return claim(theorem_id, inputs, "implies", mask.any(), rhs, vacuous=not len(stack),
-                 counterexample=_first_failure(~mask, stack), notes=notes)
+    lhs = mask.any()
+    return claim(theorem_id, inputs, "implies", lhs, rhs, vacuous=not len(stack),
+                 counterexample=_first_failure(~mask, stack) if lhs and not rhs else None, notes=notes)
 
 
 def _emptiness(theorem_id: str, inputs: str, found: np.ndarray, notes: str) -> Verdict:

@@ -33,6 +33,7 @@ from .groupmaps import (
     PointMap,
     _SearchPlan,
     _bijective_mask,
+    _hol_generators,
     _hol_keys,
     _hol_mask,
     _in_sorted,
@@ -210,10 +211,11 @@ class SemidirectReport:
     closure_size: int
     verdict: bool
     failing_clause: Optional[str] = None
-    # Always "materialized": the closure is counted on the |N| * |C| products,
-    # which are built and deduped.  The field stays so that the report's
-    # JSON, the census notes' "(materialized)" suffix and perfbench's
-    # per-mode counters keep their keys.
+    # Always "materialized": the closure is counted on the |N| * |C| products
+    # P and on P o T, for a generating set T of N, which are built and
+    # deduped.  The field stays so that the report's JSON, the census notes'
+    # "(materialized)" suffix and perfbench's per-mode counters keep their
+    # keys.
     mode: str = "materialized"
 
     def to_json(self) -> dict:
@@ -239,12 +241,17 @@ def semidirect_verify(
     the complement normalizes the normal part; the intersection is trivial;
     the closure of the union has exactly |N| * |C| elements.  Past the
     membership clauses every map is read on B = ``G.hol_base`` only and
-    keyed there (``groupmaps._hol_keys``).  The last clause is decided on
-    the set P of the n o c products once they are |N| * |C| distinct maps.
-    P holds the identity and P o C = P, as C is a group, so P is the
-    closure exactly when P o N lies in P (``groupmaps._right_closure_size``).
-    The reported closure size is then |P|, and otherwise a lower bound: the
-    distinct maps in P and P o N.
+    keyed there (``groupmaps._hol_keys``).  The normalizer and closure
+    clauses read a generating set T of N, found greedily once per normal
+    part (``groupmaps._hol_generators``, at most log2 |N| maps): C
+    normalizes N exactly when c o t o c^-1 lies in N for every c in C and t
+    in T, as conjugation by c is a homomorphism.  The last clause is decided
+    on the set P of the n o c products once they are |N| * |C| distinct
+    maps.  P holds the identity and P o C = P, as C is a group, so P is the
+    closure exactly when P o T lies in P (``groupmaps._right_closure_size``):
+    then P o N lies in P, N being generated by T.  The reported closure size
+    is then |P|, and otherwise a lower bound: the distinct maps in P and
+    P o T.
 
     Given that both parts are groups, that the intersection is trivial and
     that C normalizes N, the distinct-products and closure clauses follow.
@@ -253,9 +260,11 @@ def semidirect_verify(
     The preserving masks are the only clause that reads Q; this function
     takes them itself.  The rest is kept in G's store
     (``FiniteGroup._store``): per part, whether it is a bijective group of
-    Hol(G) maps, keyed by its distinct rows as bytes; per pair of parts that
-    pass, the report of the clauses past membership, keyed by both.  So a
-    part or a pair that several checks on one group share is tested once.
+    Hol(G) maps, keyed by its distinct rows as bytes; per normal part that
+    passes, its sorted keys and T; per pair of parts that pass, the report
+    of the clauses past membership, keyed by both.  So a part or a pair
+    that several checks on one group share is tested once, and T is found
+    once however many complements meet it.
     The harness hands in the masks its membership verdicts took
     (``_semidirect_verify``).
     """
@@ -291,7 +300,12 @@ def _semidirect_verify(
                 if preserved else "contains a non-automorphism")
         if flaw is not None:
             return _failed(N, C, f"{label} part {flaw}")
-    return _stored(G, ("semidirect", *keys), lambda: _product_clauses(G, N, C))
+
+    def clauses() -> SemidirectReport:
+        normal = _stored(G, ("semidirect normal", keys[0]), lambda: _hol_generators(G, N))
+        return _product_clauses(G, N, C, *normal)
+
+    return _stored(G, ("semidirect", *keys), clauses)
 
 
 def _failed(
@@ -300,14 +314,21 @@ def _failed(
     return SemidirectReport(len(N), len(C), inter, closure_size, False, clause)
 
 
-def _product_clauses(G: FiniteGroup, N: np.ndarray, C: np.ndarray) -> SemidirectReport:
-    """The clauses past membership, on two distinct groups of Hol(G) maps: none reads Q."""
+def _product_clauses(
+    G: FiniteGroup, N: np.ndarray, C: np.ndarray, nkeys: np.ndarray, gens: np.ndarray
+) -> SemidirectReport:
+    """The clauses past membership, on two distinct groups of Hol(G) maps: none reads Q.
+
+    ``nkeys`` are N's ascending Hol(G) keys and ``gens`` a generating set T
+    of N (``groupmaps._hol_generators``).  Conjugation by c is a
+    homomorphism, so c N c^-1 lies in N once c T c^-1 does; and P o N lies
+    in P once P o t does for every t in T.  Both group clauses read T only.
+    """
     base = G.hol_base
-    nkeys = _distinct(_hol_keys(G, N[:, base]))
     ckeys = _hol_keys(G, C[:, base])
     cinv = np.argsort(C, axis=1)
-    # [i, j] = c_j o f_i o c_j^-1 on B, for f_i in N and c_j in C
-    conjugated = C[np.arange(len(C))[:, None], N[:, cinv[:, base]]]
+    # [i, j] = c_j o t_i o c_j^-1 on B, for t_i in T and c_j in C
+    conjugated = C[np.arange(len(C))[:, None], gens[:, cinv[:, base]]]
     if not _in_sorted(_hol_keys(G, conjugated).ravel(), nkeys).all():
         return _failed(N, C, "complement does not normalize the normal part")
 
@@ -321,7 +342,7 @@ def _product_clauses(G: FiniteGroup, N: np.ndarray, C: np.ndarray) -> Semidirect
     if distinct != expected:
         return _failed(N, C, "n o c products collide", closure_size=distinct, inter=True)
 
-    closure_size = _right_closure_size(G, N[:, C].reshape(-1, G.n), N)
+    closure_size = _right_closure_size(G, N[:, C].reshape(-1, G.n), gens)
     verdict = closure_size == expected
     return SemidirectReport(
         len(N),

@@ -275,6 +275,13 @@ class TestPublicEdge:
         (lambda G: spec_from_string("core"), "core needs a group"),
         (lambda G: spec_from_string("p1", G), "p1 needs c=<int>"),
         (lambda G: spec_from_string("alex:phi=1"), "alex needs a group to resolve its map index"),
+        (lambda G: build(ConstructionSpec("core", group=G, m=3, c=99)), "core does not read m, c; it reads: group"),
+        (lambda G: build(ConstructionSpec("trivial", n=4, group=G)), "trivial does not read group; it reads: n"),
+        (lambda G: build(ConstructionSpec("conj", group=G, m=2, c=1)), "conj does not read c; it reads: group m"),
+        (lambda G: build(ConstructionSpec("p1", group=G, c=1, map=enumerate_aut(G)[1])),
+         "p1 does not read map; it reads: group c"),
+        (lambda G: build(ConstructionSpec("alex", group=G, n=3, map=enumerate_aut(G)[1])),
+         "alex does not read n; it reads: group map"),
     ])
     def test_spec_errors_keep_their_messages(self, call, message):
         with pytest.raises(ConstructionSpecError, match=f"^{re.escape(message)}$"):

@@ -28,7 +28,7 @@ from quandlekit import (
     quotient_by_normal,
     symmetric,
 )
-from quandlekit.groups import _generator_levels
+from quandlekit.groups import _find_inverses, _generator_levels
 from quandlekit.harness import CATALOG_SPECS, default_catalog
 
 
@@ -93,6 +93,58 @@ class TestValidation:
 
         with pytest.raises(BadShape):
             group_from_table([[0, 1, 2], [1, 2, 0]])
+
+
+def _inverses_by_loop(table: np.ndarray, identity: int) -> np.ndarray:
+    """Reference: the least two-sided inverse of each element, one element at a time."""
+    inv = np.empty(table.shape[0], dtype=np.int64)
+    for a in range(table.shape[0]):
+        two_sided = [int(b) for b in np.nonzero(table[a] == identity)[0] if table[b, a] == identity]
+        if not two_sided:
+            raise NoInverse(a)
+        inv[a] = two_sided[0]
+    return inv
+
+
+class TestInverses:
+    @staticmethod
+    def _agree(table: np.ndarray, identity: int) -> bool:
+        """Whether the vectorised pass and the loop give the same inverses or the same NoInverse."""
+        try:
+            expected = _inverses_by_loop(table, identity)
+        except NoInverse as exc:
+            with pytest.raises(NoInverse) as got:
+                _find_inverses(table, identity)
+            assert got.value.witness == exc.witness
+            return False
+        assert np.array_equal(_find_inverses(table, identity), expected)
+        return True
+
+    def test_catalog_groups_match_the_loop(self):
+        for G in default_catalog():
+            assert self._agree(G.table, G.identity)
+            assert np.array_equal(G.inverse, _inverses_by_loop(G.table, G.identity))
+
+    def test_random_tables_with_and_without_inverses_match_the_loop(self):
+        rng = np.random.default_rng(20)
+        outcomes = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            e = int(rng.integers(0, n))
+            table = rng.integers(0, n, size=(n, n))
+            table[e, :] = table[:, e] = np.arange(n)  # e is a two-sided identity
+            if rng.random() < 0.5:  # plant a pair a, b with a*b = b*a = e
+                a, b = rng.integers(0, n, size=2)
+                table[a, b] = table[b, a] = e
+            outcomes.add(self._agree(table, e))
+        assert outcomes == {True, False}  # both branches were exercised
+
+    def test_the_least_element_without_an_inverse_is_named(self):
+        table = cyclic(4).table.copy()
+        table[3, 1] = table[1, 3] = 3  # 1 and 3 lose their inverse; 0 and 2 keep theirs
+        with pytest.raises(NoInverse) as exc:
+            _find_inverses(table, 0)
+        assert exc.value.witness == 1
 
 
 class TestConstructors:

@@ -595,6 +595,22 @@ class TestClaimVocabulary:
         assert v.counterexample == {"index": first, "images": [int(x) for x in perms[first]]}
         assert is_quandle_auto(Q, PointMap(v.counterexample["images"])) is False
 
+    def test_counterexamples_are_built_only_for_failing_nodes(self, monkeypatch):
+        calls = []
+        real = harness._first_failure
+        monkeypatch.setattr(harness, "_first_failure", lambda mask, stack: calls.append(1) or real(mask, stack))
+        report = run_census([symmetric(3), quaternion8()])
+        nodes, stack = [], list(report["checks"])
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].get("parts", []))
+        assert len(nodes) > 1000
+        assert len(calls) == sum(not node["holds"] for node in nodes) == 0
+        # a failing implication still carries the first row in its mask
+        v = harness._forward("t", "in", np.array([False, True, True]), np.array([[0, 1], [1, 0], [1, 0]]),
+                             False, "")
+        assert not v.holds and v.counterexample == {"index": 1, "images": [1, 0]} and len(calls) == 1
+
 
 class TestCensus:
     def test_small_census_holds_and_validates(self):

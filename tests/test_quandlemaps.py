@@ -11,6 +11,7 @@ from quandlekit import (
     CarrierMismatch,
     PointMap,
     Quandle,
+    SemidirectReport,
     alex,
     are_isomorphic,
     conj_m,
@@ -23,6 +24,7 @@ from quandlekit import (
     find_table_iso,
     induced,
     closure_group,
+    closure_of_point_maps,
     inn_out_report,
     inversion_map,
     is_quandle_anti,
@@ -34,7 +36,7 @@ from quandlekit import (
     symmetric,
     trivial,
 )
-from quandlekit import Q3Fail, groupmaps, quandlemaps
+from quandlekit import Q3Fail, groupmaps, harness, quandlemaps
 from quandlekit.groupmaps import (
     _auts,
     _is_map_group,
@@ -44,6 +46,7 @@ from quandlekit.groupmaps import (
     _profiles,
     _SearchPlan,
     _table_isos,
+    _unique_rows,
     preserving_mask,
 )
 from quandlekit.quandles import _check_q3
@@ -537,6 +540,89 @@ class TestSemidirectVerify:
         with pytest.raises(CarrierMismatch):
             semidirect_verify(np.array([[0, 1, 2]]), np.array([[0, 1, 2]]), dihedral_quandle(3),
                               cyclic(4))
+
+
+def _reference_report(normal, complement, Q, G) -> SemidirectReport:
+    """semidirect_verify's clauses past membership by brute force on whole rows.
+
+    The normalizer clause conjugates every member of N by every member of C,
+    and the closure is ``closure_of_point_maps`` of N u C.
+    """
+    N, C = (np.unique(np.asarray(part, dtype=np.int64), axis=0) for part in (normal, complement))
+    assert preserving_mask(Q.op, N).all() and preserving_mask(Q.op, C).all()
+    members = {row.tobytes() for row in N}
+    conjugates = [c[f[np.argsort(c)]] for c in C for f in N]
+    if not all(row.tobytes() in members for row in conjugates):
+        return SemidirectReport(len(N), len(C), False, 0, False, "complement does not normalize the normal part")
+    if {row.tobytes() for row in C} & members != {np.arange(G.n).tobytes()}:
+        return SemidirectReport(len(N), len(C), False, 0, False, "intersection is not trivial")
+    expected = len(N) * len(C)
+    distinct = len({f[c].tobytes() for f in N for c in C})
+    if distinct != expected:
+        return SemidirectReport(len(N), len(C), True, distinct, False, "n o c products collide")
+    size = len(closure_of_point_maps([PointMap(row) for row in np.concatenate([N, C])]))
+    verdict = size == expected
+    return SemidirectReport(len(N), len(C), True, size, verdict,
+                            None if verdict else "closure size differs from |N| * |C|")
+
+
+def _stored_generators(G, normal):
+    """The generating set of a normal part that G's store keeps, once a semidirect check has read it."""
+    N = _unique_rows(normal)
+    return G._store[("semidirect normal", N.tobytes())][1], N
+
+
+class TestSemidirectOnGenerators:
+    """The normalizer and closure clauses read a generating set T of the normal part."""
+
+    def test_catalog_reports_match_the_brute_force_reference(self):
+        for G in harness.default_catalog():
+            phis = _auts(G).aut.astype(np.int64)
+            if G.name == "H3":
+                phis = phis[np.random.default_rng(20).choice(len(phis), size=20, replace=False)]
+            for phi in phis:
+                Q = harness._quandle(G, "alex", phi)
+                N, C = G.table.T, harness._centralizer_of(G, "aut", phi)  # as alex-semidirect passes them
+                report = semidirect_verify(N, C, Q, G)
+                assert report.verdict and report == _reference_report(N, C, Q, G), (G.name, phi)
+            Q = conj_m(G, 1)
+            N, C = harness._H_stack(G), _auts(G).aut  # as conj-semidirect passes them
+            report = semidirect_verify(N, C, Q, G)
+            assert report.verdict and report == _reference_report(N, C, Q, G), G.name
+
+    def test_stored_generators_generate_the_normal_part(self):
+        counts = {}
+        for G in harness.default_catalog():
+            for normal, C, Q in ((G.table.T, _auts(G).aut[:1], harness._quandle(G, "alex", np.arange(G.n))),
+                                 (harness._H_stack(G), _auts(G).aut, conj_m(G, 1))):
+                assert semidirect_verify(normal, C, Q, G).verdict
+                T, N = _stored_generators(G, normal)
+                assert len(T) <= np.log2(len(N))
+                if len(T):
+                    closed = _rows(closure_of_point_maps([PointMap(row) for row in T]))
+                    assert len(closed) == len(N) and np.array_equal(_unique_rows(closed), N), G.name
+                else:
+                    assert len(N) == 1
+            counts[G.name] = len(_stored_generators(G, G.table.T)[0])
+        assert {name: counts[name] for name in ("H3", "S4", "Q8", "D6")} == {"H3": 3, "S4": 3, "Q8": 2, "D6": 2}
+
+    def test_complement_normalizing_only_the_first_generator_fails(self):
+        G = symmetric(3)
+        Q = conj_m(G, 0)  # the trivial quandle: every bijection preserves it
+        N = np.array([[0, 1, 2, 3, 4, 5], [0, 1, 5, 4, 3, 2], [0, 2, 1, 4, 3, 5],
+                      [0, 2, 5, 3, 4, 1], [0, 5, 1, 3, 4, 2], [0, 5, 2, 4, 3, 1]])
+        C = np.array([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3]])
+        report = semidirect_verify(N, C, Q, G)
+        T, _ = _stored_generators(G, N)
+        assert len(T) == 2
+        c, cinv = C[1], np.argsort(C[1])
+        first = _rows(closure_of_point_maps([PointMap(T[0])]))  # <T[0]>, as int64 rows
+        assert {c[f[cinv]].tobytes() for f in first} == {f.tobytes() for f in first}
+        members = {row.tobytes() for row in N}
+        assert not all(c[f[cinv]].tobytes() in members for f in N)
+        assert not report.verdict
+        assert report.failing_clause == "complement does not normalize the normal part"
+        assert report == _reference_report(N, C, Q, G)
 
 
 class TestMapGroupPredicate:
