@@ -872,6 +872,49 @@ def _centralizer(G: FiniteGroup, stack: np.ndarray, phi: np.ndarray) -> np.ndarr
     return stack[(stack[:, phi[base]] == phi[stack[:, base]]).all(axis=1)]
 
 
+class _Orbits(NamedTuple):
+    """The Aut(G)-orbits on a parameter range, per member i: its orbit's least member and a conjugator.
+
+    ``theta[i]`` is a row of Aut(G) that carries ``rep[i]`` to i: as
+    theta o rep o theta^-1 on maps, as theta(rep) on elements.  A
+    representative is carried to itself by row 0, the identity.
+    """
+
+    rep: np.ndarray
+    theta: np.ndarray
+
+
+def _orbits(G: FiniteGroup, family: str) -> _Orbits:
+    """The orbits of Aut(G) on the rows of Aut(G) ("aut") or AAut(G) ("aaut") by conjugation, or on G's elements ("point"), from G's store.
+
+    On maps, one gather per orbit: the conjugates of its least unvisited row
+    by every theta, found among the stack's sorted keys.  On elements, the
+    orbit of c is column c of Aut(G).
+    """
+    return _stored(G, ("orbits", family), lambda: _orbit_walk(G, family))
+
+
+def _orbit_walk(G: FiniteGroup, family: str) -> _Orbits:
+    aut = _auts(G).aut.astype(np.intp)
+    if family == "point":
+        rep = aut.min(axis=0)
+        return _Orbits(rep, (aut[:, rep] == np.arange(G.n)).argmax(axis=0))
+    stack = getattr(_auts(G), family)
+    keys = _keys(stack)
+    inv = np.argsort(aut, axis=1)
+    rep = np.full(len(stack), -1, dtype=np.intp)
+    theta = np.zeros(len(stack), dtype=np.intp)
+    for i in range(len(stack)):
+        if rep[i] < 0:
+            conj = np.take_along_axis(aut, stack[i][inv], axis=1)  # [t, x] = theta_t(phi(theta_t^-1(x)))
+            hit = np.searchsorted(keys, _keys(conj))
+            order = np.argsort(hit, kind="stable")
+            first = np.concatenate(([True], hit[order[1:]] != hit[order[:-1]]))  # each member's least theta
+            rep[hit] = i
+            theta[hit[order[first]]] = order[first]
+    return _Orbits(rep, theta)
+
+
 _EITHER_LAW = (AUTOMORPHISM, ANTIAUTOMORPHISM)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -45,6 +46,7 @@ from .groupmaps import (
     _inner_stack,
     _keys,
     _law_masks,
+    _orbits,
     _out_reps,
     _right_closure_size,
     _stack_of,
@@ -374,10 +376,14 @@ def check_conj_no_anti(G: FiniteGroup, m: int) -> Verdict:
 # --- Alexander checks ---
 
 
+def _phi_inputs(G: FiniteGroup, phi: np.ndarray) -> str:
+    return f"{G.name}, phi={_map_label(phi)}"
+
+
 def check_alex(G: FiniteGroup, phi: np.ndarray) -> Verdict:
     """Induced maps on Alex(G, phi), phi a row of Aut(G), versus centrality and commutativity."""
     tid = "alex"
-    inputs = f"{G.name}, phi={_map_label(phi)}"
+    inputs = _phi_inputs(G, phi)
     Q = _quandle(G, "alex", phi)
     aa_stack = _centralizer_of(G, "aaut", phi)
     a_stack = _centralizer_of(G, "aut", phi)
@@ -409,7 +415,7 @@ def check_alex(G: FiniteGroup, phi: np.ndarray) -> Verdict:
 def check_alex_semidirect(G: FiniteGroup, phi: np.ndarray) -> Verdict:
     """G^op rtimes C_Aut(phi) embeds in Aut(Alex(G, phi)), phi a row of Aut(G)."""
     tid = "alex-semidirect"
-    inputs = f"{G.name}, phi={_map_label(phi)}"
+    inputs = _phi_inputs(G, phi)
     Q = _quandle(G, "alex", phi)
     right_translations = G.table.T  # row b is f_{1,b}
     cent = _centralizer_of(G, "aut", phi)
@@ -437,7 +443,7 @@ def check_F_props(G: FiniteGroup, phis: Sequence[np.ndarray]) -> List[Verdict]:
     iso = verify_F_iso(G)
     out = []
     for phi in phis:
-        inputs = f"{G.name}, phi={_map_label(phi)}"
+        inputs = _phi_inputs(G, phi)
         fprime = _F_prime_stack(G, phi)
         parts = [
             replace(in_core, inputs=inputs),
@@ -627,10 +633,14 @@ def _qi_auto_predicate(G: FiniteGroup, i: int, base: np.ndarray) -> Tuple[bool, 
     return _all_central(G, np.arange(G.n), np.argsort(base)), "y * base^-1(y) central for every y"
 
 
+def _q_inputs(G: FiniteGroup, i: int, base: np.ndarray) -> str:
+    return f"{G.name}, Q{i}, base={_map_label(base)}"
+
+
 def check_Qi(G: FiniteGroup, i: int, base: np.ndarray) -> Verdict:
     """The four Q_i claims for one base map: a row of Aut(G) for Q1, of AAut(G) for Q2-Q4."""
     tid = "q-family"
-    inputs = f"{G.name}, Q{i}, base={_map_label(base)}"
+    inputs = _q_inputs(G, i, base)
     try:
         op = _table(G, f"q{i}", base)
     except CompatibilityFail as exc:
@@ -666,10 +676,14 @@ def check_Qi(G: FiniteGroup, i: int, base: np.ndarray) -> Verdict:
     return combine(tid, inputs, "iff", parts)
 
 
+def _c_inputs(G: FiniteGroup, c: int) -> str:
+    return f"{G.name}, c={c}"
+
+
 def check_Pi_aut(G: FiniteGroup, c: int) -> Verdict:
     """phi induces an automorphism of P_i(G, c) iff c^-1 phi^-1(c) is central."""
     tid = "p-family-aut"
-    inputs = f"{G.name}, c={c}"
+    inputs = _c_inputs(G, c)
     stack = _auts(G).aut
     phi_inv_c = np.argmax(stack == c, axis=1)  # phi^-1(c) per automorphism
     rhs_vals = G.table[G.inverse[c], phi_inv_c]
@@ -699,7 +713,7 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
     antiautomorphisms iff x = [x, c^-1] identically; antiautomorphisms
     fixing c that act as automorphisms force c^2 central."""
     tid = "p-family-anti"
-    inputs = f"{G.name}, c={c}"
+    inputs = _c_inputs(G, c)
     idx = np.arange(G.n)
     a_stack, aa_stack = (s[s[:, c] == c] for s in (_auts(G).aut, _auts(G).aaut))  # the maps fixing c
     cinv = G.inverse[c]
@@ -732,6 +746,62 @@ def check_Pi_anti(G: FiniteGroup, c: int) -> Verdict:
 # --- dispatch and census ---
 
 
+def _transportable(v: Verdict) -> bool:
+    """Whether a verdict may stand for its orbit: every node holds, none is skipped or carries a witness or counterexample."""
+    return all(n.holds and not n.skipped and n.witness is None and n.counterexample is None for n in v.walk())
+
+
+def _transported(v: Verdict, inputs: str, via: dict) -> Verdict:
+    """A copy of v with ``inputs`` on every node whose inputs are v's, and ``via`` on the top node.
+
+    A subtree with nothing to rewrite, such as f-structure's group-level iso
+    part, is shared with v, as the checks share it among their own verdicts.
+    """
+
+    def moved(node: Verdict) -> Verdict:  # field by field: dataclasses.replace costs three times as much
+        parts = [moved(part) for part in node.parts]
+        if node.inputs != v.inputs and all(new is old for new, old in zip(parts, node.parts)):
+            return node
+        return Verdict(**{**vars(node), "inputs": inputs if node.inputs == v.inputs else node.inputs,
+                          "parts": parts})
+
+    top = moved(v)
+    top.via = via
+    return top
+
+
+def _per_orbit(
+    G: FiniteGroup, family: str, params: list,
+    decide: Callable[[list], List[Verdict]], inputs: Callable[[FiniteGroup, object], str],
+) -> List[Verdict]:
+    """One verdict per parameter of a full sweep, one representative per Aut(G)-orbit decided.
+
+    The parameters are the rows of Aut(G) ("aut") or AAut(G) ("aaut"), or
+    G's elements ("point"), in order; ``decide`` takes a list of them and
+    ``inputs`` gives one's inputs string.
+    Each theta in Aut(G) is an isomorphism Alex(G, phi) -> Alex(G, theta
+    phi theta^-1), Q_i(G, psi) -> Q_i(G, theta psi theta^-1) and P_i(G, c)
+    -> P_i(G, theta(c)), so a verdict whose every node holds, with no skip,
+    witness or counterexample, holds across its orbit
+    (``groupmaps._orbits``).  Each other member gets a copy with its own
+    inputs and ``via``: the representative's index and the conjugator's row
+    of Aut(G).  The members of every other orbit are decided directly, so
+    each counterexample and skip note is the member's own.
+    """
+    orbits = _orbits(G, family)
+    pairs = list(zip(orbits.rep.tolist(), orbits.theta.tolist()))
+    reps = [j for j, (r, _) in enumerate(pairs) if j == r]
+    out = dict(zip(reps, decide([params[r] for r in reps])))
+    movable = {r: _transportable(out[r]) for r in reps}
+    direct = [j for j, (r, _) in enumerate(pairs) if j != r and not movable[r]]
+    for j, (r, t) in enumerate(pairs):
+        if j != r and movable[r]:
+            out[j] = _transported(out[r], inputs(G, params[j]), {"index": r, "conjugator": t})
+    if direct:
+        out.update(zip(direct, decide([params[j] for j in direct])))
+    return [out[j] for j in range(len(params))]
+
+
 @dataclass(frozen=True)
 class _Sweep:
     """The parameters of one ``run_check`` call; each one left unset sweeps its range."""
@@ -758,10 +828,6 @@ class _Sweep:
     def ns(self) -> List[int]:
         return [self.n] if self.n is not None else list(range(3, 11))
 
-    @property
-    def cs(self) -> List[int]:
-        return list(range(self.G.n)) if self.c is None else [_in_range("c", self.c, self.G.n)]
-
     def _rows(self, family: str, index: Optional[int], param: str) -> List[np.ndarray]:
         """The int64 image rows of Aut(G) or AAut(G), all in order or only the one at ``index``."""
         if index is None:
@@ -770,11 +836,30 @@ class _Sweep:
         stack = getattr(_auts(self.G), family)
         return [stack[_in_range(param, index, len(stack))].astype(np.int64)]
 
+    @cached_property
     def phis(self) -> List[np.ndarray]:
         return self._rows("aut", self.phi_index, "phi")
 
+    @cached_property
     def psis(self) -> List[np.ndarray]:
         return self._rows("aaut", self.psi_index, "psi")
+
+    @property
+    def cs(self) -> List[int]:
+        return list(range(self.G.n)) if self.c is None else [_in_range("c", self.c, self.G.n)]
+
+    # family -> the index parameter that names one of its members, and the members swept
+    _FAMILIES = MappingProxyType({"aut": ("phi_index", "phis"), "aaut": ("psi_index", "psis"), "point": ("c", "cs")})
+
+    def over(
+        self, family: str, decide: Callable[[list], List[Verdict]],
+        inputs: Callable[[FiniteGroup, object], str],
+    ) -> List[Verdict]:
+        """``decide`` on the family's parameters: directly at a given index, per Aut(G)-orbit (``_per_orbit``) on a full sweep."""
+        index, params = (getattr(self, name) for name in self._FAMILIES[family])
+        if index is not None:
+            return decide(params)
+        return _per_orbit(self.G, family, params, decide, inputs)
 
 
 class _Check(NamedTuple):
@@ -784,25 +869,38 @@ class _Check(NamedTuple):
     sweep: Callable[[_Sweep], List[Verdict]]
 
 
+def _q_family(s: _Sweep) -> List[Verdict]:
+    """Q1 at each phi, then Q2, Q3 and Q4 at each psi."""
+    q1 = s.over("aut", lambda phis: [check_Qi(s.G, 1, phi) for phi in phis], lambda G, phi: _q_inputs(G, 1, phi))
+    by_i = [s.over("aaut", lambda psis, i=i: [check_Qi(s.G, i, psi) for psi in psis],
+                   lambda G, psi, i=i: _q_inputs(G, i, psi)) for i in (2, 3, 4)]
+    return q1 + [v for per_psi in zip(*by_i) for v in per_psi]
+
+
 # Check id -> its sweep, read-only.  The order is the census order; only
-# dihedral-no-anti reads no group.
+# dihedral-no-anti reads no group.  The six per-parameter sweeps go through
+# ``_Sweep.over``.
 _SWEEPS: Mapping[str, _Check] = MappingProxyType({
     "conj-semidirect": _Check("group m", lambda s: [check_conj_semidirect(s.G, m) for m in s.ms]),
     "conj-out": _Check("group", lambda s: [check_conj_out(s.G)]),
     "conj-aaut": _Check("group m", lambda s: [check_conj_aaut_intersection(s.G, m) for m in s.ms]),
     "conj-no-anti": _Check("group m", lambda s: [check_conj_no_anti(s.G, m) for m in s.ms]),
-    "alex": _Check("group phi_index", lambda s: [check_alex(s.G, phi) for phi in s.phis()]),
-    "alex-semidirect": _Check("group phi_index", lambda s: [check_alex_semidirect(s.G, phi) for phi in s.phis()]),
-    "f-structure": _Check("group phi_index", lambda s: check_F_props(s.G, s.phis())),
+    "alex": _Check("group phi_index", lambda s: s.over(
+        "aut", lambda phis: [check_alex(s.G, phi) for phi in phis], _phi_inputs)),
+    "alex-semidirect": _Check("group phi_index", lambda s: s.over(
+        "aut", lambda phis: [check_alex_semidirect(s.G, phi) for phi in phis], _phi_inputs)),
+    "f-structure": _Check("group phi_index", lambda s: s.over(
+        "aut", lambda phis: check_F_props(s.G, phis), _phi_inputs)),
     "core": _Check("group", lambda s: [check_core(s.G)]),
     "core-corollaries": _Check("group", lambda s: [check_core_corollaries(s.G)]),
     "dihedral-no-anti": _Check("n", lambda s: [check_dihedral_no_anti(k) for k in s.ns]),
     "core-semidirect": _Check("group", lambda s: [check_core_semidirect(s.G)]),
     "core-abelian-aut": _Check("group", lambda s: [check_core_abelian_full(s.G)]),
-    "q-family": _Check("group phi_index psi_index", lambda s: [check_Qi(s.G, 1, phi) for phi in s.phis()]
-                       + [check_Qi(s.G, i, psi) for psi in s.psis() for i in (2, 3, 4)]),
-    "p-family-aut": _Check("group c", lambda s: [check_Pi_aut(s.G, c) for c in s.cs]),
-    "p-family-anti": _Check("group c", lambda s: [check_Pi_anti(s.G, c) for c in s.cs]),
+    "q-family": _Check("group phi_index psi_index", _q_family),
+    "p-family-aut": _Check("group c", lambda s: s.over(
+        "point", lambda cs: [check_Pi_aut(s.G, c) for c in cs], _c_inputs)),
+    "p-family-anti": _Check("group c", lambda s: s.over(
+        "point", lambda cs: [check_Pi_anti(s.G, c) for c in cs], _c_inputs)),
 })
 
 CHECK_IDS = tuple(_SWEEPS)

@@ -11,6 +11,10 @@ false or rhs is true, under every other relationship when lhs equals rhs;
 it keeps the witness only when the claim holds and the counterexample only
 when it fails.  ``combine`` rolls parts up: it holds when every part holds.
 ``make_skipped`` records a claim that was not checked, with its reason.
+
+A verdict copied to another parameter of a sweep from the verdict of its
+Aut(G)-orbit representative names that representative and the conjugator in
+``via`` (see ``harness._per_orbit``); a verdict decided directly has none.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ class Verdict:
     counterexample: Any = None
     notes: str = ""
     parts: List["Verdict"] = field(default_factory=list)
+    via: Optional[dict] = None
 
     def __post_init__(self):
         if self.relationship not in RELATIONSHIPS:
@@ -62,6 +67,8 @@ class Verdict:
         }
         if self.parts:
             out["parts"] = [p.to_json() for p in self.parts]
+        if self.via is not None:
+            out["via"] = self.via
         return out
 
     def render_text(self, indent: int = 0) -> str:
@@ -81,6 +88,8 @@ class Verdict:
             detail.append(self.notes)
         if self.counterexample is not None:
             detail.append(f"counterexample: {self.counterexample}")
+        if self.via is not None:
+            detail.append(f"from index {self.via['index']} by conjugator {self.via['conjugator']}")
         if detail:
             pieces[0] += "  " + "; ".join(detail)
         pieces.extend(p.render_text(indent + 1) for p in self.parts)
@@ -157,7 +166,7 @@ def summarize(verdicts: List[Verdict]) -> dict:
     }
 
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def report_json(catalog: List[str], verdicts: List[Verdict]) -> dict:
@@ -206,6 +215,12 @@ REPORT_SCHEMA = {
                 "counterexample": {},
                 "notes": {"type": "string"},
                 "parts": {"type": "array", "items": {"$ref": "#/$defs/verdict"}},
+                "via": {
+                    "type": "object",
+                    "required": ["index", "conjugator"],
+                    "properties": {"index": {"type": "integer"}, "conjugator": {"type": "integer"}},
+                    "additionalProperties": False,
+                },
             },
             "additionalProperties": False,
         }

@@ -73,11 +73,15 @@ from quandlekit.verdicts import report_json
 # produced by the per-row implementation the keyed stacks replaced, with
 # conj-no-anti's one note for its first-hit search.
 GOLDEN_CENSUS_SHA256 = "9ca5acca24ab2a17d9e5a25a7ea6c8dd86053005377659ab842ea90a2bdbfd87"
+# The same census as a version 2 report: every sweep decided per Aut(G)-orbit,
+# each transported verdict naming its representative under ``via``.
+GOLDEN_CENSUS_V2_SHA256 = "48a10786c58a5b03020e086f2f04e34796aa8ff668f16e9badd070d03479a804"
 
 # sha256 of json.dumps(run_census(catalog without heisenberg3), sort_keys=True),
 # as produced while the checks still turned stacks into map lists and back,
 # with conj-no-anti's one note and no ``partial`` keys.
 GOLDEN_CATALOG_SHA256 = "9e3a56b54e1ec40d0a7724d2e3ee66d8195e3dec9cf9a3e9a3e2f25bf617591d"
+GOLDEN_CATALOG_V2_SHA256 = "27c2aeb3e13fc0e98db6d1f8bc44883652c589e32b14d37633f879b22f430480"
 
 # sha256 of json.dumps(report_json(["H3"], verdicts), sort_keys=True) over the
 # H3 runs in H3_GOLDEN_RUNS, in order, from the same implementation, with
@@ -495,19 +499,33 @@ def test_conj_out_builds_inn_once(monkeypatch):
 # --- the whole census ---
 
 
-def test_small_census_is_byte_identical_to_the_per_row_engine():
-    report = run_census([named_group(s) for s in ("Z3", "Z4", "S3", "D4", "Q8")])
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == GOLDEN_CENSUS_SHA256
-
-
 def _digest(report) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+def as_v1(report: dict) -> dict:
+    """A version 2 report as version 1 had it: every ``via`` key removed."""
+
+    def strip(node):
+        out = {k: v for k, v in node.items() if k != "via"}
+        if "parts" in node:
+            out["parts"] = [strip(p) for p in node["parts"]]
+        return out
+
+    return {**report, "version": 1, "checks": [strip(c) for c in report["checks"]]}
+
+
+def test_small_census_is_byte_identical_to_the_per_row_engine():
+    report = run_census([named_group(s) for s in ("Z3", "Z4", "S3", "D4", "Q8")])
+    assert _digest(as_v1(report)) == GOLDEN_CENSUS_SHA256  # transport changed no verdict
+    assert _digest(report) == GOLDEN_CENSUS_V2_SHA256
+
+
 def test_catalog_census_without_h3_is_byte_identical():
     groups = [named_group(s) for s in CATALOG_SPECS if s != "heisenberg3"]
-    assert _digest(run_census(groups)) == GOLDEN_CATALOG_SHA256
+    report = run_census(groups)
+    assert _digest(as_v1(report)) == GOLDEN_CATALOG_SHA256
+    assert _digest(report) == GOLDEN_CATALOG_V2_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -517,7 +535,9 @@ def h3_golden_verdicts():
 
 
 def test_h3_checks_are_byte_identical(h3_golden_verdicts):
-    assert _digest(report_json(["H3"], h3_golden_verdicts)) == GOLDEN_H3_SHA256
+    # explicit indices decide directly: no verdict is transported, only the version moved
+    assert not any(v.via for v in h3_golden_verdicts)
+    assert _digest(as_v1(report_json(["H3"], h3_golden_verdicts))) == GOLDEN_H3_SHA256
 
 
 def test_every_h3_closure_is_materialized(h3_golden_verdicts):
