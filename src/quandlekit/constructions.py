@@ -62,10 +62,10 @@ __all__ = [
 
 
 def _map_label(images: np.ndarray) -> str:
-    images = list(map(int, images))
-    if len(images) <= 10:
-        return "[" + ",".join(map(str, images)) + "]"
-    return "[" + ",".join(map(str, images[:6])) + f",...#{len(images)}]"
+    """A map's images, or past ten points its first six and its length; only those are converted."""
+    size = len(images)
+    head = np.asarray(images[:6] if size > 10 else images).tolist()
+    return "[" + ",".join(map(str, head)) + ("]" if size <= 10 else f",...#{size}]")
 
 
 def _require_compatible(G: FiniteGroup, psi: np.ndarray) -> None:

@@ -30,6 +30,7 @@ from .errors import CapExceeded, CarrierMismatch, NotAutomorphism, NotBijective,
 from .groups import (
     FiniteGroup,
     Subset,
+    _check_associativity,
     _distinct,
     _generator_levels,
     _stored,
@@ -279,6 +280,34 @@ def _law_masks(table: np.ndarray, stack: np.ndarray) -> Tuple[np.ndarray, np.nda
     return _joined(preserving), _joined(reversing)
 
 
+def _column_masks(table: np.ndarray, stack: np.ndarray, gens: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Which rows of a stack of maps f preserve a group's table and which reverse it, on generator columns.
+
+    One gather lhs[r, x, j] = f_r(x*g_j) for the generators g_j of the
+    group is compared with f_r(x)*f_r(g_j) and with f_r(g_j)*f_r(x).  On an
+    associative table that decides each law for all pairs, by the argument
+    of Light's test (``groups._check_associativity``): the y with
+    f(x*y) = f(x)*f(y) for every x are closed under the product, as
+    f(x*y1*y2) = f(x*y1)*f(y2) = f(x)*f(y1)*f(y2) = f(x)*f(y1*y2).  The
+    reversal law f(x*y) = f(y)*f(x) is the same law into the opposite
+    group, so the same argument decides it.  Blocks of rows hold about
+    ``_LAW_ENTRIES`` entries.
+    """
+    n = int(table.shape[0])
+    flat = _flat_table(table)
+    rows = np.asarray(stack).astype(flat.dtype, copy=False)
+    gens = np.asarray(gens)
+    columns = table[:, gens]  # [x, j] = x*g_j
+    step = max(1, _LAW_ENTRIES // (n * max(1, gens.size)))
+    preserving, reversing = [], []
+    for i in range(0, len(rows), step):
+        f = rows[i : i + step]
+        lhs, at_x, at_g = f[:, columns], f[:, :, None], f[:, None, gens]
+        preserving.append((lhs == _products(flat, n, at_x, at_g)).all(axis=(1, 2)))
+        reversing.append((lhs == _products(flat, n, at_g, at_x)).all(axis=(1, 2)))
+    return _joined(preserving), _joined(reversing)
+
+
 def preserves_table(table: np.ndarray, images: np.ndarray) -> bool:
     """f(a.b) = f(a).f(b) for the given table."""
     return all((lhs == rhs).all() for lhs, rhs in _law_blocks(table, table, np.asarray(images)[None]))
@@ -347,7 +376,7 @@ class _Level(NamedTuple):
     g: int
     batches: List[np.ndarray]  # one derivation batch each, rows xs, a, b
     seen: np.ndarray  # S_{i-1}, the points fixed by the parents
-    left: np.ndarray  # with right: the pairs (x, y) of S_i x S_i outside S_{i-1} x S_{i-1}
+    left: np.ndarray  # with right: the law pairs (x, y) the level adds (``_ranking``)
     right: np.ndarray
     product: np.ndarray  # t1[left, right]
     later: np.ndarray  # with earlier: each point g_i adds after itself, against each point before it
@@ -365,33 +394,56 @@ class _SearchPlan:
     isomorphism.  Full enumeration walks the growth-ordered one
     (``_ranked_by_growth``), but only when the least-index one stalls:
     some level after the first adds nothing but its generator, as the
-    points of a trivial subquandle do.  When it does not stall, or the
-    growth pick returns the same generators, the two share one ranking.
+    points of a trivial subquandle do, while some point outside S_{i-1}
+    would reach a new point (``_reaches_past``).  Where no point would, the
+    growth pick is the least index too.  A group stalls only so, at its
+    second level when g_1 is an involution, as every c outside a subgroup
+    S other than {e} reaches c*S.  When it does not stall, or the growth
+    pick returns the same generators, the two share one ranking.
     A quandle keeps its plan in its store (``Quandle._store``); Aut(Q),
     the antiautomorphisms and ``are_isomorphic(Q, ...)`` all read it.
+
+    ``group`` says that t1 is an associative table, a group's, whose
+    levels then check the law on generator columns only (``_ranking``).
     """
 
-    def __init__(self, t1: np.ndarray):
+    def __init__(self, t1: np.ndarray, group: bool = False):
         self.table = t1
+        self.group = group
         self.profiles = _profiles(t1)
         self.sorted_profiles = self.profiles[np.lexsort(self.profiles.T)]
 
     @cached_property
-    def _ranked(self) -> tuple:
+    def _ranked(self) -> "_Ranking":
         """The least-index ranking (``_ranking``)."""
-        return _ranking(self.table, _generator_levels(self.table))
+        return _ranking(self.table, _generator_levels(self.table), self.group)
+
+    @property
+    def generators(self) -> List[int]:
+        """The least-index generators g_0, g_1, ... of t1."""
+        return [g for g, _ in self._ranked.steps]
 
     @cached_property
-    def _ranked_by_growth(self) -> tuple:
+    def _ranked_by_growth(self) -> "_Ranking":
         """The ranking full enumeration walks: by growth on a stall, else ``_ranked`` itself."""
         least = self._ranked
-        steps = least[0]
-        if all(batches for _, batches in steps[1:]):
+        steps, starts, order = least.steps, least.starts, least.order
+        stalls = [i for i in range(1, len(steps)) if not steps[i][1]]
+        if not any(self._reaches_past(order[: starts[i]]) for i in reversed(stalls)):  # the last is live most often
             return least
         grown = _generator_levels(self.table, by_growth=True)
         if [g for g, _ in grown] == [g for g, _ in steps]:
             return least
-        return _ranking(self.table, grown)
+        return _ranking(self.table, grown, self.group)
+
+    def _reaches_past(self, known: np.ndarray) -> bool:
+        """Whether some point c outside ``known`` has a product with it, on either side, outside it and other than c."""
+        t = self.table
+        inside = np.zeros(t.shape[0], dtype=bool)
+        inside[known] = True
+        out = np.flatnonzero(~inside)[:, None]
+        reached = np.concatenate((t[out, known], t[known[:, None], out.T].T), axis=1)  # [c, s]: c*s, then s*c
+        return bool((~inside[reached] & (reached != out)).any())
 
     @property
     def levels(self) -> Tuple[_Level, ...]:
@@ -404,15 +456,32 @@ class _SearchPlan:
         return _cut(self._ranked_by_growth)
 
 
-def _ranking(table: np.ndarray, steps: list) -> tuple:
-    """Generator levels, where each starts, and the pair arrays all levels cut.
+class _Ranking(NamedTuple):
+    """Generator levels, where each starts, where each one's law pairs start, and the pair arrays all levels cut."""
+
+    steps: list  # (g_i, batches) per level, ``groups._generator_levels``
+    starts: List[int]  # level i holds the ranks starts[i] .. starts[i+1] - 1
+    bounds: List[int]  # level i holds the law pairs bounds[i] .. bounds[i+1] - 1
+    order: np.ndarray  # the points by rank
+    left: np.ndarray
+    right: np.ndarray
+    product: np.ndarray
+    later: np.ndarray
+    earlier: np.ndarray
+
+
+def _ranking(table: np.ndarray, steps: list, group: bool = False) -> _Ranking:
+    """The ranking of a table's generator levels.
 
     Number the points in the order the levels reach them; level i then
     holds the ranks from a_i (g_i) up to a_{i+1}.  Its law pairs are
     those whose larger rank lies there, so sorting all rank pairs by the
     larger rank puts them at [a_i^2, a_{i+1}^2); its injectivity pairs,
     ranks r > q with a_i < r < a_{i+1}, are the rows of the strict lower
-    triangle, taken row by row, from r = a_i + 1 on.
+    triangle, taken row by row, from r = a_i + 1 on.  With ``group`` a
+    level keeps only the law pairs (x, g_j) whose right point is a
+    generator: x in S_i outside S_{i-1} with j < i, and x in S_i with j = i,
+    the columns that ``_table_isos`` needs on an associative table.
     """
     n = table.shape[0]
     pieces, starts = [], [0]
@@ -424,23 +493,29 @@ def _ranking(table: np.ndarray, steps: list) -> tuple:
     order = np.concatenate(pieces).astype(np.min_scalar_type(n - 1))
     rank = np.arange(n)
     row, col = np.divmod(np.argsort(np.maximum.outer(rank, rank), axis=None, kind="stable"), n)
-    left, right = order[row], order[col]  # by the larger rank of the pair, ascending
     ahead = row < col
     later, earlier = order[col[ahead]], order[row[ahead]]  # by the later rank, ascending
+    bounds = [a * a for a in starts]
+    if group:
+        generator = np.zeros(n, dtype=bool)
+        generator[starts[:-1]] = True  # g_i has rank starts[i]
+        row, col = row[generator[col]], col[generator[col]]
+        bounds = np.searchsorted(np.maximum(row, col), starts).tolist()
+    left, right = order[row], order[col]  # by the larger rank of the pair, ascending
     product = table[left, right].astype(order.dtype)
-    return steps, starts, order, left, right, product, later, earlier
+    return _Ranking(steps, starts, bounds, order, left, right, product, later, earlier)
 
 
-def _cut(ranking: tuple) -> Tuple[_Level, ...]:
+def _cut(ranking: _Ranking) -> Tuple[_Level, ...]:
     """A ranking's levels, their index blocks cut from its arrays.
 
     The cuts are views, made per search and not kept: per-level array
     objects would outweigh the arrays of a small plan.
     """
-    steps, starts, order, left, right, product, later, earlier = ranking
+    steps, starts, bounds, order, left, right, product, later, earlier = ranking
     levels = []
-    for (g, batches), a, b in zip(steps, starts, starts[1:]):
-        law, inj = slice(a * a, b * b), slice(a * (a + 1) // 2, b * (b - 1) // 2)
+    for (g, batches), a, b, lo, hi in zip(steps, starts, starts[1:], bounds, bounds[1:]):
+        law, inj = slice(lo, hi), slice(a * (a + 1) // 2, b * (b - 1) // 2)
         levels.append(_Level(g, batches, order[:a], left[law], right[law], product[law], later[inj], earlier[inj]))
     return tuple(levels)
 
@@ -486,6 +561,16 @@ def _table_isos(
     it, so a level that adds g_i alone checks no injectivity at all.
     Children are derived and checked in row blocks of ``_LAW_ENTRIES`` law
     pairs, each product read through ``_products`` on t2's flat table.
+
+    A group plan (``_SearchPlan(t1, group=True)``, t1 and t2 associative)
+    checks the law only on the generator columns the level adds: the pairs
+    (x, g_j) with x in S_i outside S_{i-1} and j < i, and with x in S_i and
+    j = i, so on H3's last level 81 pairs a child in place of 648.  This is
+    the argument of Light's test (``groups._check_associativity``): the y
+    in S_i with f(x*y) = f(x)*f(y) for every x in S_i are closed under the
+    product, as f(x*y1*y2) = f(x*y1)*f(y2) = f(x)*f(y1)*f(y2) =
+    f(x)*f(y1*y2), so they are all of S_i once they hold g_0..g_i.  The
+    parent has checked x in S_{i-1} against g_0..g_{i-1}.
 
     One walk serves both modes.  It goes depth first over chunks of
     parents, at most budget / |candidates| of them per extend
@@ -605,16 +690,28 @@ def _auts(G: FiniteGroup) -> _AutEntry:
 
 
 def _aut_entry(G: FiniteGroup) -> _AutEntry:
-    """Aut(G), the isomorphisms of G's table onto itself, and AAut(G) = {phi o inversion}, verified."""
+    """Aut(G), the isomorphisms of G's table onto itself, and AAut(G) = {phi o inversion}, verified.
+
+    Both laws are decided on G's generator columns: the search walks a
+    group plan (``_table_isos``), and the kinds and the reversal check of
+    AAut(G) read one gather (``_column_masks``).  Both rest on
+    associativity, which a group built with ``validate=False`` has not had
+    checked, so Light's test (``groups._check_associativity``) runs first
+    on the plan's generators and raises NotAssociative on a table that is
+    not a group's.  Every row of Aut(G) is still checked on the full table.
+    """
     if G.n > config.MAX_AUT_GROUP_ORDER:
         raise CapExceeded("automorphism enumeration", G.n, config.MAX_AUT_GROUP_ORDER)
-    aut = _table_isos(G.table, G.table)
+    plan = _SearchPlan(G.table, group=True)
+    gens = plan.generators
+    _check_associativity(G.table, gens)
+    aut = _table_isos(G.table, G.table, plan=plan)
     aaut = _unique_rows(aut[:, G.inverse])
-    reverses = reversing_mask(G.table, aaut)
+    preserves, reverses = _column_masks(G.table, aaut, gens)
     if not reverses.all():
         bad = tuple(int(v) for v in aaut[int(np.argmin(reverses))])
         raise NotAutomorphism("composition with inversion lost the reversal law", bad)
-    kinds = np.where(preserving_mask(G.table, aaut), AUTOMORPHISM, ANTIAUTOMORPHISM).astype(object)
+    kinds = np.where(preserves, AUTOMORPHISM, ANTIAUTOMORPHISM).astype(object)
     for arr in (aut, aaut, kinds):
         arr.setflags(write=False)
     return _AutEntry(aut, aaut, kinds)

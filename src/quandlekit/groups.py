@@ -168,15 +168,18 @@ def _widest(table: np.ndarray, known: np.ndarray, outside: np.ndarray) -> int:
     return int(cands[np.argmax(counts)])
 
 
-def _check_associativity(table: np.ndarray) -> None:
+def _check_associativity(table: np.ndarray, gens: Optional[Sequence[int]] = None) -> None:
     """Light's test: (x*y)*z = x*(y*z) for all x, z and every generator y.
 
     The y that pass for all x, z are closed under the product, so passing on
-    a generating set means the whole table is associative.
+    a generating set means the whole table is associative.  ``gens`` are
+    the greedy generators (``_generator_levels``), found here when not given.
     """
     n = table.shape[0]
     chunk = max(1, (1 << 22) // n)
-    for y, _ in _generator_levels(table):
+    if gens is None:
+        gens = [g for g, _ in _generator_levels(table)]
+    for y in gens:
         for x0 in range(0, n, chunk):
             rows = table[x0 : x0 + chunk]
             bad = table[rows[:, y], :] != rows[:, table[y]]  # [x, z]

@@ -169,6 +169,35 @@ def _laws(Q: Quandle, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return _stored(Q, ("laws", rows.shape, rows.tobytes()), gather)
 
 
+def _generated(Q: Quandle, stack: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Q's preserving mask over a stack of maps that ``gens``, maps of the stack, generate by composition.
+
+    Aut(Q) is a group, so the stack lies in it once every generator does:
+    the mask is then all true, with no gather over the stack.  Otherwise it
+    is the stack's own mask (``_laws``), so ``_members`` names the first
+    row that fails, as a full gather would.  A stack whose masks Q's store
+    already holds, as another check on the same table gathered them, is
+    read there.  The translations of G are generated by those by G's
+    generators (``_f_generators``), as f_(1,b) o f_(1,c) = f_(1,cb),
+    f_(a,1) o f_(c,1) = f_(ac,1) and f_(a,b) = f_(a,1) o f_(1,b).
+    """
+    rows = _compact(stack)
+    if ("laws", rows.shape, rows.tobytes()) not in Q._store and _laws(Q, gens)[0].all():
+        return np.ones(len(stack), dtype=bool)
+    return _laws(Q, rows)[0]
+
+
+def _f_generators(G: FiniteGroup, left: np.ndarray) -> np.ndarray:
+    """f_(a,1) for each point a of ``left``, then f_(1,g) for each greedy generator g of G.
+
+    With ``left`` a generating set of a subgroup A, or all of A, they
+    generate {f_(a,b) | a in A, b in G}: F for A = G, F' for A = Fix(phi)
+    and G^op for A = {e}.  A central a may be left out, as f_(a,1) =
+    f_(1,a).
+    """
+    return np.concatenate([G.table[np.asarray(left, dtype=np.intp)], G.table[:, G.hol_base[1:]].T])
+
+
 def _centralizer_of(G: FiniteGroup, family: str, phi: np.ndarray) -> np.ndarray:
     """C_Aut(phi) (family "aut") or C_AAut(phi) ("aaut") from G's store, phi a row of Aut(G) or AAut(G)."""
     return _stored(G, ("C_" + family, phi.tobytes()), lambda: _centralizer(G, getattr(_auts(G), family), phi))
@@ -419,7 +448,7 @@ def check_alex_semidirect(G: FiniteGroup, phi: np.ndarray) -> Verdict:
     Q = _quandle(G, "alex", phi)
     right_translations = G.table.T  # row b is f_{1,b}
     cent = _centralizer_of(G, "aut", phi)
-    masks = _laws(Q, right_translations)[0], _laws(Q, cent)[0]
+    masks = _generated(Q, right_translations, _f_generators(G, [])), _laws(Q, cent)[0]
     parts = [
         _members(f"{tid}/gop-members", inputs, masks[0], right_translations,
                  "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
@@ -436,8 +465,8 @@ def check_F_props(G: FiniteGroup, phis: Sequence[np.ndarray]) -> List[Verdict]:
     then F' inside Aut(Alex(G, phi)) for each phi, a row of Aut(G): one verdict per phi."""
     tid = "f-structure"
     F = _F_stack(G)
-    in_core = _members(f"{tid}/F-in-core-aut", G.name, _laws(_quandle(G, "core"), F)[0], F,
-                       f"all {len(F)} maps f_(a,b) preserve Core(G)")
+    by_generators = _generated(_quandle(G, "core"), F, _f_generators(G, G.hol_base[1:]))
+    in_core = _members(f"{tid}/F-in-core-aut", G.name, by_generators, F, f"all {len(F)} maps f_(a,b) preserve Core(G)")
     size = claim(f"{tid}/F-size", G.name, "iff", len(F) == G.n * G.n // int(G.center_mask.sum()),
                  notes=f"|F| = {len(F)} = |G|^2/|Z(G)|")
     iso = verify_F_iso(G)
@@ -445,11 +474,12 @@ def check_F_props(G: FiniteGroup, phis: Sequence[np.ndarray]) -> List[Verdict]:
     for phi in phis:
         inputs = _phi_inputs(G, phi)
         fprime = _F_prime_stack(G, phi)
+        fixed = np.flatnonzero((phi == np.arange(G.n)) & ~G.center_mask)  # Fix(phi), its central points left out
         parts = [
             replace(in_core, inputs=inputs),
             replace(size, inputs=inputs),
             _members(f"{tid}/Fprime-in-alex-aut", inputs,
-                     _laws(_quandle(G, "alex", phi), fprime)[0], fprime,
+                     _generated(_quandle(G, "alex", phi), fprime, _f_generators(G, fixed)), fprime,
                      f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)"),
             iso,
         ]
@@ -566,7 +596,7 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
         return (lhs == rhs).all(axis=1)
 
     parts = [
-        _members(f"{tid}/F-members", inputs, _laws(Q, fstack)[0], fstack,
+        _members(f"{tid}/F-members", inputs, _generated(Q, fstack, _f_generators(G, G.hol_base[1:])), fstack,
                  f"all {len(fstack)} maps in F preserve Core(G)"),
         _members(f"{tid}/rep-members", inputs, _laws(Q, rstack)[0], rstack,
                  f"all {len(rstack)} Out(G) representatives preserve Core(G)"),
@@ -579,10 +609,8 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
         claim(f"{tid}/distinct-products", inputs, "subgroup-embedding", distinct == expected,
               notes=f"{distinct} distinct f o rep products, expected {expected}"),
     ]
-    gens = G.hol_base  # e and the generators; the identity adds no product
     # T: the reps, then f_(g,1) = x -> g*x and f_(1,g) = x -> x*g per generator g
-    steps = np.concatenate([rstack, G.table[gens], G.table[:, gens].T])
-    size = _right_closure_size(G, products, steps)
+    size = _right_closure_size(G, products, np.concatenate([rstack, _f_generators(G, G.hol_base[1:])]))
     parts.append(claim(f"{tid}/closure", inputs, "subgroup-embedding", size == distinct == expected,
                        notes=f"materialized closure has {size} maps"))
     return combine(tid, inputs, "subgroup-embedding", parts)

@@ -41,7 +41,6 @@ from .groupmaps import (
     _keys,
     _oracle_rows,
     _point_maps,
-    _right_closure_size,
     _stack_of,
     _table_isos,
     _unique_rows,
@@ -323,6 +322,10 @@ def _product_clauses(
     of N (``groupmaps._hol_generators``).  Conjugation by c is a
     homomorphism, so c N c^-1 lies in N once c T c^-1 does; and P o N lies
     in P once P o t does for every t in T.  Both group clauses read T only.
+    The products P = N o C are keyed once, from N[:, C[:, B]], and the
+    closure is counted as ``groupmaps._right_closure_size`` counts it, from
+    those keys, the identity's and those of P o T, gathered as
+    N[:, C[:, T[:, B]]] without P itself.
     """
     base = G.hol_base
     ckeys = _hol_keys(G, C[:, base])
@@ -336,13 +339,14 @@ def _product_clauses(
     if not (inter == _hol_keys(G, base[None, :])).all():
         return _failed(N, C, "intersection is not trivial", inter=False)
 
-    # f o c for all pairs, on B
-    distinct = len(_distinct(_hol_keys(G, N[:, C[:, base]]).ravel()))
+    pkeys = _distinct(_hol_keys(G, N[:, C[:, base]]).ravel())  # n o c for all pairs, on B
+    distinct = len(pkeys)
     expected = len(N) * len(C)
     if distinct != expected:
         return _failed(N, C, "n o c products collide", closure_size=distinct, inter=True)
 
-    closure_size = _right_closure_size(G, N[:, C].reshape(-1, G.n), gens)
+    steps = _hol_keys(G, N[:, C[:, gens[:, base]]]).ravel()  # (n o c o t)(b) = n[c[t[b]]]
+    closure_size = len(_distinct(np.concatenate([_hol_keys(G, base[None, :]), pkeys, steps])))
     verdict = closure_size == expected
     return SemidirectReport(
         len(N),

@@ -35,7 +35,7 @@ from quandlekit import (
     symmetric,
     trivial,
 )
-from quandlekit.constructions import KINDS
+from quandlekit.constructions import KINDS, _map_label
 
 
 def identity_auto(G):
@@ -196,6 +196,21 @@ class TestPointedFamilies:
     def test_rejects_out_of_range_point(self):
         with pytest.raises(ConstructionSpecError):
             p1(symmetric(3), 6)
+
+
+def _full_label(images):
+    """A map's label formatted from its whole row: its images, or past ten points the first six and the length."""
+    images = list(map(int, images))
+    if len(images) <= 10:
+        return "[" + ",".join(map(str, images)) + "]"
+    return "[" + ",".join(map(str, images[:6])) + f",...#{len(images)}]"
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_a_map_label_reads_only_its_head(n):
+    row = np.random.default_rng(n).permutation(n)
+    for images in (row, row.astype(np.uint8), list(row)):
+        assert _map_label(images) == _full_label(images)
 
 
 class TestSpecParsing:

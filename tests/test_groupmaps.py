@@ -42,16 +42,22 @@ from quandlekit import (
     verify_F_iso,
 )
 from quandlekit import alex, q1, q2, q3, q4
-from quandlekit import config, groupmaps
+from quandlekit import NotAssociative, config, groupmaps
 from quandlekit.groupmaps import (
+    _SearchPlan,
     _all_f_ab_stack,
+    _auts,
+    _column_masks,
     _composes_as,
+    _table_isos,
+    _unique_rows,
     preserves_table,
     preserving_mask,
     reverses_table,
     reversing_mask,
 )
-from quandlekit.groups import opposite, quotient_by_normal
+from quandlekit.groups import _generator_levels, opposite, quotient_by_normal
+from quandlekit.harness import CATALOG_SPECS
 
 # Automorphism group orders, frozen from independent runs of the n! oracle
 # (order <= 6) and cross-checked against the generator-image search.
@@ -115,6 +121,91 @@ class TestEnumeration:
         auts = enumerate_aut(G)
         assert auts == sorted(auts)
         assert auts[0].map == PointMap.identity(G.n)
+
+
+# Groups past the catalog with many automorphisms or several generators.
+WIDER_SPECS = ("Z2xZ2xZ2", "Z4xZ4", "D4xZ2", "Q8xZ2", "S3xZ3", "S4xZ2", "Z3xZ3xZ3", "Z2xZ2xZ2xZ2")
+
+# A loop of order 6 (identity 0, two-sided inverses) that is not associative:
+# (1*1)*2 = 4 but 1*(1*2) = 1.  A search that checks the law on generator
+# columns alone keeps non-morphisms on it.
+LOOP6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 5, 0, 4, 2, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 4, 5, 1, 0, 2],
+    [4, 2, 3, 0, 5, 1],
+    [5, 3, 4, 2, 1, 0],
+]
+
+
+class TestGeneratorColumns:
+    """Group laws decided on generator columns: the Aut(G) search, AAut(G)'s kinds and its reversal check."""
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + WIDER_SPECS)
+    def test_auts_equal_the_all_pairs_reference(self, spec):
+        G = named_group(spec)
+        aut = _table_isos(G.table, G.table)  # a default plan: the law on all pairs of each level
+        aaut = _unique_rows(aut[:, G.inverse])
+        kinds = np.where(preserving_mask(G.table, aaut), AUTOMORPHISM, ANTIAUTOMORPHISM)
+        entry = _auts(G)
+        assert reversing_mask(G.table, aaut).all()
+        assert entry.aut.dtype == aut.dtype and entry.aut.tobytes() == aut.tobytes()
+        assert entry.aaut.dtype == aaut.dtype and entry.aaut.tobytes() == aaut.tobytes()
+        assert entry.aaut_kinds.tolist() == kinds.tolist()
+
+    @pytest.mark.parametrize("spec", ["Z2", "Z12", "Z2xZ2", "S3", "Q8", "S4", "heisenberg3", "D4xZ2"])
+    def test_a_group_level_holds_the_pairs_of_its_generator_columns(self, spec):
+        G = named_group(spec)
+        levels = _SearchPlan(G.table, group=True).levels
+        gens = [lv.g for lv in levels]
+        assert gens == [g for g, _ in _generator_levels(G.table)]
+        seen = set()
+        for i, lv in enumerate(levels):
+            reached = set(map(int, G.subgroup_closure(gens[: i + 1])))
+            pairs = sorted(zip(lv.left.tolist(), lv.right.tolist()))
+            expected = sorted([(x, g) for x in reached - seen for g in gens[:i]] + [(x, gens[i]) for x in reached])
+            assert pairs == expected, i
+            assert lv.product.tolist() == G.table[lv.left, lv.right].tolist()
+            seen = reached
+        if spec == "heisenberg3":
+            default = _SearchPlan(G.table).levels
+            assert [lv.left.size for lv in levels] == [1, 5, 21, 81]
+            assert [lv.left.size for lv in default] == [1, 8, 72, 648]
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_a_group_plan_builds_no_growth_sequence(self, monkeypatch, spec):
+        G = named_group(spec)
+        built = []
+        real = groupmaps._generator_levels
+        monkeypatch.setattr(groupmaps, "_generator_levels", lambda t, by_growth=False: built.append(by_growth) or
+                            real(t, by_growth=by_growth))
+        for group in (True, False):
+            plan = _SearchPlan(G.table, group=group)
+            _table_isos(G.table, G.table, plan=plan)
+            assert plan._ranked_by_growth is plan._ranked
+        assert built == [False, False]
+
+    @pytest.mark.parametrize("spec", ["S3", "Q8", "Z2xZ2", "D4xZ2", "heisenberg3"])
+    def test_column_masks_equal_the_full_masks(self, spec):
+        G = named_group(spec)
+        rng = np.random.default_rng(G.n)
+        aut = _auts(G).aut
+        stack = np.concatenate([aut, _auts(G).aaut, [rng.permutation(G.n) for _ in range(40)],
+                                aut[:, rng.permutation(G.n)][:20]])
+        preserving, reversing = _column_masks(G.table, stack, [g for g, _ in _generator_levels(G.table)])
+        assert preserving.tolist() == preserving_mask(G.table, stack).tolist()
+        assert reversing.tolist() == reversing_mask(G.table, stack).tolist()
+        assert preserving.any() and reversing.any() and not preserving.all()
+
+    def test_a_non_associative_table_gets_no_aut_stack(self):
+        table = np.array(LOOP6)
+        with pytest.raises(AssertionError, match="non-morphism"):  # why the search needs associativity
+            _table_isos(table, table, plan=_SearchPlan(table, group=True))
+        G = FiniteGroup(table, name="L6", validate=False)
+        with pytest.raises(NotAssociative):
+            enumerate_aut(G)
+        assert not G._store
 
 
 class TestClassification:

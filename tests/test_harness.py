@@ -33,6 +33,7 @@ from quandlekit import (
     is_quandle_auto,
     centralizer_in_aaut,
     classify,
+    closure_of_point_maps,
     enumerate_aaut,
     enumerate_aut,
     named_group,
@@ -53,7 +54,15 @@ from quandlekit import (
 )
 from quandlekit import groupmaps, harness, quandlemaps, quandles
 from quandlekit.constructions import _map_label
-from quandlekit.groupmaps import _all_f_ab_stack, _auts, preserving_mask
+from quandlekit.groupmaps import (
+    _F_prime_stack,
+    _F_stack,
+    _all_f_ab_stack,
+    _auts,
+    _stack_of,
+    _unique_rows,
+    preserving_mask,
+)
 from quandlekit.harness import CATALOG_SPECS, M_RANGE, _members, _quandle
 from quandlekit.quandlemaps import QuandleMap
 from quandlekit.verdicts import claim, combine, make_skipped, report_json
@@ -612,6 +621,39 @@ class TestClaimVocabulary:
         first = replays.index(False)
         assert v.counterexample == {"index": first, "images": [int(x) for x in perms[first]]}
         assert is_quandle_auto(Q, PointMap(v.counterexample["images"])) is False
+
+    def test_a_generated_stack_fails_on_the_row_a_full_gather_names(self):
+        # The right translations f_(1,b) of Conj_1(S3) are not all automorphisms.
+        S3 = symmetric(3)
+        stack = S3.table.T
+        by_generators = S3.table[:, S3.hol_base[1:]].T
+        decided = _members("t", "Conj(S3)", harness._generated(conj_m(S3, 1), stack, by_generators), stack, "n")
+        full = _members("t", "Conj(S3)", harness._laws(conj_m(S3, 1), stack)[0], stack, "n")
+        assert not full.holds and full.counterexample is not None
+        assert decided.to_json() == full.to_json()
+
+    @pytest.mark.parametrize("spec", ["S3", "Q8", "S4", "heisenberg3"])
+    def test_a_generated_stack_that_holds_takes_no_gather_over_the_stack(self, spec):
+        G = named_group(spec)
+        Q = core(G)
+        F = _F_stack(G)
+        mask = harness._generated(Q, F, harness._f_generators(G, G.hol_base[1:]))
+        assert mask.tolist() == preserving_mask(Q.op, F).tolist() == [True] * len(F)
+        gathered = [key[1][0] for key in Q._store if key[0] == "laws"]  # rows of each stack gathered
+        assert gathered == [2 * (len(G.hol_base) - 1)]
+
+    @pytest.mark.parametrize("spec", ["Z6", "S3", "D4", "Q8", "S4"])
+    def test_translations_by_generators_generate_g_op_f_and_f_prime(self, spec):
+        G = named_group(spec)
+
+        def closure(rows):
+            return _stack_of(closure_of_point_maps([PointMap(row) for row in rows]))
+
+        assert np.array_equal(closure(harness._f_generators(G, [])), _unique_rows(G.table.T))
+        assert np.array_equal(closure(harness._f_generators(G, G.hol_base[1:])), _F_stack(G))
+        for phi in _auts(G).aut.astype(np.int64):
+            fixed = [a for a in range(G.n) if phi[a] == a and not G.center_mask[a]]
+            assert np.array_equal(closure(harness._f_generators(G, fixed)), _F_prime_stack(G, phi))
 
     def test_counterexamples_are_built_only_for_failing_nodes(self, monkeypatch):
         calls = []

@@ -39,11 +39,13 @@ from quandlekit import (
 from quandlekit import Q3Fail, groupmaps, harness, quandlemaps
 from quandlekit.groupmaps import (
     _auts,
+    _hol_keys,
     _is_map_group,
     _keys,
     _law_blocks,
     _law_masks,
     _profiles,
+    _right_closure_size,
     _SearchPlan,
     _table_isos,
     _unique_rows,
@@ -188,6 +190,16 @@ def _count_calls(mp, name, module=groupmaps):
     return calls
 
 
+def _live_stall(table, levels, i) -> bool:
+    """Whether level i adds only its generator while some point outside S_{i-1} has a product with S_{i-1}, on
+    either side, outside S_{i-1} and other than itself: a stall that a growth pick could avoid."""
+    known = {int(x) for g, batches in levels[:i] for x in (g, *(x for xs, _, _ in batches for x in xs))}
+    n = table.shape[0]
+    return not levels[i][1] and any(
+        {int(table[c, s]), int(table[s, c])} - known - {c} for c in range(n) if c not in known for s in known
+    )
+
+
 class TestSearchPlan:
     @pytest.mark.parametrize(
         "build",
@@ -196,7 +208,7 @@ class TestSearchPlan:
             lambda: dihedral_quandle(6),
             lambda: core(symmetric(3)),
             lambda: alex(named_group("D4"), enumerate_aut(named_group("D4"))[3]),
-            lambda: trivial(5),  # stalls, and the growth pick gives the same generators
+            lambda: trivial(5),  # stalls where no point reaches past S_{i-1}: no growth sequence
             lambda: alex(named_group("D6"), enumerate_aut(named_group("D6"))[1]),  # stalls
         ],
     )
@@ -220,8 +232,8 @@ class TestSearchPlan:
         assert ("plan",) in Q._store and ("plan",) not in relabelled._store
         plan = Q._store[("plan",)]
         least = real(Q.op)
-        stalls = any(not batches for _, batches in least[1:])
-        # each sequence at most once, and the growth one only on a stall
+        stalls = any(_live_stall(Q.op, least, i) for i in range(1, len(least)))
+        # each sequence at most once, and the growth one only on a stall that a growth pick could avoid
         assert built.count(False) == 1 and built.count(True) == int(stalls)
         same = [g for g, _ in real(Q.op, by_growth=True)] == [g for g, _ in least]
         assert (plan._ranked_by_growth is plan._ranked) == (same or not stalls)
@@ -623,6 +635,24 @@ class TestSemidirectOnGenerators:
         assert not report.verdict
         assert report.failing_clause == "complement does not normalize the normal part"
         assert report == _reference_report(N, C, Q, G)
+
+    def test_closure_count_matches_the_count_over_the_whole_product_stack(self):
+        # T inside N but not generating it: every clause before the closure passes and
+        # P o T leaves P, so the count is the lower bound read on P itself.
+        G = symmetric(3)
+        hol = _unique_rows(G.table[:, _auts(G).aut].reshape(-1, G.n)).astype(np.int64)  # x -> a*phi(x)
+        C = np.arange(G.n)[None, :]
+        rng = np.random.default_rng(22)
+        escaped = 0
+        for _ in range(40):
+            N = hol[np.sort(rng.choice(len(hol), size=int(rng.integers(3, 9)), replace=False))]
+            T = N[rng.choice(len(N), size=2, replace=False)]
+            nkeys = np.sort(_hol_keys(G, N[:, G.hol_base]))
+            report = quandlemaps._product_clauses(G, N, C, nkeys, T)
+            assert report.failing_clause in (None, "closure size differs from |N| * |C|")
+            assert report.closure_size == _right_closure_size(G, N[:, C].reshape(-1, G.n), T)
+            escaped += report.closure_size > len(N)
+        assert escaped >= 10
 
 
 class TestMapGroupPredicate:
