@@ -11,6 +11,7 @@ Exit codes: 0 success/holds, 1 verification or validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -110,6 +111,17 @@ def _emit(payload: str, output: Optional[str]) -> None:
             fh.write(payload if payload.endswith("\n") else payload + "\n")
     else:
         print(payload)
+
+
+def _dump(report: dict, output: Optional[str]) -> None:
+    """Stream a JSON report, indented by 2 and ending in a newline, to a file or stdout.
+
+    The bytes are those of ``_emit(json.dumps(report, indent=2), output)``,
+    without the whole string in memory at once.
+    """
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_group(args, required: bool = True) -> Optional[FiniteGroup]:
@@ -245,12 +257,11 @@ def cmd_verify(args) -> int:
     )
     ok = all(v.holds for v in verdicts)
     if args.format == "json":
-        payload = json.dumps(report_json([G.name] if G else [], verdicts), indent=2)
+        _dump(report_json([G.name] if G else [], verdicts), args.output)
     else:
         lines = [v.render_text() for v in verdicts]
         lines.append(f"{'HOLDS' if ok else 'FAILED'}: {args.theorem_id} ({len(verdicts)} checks)")
-        payload = "\n".join(lines)
-    _emit(payload, args.output)
+        _emit("\n".join(lines), args.output)
     return 0 if ok else 1
 
 
@@ -262,15 +273,14 @@ def cmd_census(args) -> int:
         "{vacuous} vacuous, {skipped} skipped".format(**summary)
     )
     if args.format == "json":
-        payload = json.dumps(report, indent=2)
+        _dump(report, args.output)
     else:
         lines = [
             f"FAIL {check['theorem_id']} :: {check['inputs']}: {check['notes']}"
             for check in report["checks"]
             if not check["holds"]
         ]
-        payload = "\n".join(lines + [line])
-    _emit(payload, args.output)
+        _emit("\n".join(lines + [line]), args.output)
     if args.output:
         print(line)
     return 0 if summary["failed"] == 0 else 1

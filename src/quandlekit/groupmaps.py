@@ -8,11 +8,14 @@ sorting.  The byte key of a whole row (``_keys``) sorts like the images; it
 serves the sets whose order reaches output (Aut, AAut, F, F', the views)
 and the sets of quandle maps.  The semidirect, closure and centralizer
 checks read maps of Hol(G) = {x -> a*phi(x)} on B = ``G.hol_base`` only:
-an int64 key per map, |B| images instead of n (``_hol_keys``).  Each
-family (Aut(G), AAut(G), Inn(G), the Out(G) representatives, the
-centralizers, H, F and F') is a stack from a private function; Aut(G) and
-AAut(G) are kept in the group's store (``_auts``).  The checks read those
-stacks, and the public list functions build their maps from them per call.
+an int64 key per map, |B| images instead of n (``_hol_keys``), and both
+semidirect checks count their products n o c and the closure of those
+with one helper (``_product_counts``).  Each family (Aut(G), AAut(G),
+Inn(G), the Out(G) representatives, the centralizers, H, F and F') is a
+stack from a private function; Aut(G) and AAut(G) are kept in the group's
+store (``_auts``), and every AAut(G) row has the kind that G's
+commutativity gives it.  The checks read those stacks, and the public list
+functions build their maps from them per call.
 Classification and enumeration live here; quandles reuse the same table laws.
 """
 
@@ -277,34 +280,6 @@ def _law_masks(table: np.ndarray, stack: np.ndarray) -> Tuple[np.ndarray, np.nda
     for lhs, rhs in _law_blocks(table, table, stack):
         preserving.append((lhs == rhs).all(axis=(1, 2)))
         reversing.append((lhs == rhs.transpose(0, 2, 1)).all(axis=(1, 2)))
-    return _joined(preserving), _joined(reversing)
-
-
-def _column_masks(table: np.ndarray, stack: np.ndarray, gens: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Which rows of a stack of maps f preserve a group's table and which reverse it, on generator columns.
-
-    One gather lhs[r, x, j] = f_r(x*g_j) for the generators g_j of the
-    group is compared with f_r(x)*f_r(g_j) and with f_r(g_j)*f_r(x).  On an
-    associative table that decides each law for all pairs, by the argument
-    of Light's test (``groups._check_associativity``): the y with
-    f(x*y) = f(x)*f(y) for every x are closed under the product, as
-    f(x*y1*y2) = f(x*y1)*f(y2) = f(x)*f(y1)*f(y2) = f(x)*f(y1*y2).  The
-    reversal law f(x*y) = f(y)*f(x) is the same law into the opposite
-    group, so the same argument decides it.  Blocks of rows hold about
-    ``_LAW_ENTRIES`` entries.
-    """
-    n = int(table.shape[0])
-    flat = _flat_table(table)
-    rows = np.asarray(stack).astype(flat.dtype, copy=False)
-    gens = np.asarray(gens)
-    columns = table[:, gens]  # [x, j] = x*g_j
-    step = max(1, _LAW_ENTRIES // (n * max(1, gens.size)))
-    preserving, reversing = [], []
-    for i in range(0, len(rows), step):
-        f = rows[i : i + step]
-        lhs, at_x, at_g = f[:, columns], f[:, :, None], f[:, None, gens]
-        preserving.append((lhs == _products(flat, n, at_x, at_g)).all(axis=(1, 2)))
-        reversing.append((lhs == _products(flat, n, at_g, at_x)).all(axis=(1, 2)))
     return _joined(preserving), _joined(reversing)
 
 
@@ -677,11 +652,10 @@ def inversion_map(G: FiniteGroup) -> ClassifiedMap:
 
 
 class _AutEntry(NamedTuple):
-    """Aut(G) and AAut(G) as sorted read-only compact stacks, and the kind of each AAut(G) row."""
+    """Aut(G) and AAut(G) as sorted read-only compact stacks."""
 
     aut: np.ndarray
     aaut: np.ndarray
-    aaut_kinds: np.ndarray
 
 
 def _auts(G: FiniteGroup) -> _AutEntry:
@@ -690,39 +664,38 @@ def _auts(G: FiniteGroup) -> _AutEntry:
 
 
 def _aut_entry(G: FiniteGroup) -> _AutEntry:
-    """Aut(G), the isomorphisms of G's table onto itself, and AAut(G) = {phi o inversion}, verified.
+    """Aut(G), the isomorphisms of G's table onto itself, and AAut(G) = {phi o inversion}.
 
-    Both laws are decided on G's generator columns: the search walks a
-    group plan (``_table_isos``), and the kinds and the reversal check of
-    AAut(G) read one gather (``_column_masks``).  Both rest on
-    associativity, which a group built with ``validate=False`` has not had
-    checked, so Light's test (``groups._check_associativity``) runs first
-    on the plan's generators and raises NotAssociative on a table that is
-    not a group's.  Every row of Aut(G) is still checked on the full table.
+    The search walks a group plan (``_table_isos``), which decides the law
+    on G's generator columns.  That rests on associativity, which a group
+    built with ``validate=False`` has not had checked, so Light's test
+    (``groups._check_associativity``) runs first on the plan's generators
+    and raises NotAssociative on a table that is not a group's.  Every row
+    of Aut(G) is still checked on the full table.  AAut(G) needs no check of
+    its own: inversion reverses the product of any group with two-sided
+    inverses, so each phi o inversion does too.  It preserves the product
+    as well exactly when inversion does, when G is abelian, so the kind of
+    every AAut(G) row is read from G (``_family_maps``).
     """
     if G.n > config.MAX_AUT_GROUP_ORDER:
         raise CapExceeded("automorphism enumeration", G.n, config.MAX_AUT_GROUP_ORDER)
     plan = _SearchPlan(G.table, group=True)
-    gens = plan.generators
-    _check_associativity(G.table, gens)
+    _check_associativity(G.table, plan.generators)
     aut = _table_isos(G.table, G.table, plan=plan)
     aaut = _unique_rows(aut[:, G.inverse])
-    preserves, reverses = _column_masks(G.table, aaut, gens)
-    if not reverses.all():
-        bad = tuple(int(v) for v in aaut[int(np.argmin(reverses))])
-        raise NotAutomorphism("composition with inversion lost the reversal law", bad)
-    kinds = np.where(preserves, AUTOMORPHISM, ANTIAUTOMORPHISM).astype(object)
-    for arr in (aut, aaut, kinds):
+    for arr in (aut, aaut):
         arr.setflags(write=False)
-    return _AutEntry(aut, aaut, kinds)
+    return _AutEntry(aut, aaut)
 
 
 def _family_maps(G: FiniteGroup, family: str, index: Optional[int] = None) -> List[ClassifiedMap]:
-    """Fresh ClassifiedMaps of Aut(G) ("aut") or AAut(G) ("aaut"), all in order or row ``index`` alone."""
+    """Fresh ClassifiedMaps of Aut(G) ("aut") or AAut(G) ("aaut"), all in order or row ``index`` alone.
+
+    An AAut(G) row is an automorphism too exactly when G is abelian (``_aut_entry``).
+    """
     rows = slice(None) if index is None else slice(index, index + 1)
-    entry = _auts(G)
-    kinds = entry.aaut_kinds[rows] if family == "aaut" else itertools.repeat(AUTOMORPHISM)
-    return [ClassifiedMap(pm, k, G) for pm, k in zip(_point_maps(getattr(entry, family)[rows]), kinds)]
+    kind = ANTIAUTOMORPHISM if family == "aaut" and not G.is_abelian else AUTOMORPHISM
+    return [ClassifiedMap(pm, kind, G) for pm in _point_maps(getattr(_auts(G), family)[rows])]
 
 
 def _oracle_rows(table: np.ndarray, reverse: bool) -> List[Tuple[int, ...]]:
@@ -859,20 +832,21 @@ def _is_map_group(G: FiniteGroup, stack: np.ndarray) -> bool:
     return np.array_equal(_distinct(_hol_keys(G, stack[:, stack[:, base]]).ravel()), keys)
 
 
-def _right_closure_size(G: FiniteGroup, P: np.ndarray, T: np.ndarray) -> int:
-    """The number of distinct maps among the identity, P and P o T, all in Hol(G).
+def _product_counts(G: FiniteGroup, N: np.ndarray, C: np.ndarray, T: np.ndarray) -> Tuple[int, int]:
+    """The distinct maps among the products P = N o C, and among the identity, P and P o T, all in Hol(G).
 
     Let T generate a group K that contains P.  Every member of K is a word
     in T, built from the identity by right multiplication, so P is all of K
     exactly when it holds the identity and P o T lies in P: exactly when the
-    count equals the number of distinct rows of P.  Otherwise the count is a
-    lower bound on |K|.  The |P| * |T| steps are gathered on B and deduped
-    together with the identity and P's keys by one sort, with no lookup; the
-    rows of P need not be distinct.
+    two counts are equal.  Otherwise the second is a lower bound on |K|.
+    Each product is keyed on B only, n o c from N[:, C[:, B]] and
+    n o c o t from N[:, C[:, T[:, B]]], without P itself; each count is one
+    sort with no lookup, and the rows of N, C and T need not be distinct.
     """
     base = G.hol_base
-    return len(_distinct(np.concatenate([_hol_keys(G, base[None, :]), _hol_keys(G, P[:, base]),
-                                         _hol_keys(G, P[:, T[:, base]]).ravel()])))
+    pkeys = _distinct(_hol_keys(G, N[:, C[:, base]]).ravel())
+    steps = _hol_keys(G, N[:, C[:, T[:, base]]]).ravel()
+    return len(pkeys), len(_distinct(np.concatenate([_hol_keys(G, base[None, :]), pkeys, steps])))
 
 
 def _hol_generators(G: FiniteGroup, group: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

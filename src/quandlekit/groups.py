@@ -212,7 +212,7 @@ class FiniteGroup:
     ``_store`` is a dict of what the checks of ``harness`` derive from G
     and read more than once, filled through ``_stored``, as a ``Quandle``'s
     store of its search plan and map stacks is:
-    - Aut(G) and AAut(G), with AAut(G)'s kinds, as read-only stacks (``groupmaps._auts``);
+    - Aut(G) and AAut(G) as read-only stacks (``groupmaps._auts``);
     - the quandles built on G, keyed by constructor name plus m, c or the
       image bytes of the map (``harness._quandle``);
     - C_Aut(phi) and C_AAut(phi), keyed by family plus phi's image bytes;

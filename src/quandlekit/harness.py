@@ -48,7 +48,7 @@ from .groupmaps import (
     _law_masks,
     _orbits,
     _out_reps,
-    _right_closure_size,
+    _product_counts,
     _stack_of,
     _table_isos,
     _unique_rows,
@@ -569,9 +569,10 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
     is decided on the set P of the f o rep products.  The representatives
     and the translations f_(g,1), f_(1,g) by the generators g of G generate
     it, as f_(a,b) = f_(a,1) o f_(1,b), so P is the closure exactly when it
-    holds the identity and P o T lies in P for those maps T
-    (``groupmaps._right_closure_size``).  The note gives |P| when P is
-    closed and otherwise a lower bound: the distinct maps in P and P o T.
+    holds the identity and P o T lies in P for those maps T.  Both P and
+    the closure are counted on Hol(G) keys (``groupmaps._product_counts``),
+    as F and the representatives lie in Hol(G).  The note gives |P| when P
+    is closed and otherwise a lower bound: the distinct maps in P and P o T.
     """
     tid = "core-semidirect"
     inputs = G.name
@@ -581,8 +582,9 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
     f_keys = _keys(fstack)  # ascending: F comes back sorted
     all_fab = _all_f_ab_stack(G)  # [a, b] = images of f_{a,b}
     inner_in_F = bool(_in_sorted(_keys(_inner_stack(G)), f_keys).all())
-    products = _unique_rows(fstack[:, rstack].reshape(-1, G.n))  # f o rep, distinct
-    distinct = len(products)
+    # T: the reps, then f_(g,1) = x -> g*x and f_(1,g) = x -> x*g per generator g
+    translations = _f_generators(G, G.hol_base[1:])
+    distinct, size = _product_counts(G, fstack, rstack, np.concatenate([rstack, translations]))
     expected = len(fstack) * len(rstack)
     identity_key = _keys(np.arange(G.n))
     rkeys = _keys(rstack)
@@ -596,7 +598,7 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
         return (lhs == rhs).all(axis=1)
 
     parts = [
-        _members(f"{tid}/F-members", inputs, _generated(Q, fstack, _f_generators(G, G.hol_base[1:])), fstack,
+        _members(f"{tid}/F-members", inputs, _generated(Q, fstack, translations), fstack,
                  f"all {len(fstack)} maps in F preserve Core(G)"),
         _members(f"{tid}/rep-members", inputs, _laws(Q, rstack)[0], rstack,
                  f"all {len(rstack)} Out(G) representatives preserve Core(G)"),
@@ -608,11 +610,9 @@ def check_core_semidirect(G: FiniteGroup) -> Verdict:
               notes="F meets the transversal only in the identity"),
         claim(f"{tid}/distinct-products", inputs, "subgroup-embedding", distinct == expected,
               notes=f"{distinct} distinct f o rep products, expected {expected}"),
+        claim(f"{tid}/closure", inputs, "subgroup-embedding", size == distinct == expected,
+              notes=f"materialized closure has {size} maps"),
     ]
-    # T: the reps, then f_(g,1) = x -> g*x and f_(1,g) = x -> x*g per generator g
-    size = _right_closure_size(G, products, np.concatenate([rstack, _f_generators(G, G.hol_base[1:])]))
-    parts.append(claim(f"{tid}/closure", inputs, "subgroup-embedding", size == distinct == expected,
-                       notes=f"materialized closure has {size} maps"))
     return combine(tid, inputs, "subgroup-embedding", parts)
 
 

@@ -41,6 +41,7 @@ from .groupmaps import (
     _keys,
     _oracle_rows,
     _point_maps,
+    _product_counts,
     _stack_of,
     _table_isos,
     _unique_rows,
@@ -49,7 +50,7 @@ from .groupmaps import (
     preserving_mask,
     reverses_table,
 )
-from .groups import FiniteGroup, _distinct, _stored
+from .groups import FiniteGroup, _stored
 from .quandles import Quandle, inn_group
 
 __all__ = [
@@ -247,7 +248,7 @@ def semidirect_verify(
     in T, as conjugation by c is a homomorphism.  The last clause is decided
     on the set P of the n o c products once they are |N| * |C| distinct
     maps.  P holds the identity and P o C = P, as C is a group, so P is the
-    closure exactly when P o T lies in P (``groupmaps._right_closure_size``):
+    closure exactly when P o T lies in P (``groupmaps._product_counts``):
     then P o N lies in P, N being generated by T.  The reported closure size
     is then |P|, and otherwise a lower bound: the distinct maps in P and
     P o T.
@@ -322,10 +323,9 @@ def _product_clauses(
     of N (``groupmaps._hol_generators``).  Conjugation by c is a
     homomorphism, so c N c^-1 lies in N once c T c^-1 does; and P o N lies
     in P once P o t does for every t in T.  Both group clauses read T only.
-    The products P = N o C are keyed once, from N[:, C[:, B]], and the
-    closure is counted as ``groupmaps._right_closure_size`` counts it, from
-    those keys, the identity's and those of P o T, gathered as
-    N[:, C[:, T[:, B]]] without P itself.
+    Both the products P = N o C and the closure are counted by
+    ``groupmaps._product_counts``, from the keys of P, the identity's and
+    those of P o T.
     """
     base = G.hol_base
     ckeys = _hol_keys(G, C[:, base])
@@ -339,14 +339,11 @@ def _product_clauses(
     if not (inter == _hol_keys(G, base[None, :])).all():
         return _failed(N, C, "intersection is not trivial", inter=False)
 
-    pkeys = _distinct(_hol_keys(G, N[:, C[:, base]]).ravel())  # n o c for all pairs, on B
-    distinct = len(pkeys)
+    distinct, closure_size = _product_counts(G, N, C, gens)
     expected = len(N) * len(C)
     if distinct != expected:
         return _failed(N, C, "n o c products collide", closure_size=distinct, inter=True)
 
-    steps = _hol_keys(G, N[:, C[:, gens[:, base]]]).ravel()  # (n o c o t)(b) = n[c[t[b]]]
-    closure_size = len(_distinct(np.concatenate([_hol_keys(G, base[None, :]), pkeys, steps])))
     verdict = closure_size == expected
     return SemidirectReport(
         len(N),

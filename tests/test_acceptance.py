@@ -352,12 +352,15 @@ def test_criterion_13_census_cli_runtime(capsys):
         elapsed = time.perf_counter() - start
         with open(handle.name) as fh:
             report = json.load(fh)
+        with open(handle.name, "rb") as fh:
+            raw = fh.read()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     v1 = {**report, "version": 1, "checks": [_without_via(c) for c in report["checks"]]}
     ok = (
         proc.returncode == 0
         and elapsed < SECONDS_CENSUS
         and report["summary"]["failed"] == 0
+        and raw == (json.dumps(report, indent=2) + "\n").encode()
         and digest == GOLDEN_FULL_CENSUS_V2_SHA256
         and hashlib.sha256(json.dumps(v1, sort_keys=True).encode()).hexdigest() == GOLDEN_FULL_CENSUS_SHA256
     )

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from quandlekit import REPORT_SCHEMA, group_from_text, quandle_from_text
+from quandlekit import REPORT_SCHEMA, group_from_text, quandle_from_text, report_json, run_check, symmetric
 from quandlekit.cli import main
 
 
@@ -168,6 +168,16 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(target.read_text())
         assert report["summary"]["failed"] == 0
+
+    def test_json_report_is_written_as_json_dumps_writes_it(self, tmp_path, capsys):
+        want = json.dumps(report_json(["S3"], run_check("conj-aaut", symmetric(3))), indent=2) + "\n"
+        target = tmp_path / "v.json"
+        args = ["verify", "conj-aaut", "--group", "S3", "--format", "json"]
+        assert main([*args, "-o", str(target)]) == 0
+        assert target.read_bytes() == want.encode()
+        assert capsys.readouterr().out == ""
+        assert main(args) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestCensusCommand:

@@ -5,6 +5,7 @@ import collections
 import gc
 import itertools
 import pathlib
+import re
 import types
 import weakref
 
@@ -346,6 +347,21 @@ class TestScope:
         (v,) = run_check("conj-no-anti", cyclic(3), m=1)
         assert not v.holds and v.lhs is False
         assert is_quandle_anti(R3, PointMap(v.counterexample["images"]))
+
+
+class TestWitnessReplay:
+    def test_every_census_witness_replays_through_the_public_api(self, s3_s4_census):
+        """Each conj-aaut witness names a row of AAut(G) that preserves Conj_m(G)."""
+        _, nodes = s3_s4_census
+        witnessed = [c for c in nodes if c.get("witness") is not None]
+        assert {c["theorem_id"] for c in witnessed} == {"conj-aaut"}
+        assert len(witnessed) == sum(1 for c in nodes if c["theorem_id"] == "conj-aaut" and c["lhs"])
+        groups = {"S3": symmetric(3), "S4": symmetric(4)}
+        for c in witnessed:
+            spec, m = re.fullmatch(r"(\w+), m=(-?\d+)", c["inputs"]).groups()
+            G, w = groups[spec], c["witness"]
+            assert enumerate_aaut(G)[w["psi_index"]].images.tolist() == w["images"], c["inputs"]
+            assert is_quandle_auto(conj_m(G, int(m)), PointMap(w["images"])), c["inputs"]
 
 
 class TestOncePerSweep:

@@ -57,7 +57,7 @@ from quandlekit.groupmaps import (
     _inner_stack,
     _is_map_group,
     _out_reps,
-    _right_closure_size,
+    _product_counts,
     preserves_table,
 )
 from quandlekit.groups import FiniteGroup
@@ -277,7 +277,7 @@ class TestHolKeys:
         maps = np.array([[0, 1, 2], [2, 1, 0]])  # x -> 2 + 2x fixes the generator 1
         assert len(set(_hol_keys(Z3, maps[:, Z3.hol_base]).tolist())) == 2
         assert _is_map_group(Z3, maps)
-        assert _right_closure_size(Z3, maps[:1], maps[1:]) == 2
+        assert right_closure_size(Z3, maps[:1], maps[1:]) == 2
 
     @pytest.mark.parametrize("spec", ["Z3", "Z4", "Z5", "Z6", "Z2xZ2", "S3", "relabelled Z4"])
     def test_mask_is_holomorph_membership(self, spec):
@@ -324,6 +324,11 @@ def reference_right_closure_size(P, T):
     return len(frozenset(P) | {identity} | {compose(p, t) for p in P for t in T})
 
 
+def right_closure_size(G, P, T):
+    """The closure count of ``_product_counts`` with P itself as the products: P o {id}."""
+    return _product_counts(G, np.array(P), np.arange(G.n)[None, :], np.array(T))[1]
+
+
 def reported_size(verdict, pattern):
     """The closure size in the notes of a check's closure part."""
     (note,) = [p.notes for p in verdict.parts if p.theorem_id.endswith(("/semidirect", "/closure"))]
@@ -337,25 +342,35 @@ class TestProductSetClosure:
         G, gens, group = hol_subgroup(data)
         P = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=12))
         T = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
-        got = _right_closure_size(G, np.array(P), np.array(T))
-        assert got == reference_right_closure_size(P, T)
-        assert _right_closure_size(G, np.array(group), np.array(gens)) == len(group)
+        assert right_closure_size(G, P, T) == reference_right_closure_size(P, T)
+        assert right_closure_size(G, group, gens) == len(group)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_products_are_counted_as_the_frozenset_of_n_o_c(self, data):
+        G, gens, group = hol_subgroup(data)
+        N, C = (data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=6)) for _ in range(2))
+        products = [compose(a, c) for a in N for c in C]
+        distinct, closure = _product_counts(G, np.array(N), np.array(C), np.array(gens))
+        assert distinct == len(frozenset(products))
+        assert closure == reference_right_closure_size(products, gens)
 
     def test_h3_product_set_is_closed_and_a_missing_row_is_counted(self):
         H3 = named_group("heisenberg3")
-        gop = H3.table.T  # row b is x -> x * b
-        P = gop[:, _auts(H3).aut].reshape(-1, H3.n)  # every f_(1,b) o phi
-        assert _right_closure_size(H3, P, gop) == len(P) == 11664
+        gop, aut = H3.table.T, _auts(H3).aut  # row b of gop is x -> x * b
+        assert _product_counts(H3, gop, aut, gop) == (11664, 11664)  # every f_(1,b) o phi
+        P = gop[:, aut].reshape(-1, H3.n)
+        assert right_closure_size(H3, P, gop) == len(P) == 11664
         short = np.delete(P, 100, axis=0)  # P o G^op still reaches the missing map
-        assert _right_closure_size(H3, short, gop) == len(short) + 1 == 11664
+        assert right_closure_size(H3, short, gop) == len(short) + 1 == 11664
 
     def test_unclosed_set_counts_past_its_size(self):
         P = np.array([[0, 1, 2], [1, 0, 2]])  # id and (0 1), in Hol(Z3) = Sym(3)
-        assert _right_closure_size(cyclic(3), P, np.array([[1, 2, 0]])) > len(P)  # T = {(0 1 2)}
+        assert right_closure_size(cyclic(3), P, np.array([[1, 2, 0]])) > len(P)  # T = {(0 1 2)}
 
     def test_set_without_the_identity_is_not_closed(self):
         shift = np.array([[1, 2, 0], [2, 0, 1]])  # the 3-cycles; P o (0 1 2) adds only id
-        assert _right_closure_size(cyclic(3), shift, np.array([[1, 2, 0]])) == len(shift) + 1
+        assert right_closure_size(cyclic(3), shift, np.array([[1, 2, 0]])) == len(shift) + 1
 
     @pytest.mark.parametrize("spec", SMALL_CATALOG)
     def test_semidirect_sizes_equal_the_closure_search(self, spec):

@@ -45,7 +45,6 @@ from quandlekit.groupmaps import (
     _law_blocks,
     _law_masks,
     _profiles,
-    _right_closure_size,
     _SearchPlan,
     _table_isos,
     _unique_rows,
@@ -650,7 +649,9 @@ class TestSemidirectOnGenerators:
             nkeys = np.sort(_hol_keys(G, N[:, G.hol_base]))
             report = quandlemaps._product_clauses(G, N, C, nkeys, T)
             assert report.failing_clause in (None, "closure size differs from |N| * |C|")
-            assert report.closure_size == _right_closure_size(G, N[:, C].reshape(-1, G.n), T)
+            products = {tuple(row) for row in N[:, C].reshape(-1, G.n).tolist()}
+            steps = {tuple(p[t] for t in row) for p in products for row in T.tolist()}
+            assert report.closure_size == len(products | steps | {tuple(range(G.n))})
             escaped += report.closure_size > len(N)
         assert escaped >= 10
 
