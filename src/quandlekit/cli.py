@@ -114,7 +114,7 @@ def _emit(payload: str, output: Optional[str]) -> None:
 
 
 def _dump(report: dict, output: Optional[str]) -> None:
-    """Stream a JSON report, indented by 2 and ending in a newline, to a file or stdout.
+    """Stream a JSON report, indented by 2 and ending in a newline, to a file or stdout: the CLI's one JSON writer.
 
     The bytes are those of ``_emit(json.dumps(report, indent=2), output)``,
     without the whole string in memory at once.
@@ -163,19 +163,15 @@ def cmd_group(args) -> int:
     G = _load_group(args)
     if args.action == "export":
         if args.format == "json":
-            payload = json.dumps(
-                {"name": G.name, "order": G.n, "table": G.table.tolist()}, indent=2
-            )
+            _dump({"name": G.name, "order": G.n, "table": G.table.tolist()}, args.output)
         else:
-            payload = group_to_text(G).rstrip("\n")
-        _emit(payload, args.output)
+            _emit(group_to_text(G).rstrip("\n"), args.output)
         return 0
     info = _group_info(G)
     if args.format == "json":
-        payload = json.dumps(info, indent=2)
+        _dump(info, args.output)
     else:
-        payload = "\n".join(f"{key}: {value}" for key, value in info.items())
-    _emit(payload, args.output)
+        _emit("\n".join(f"{key}: {value}" for key, value in info.items()), args.output)
     return 0
 
 
@@ -199,18 +195,16 @@ def cmd_quandle(args) -> int:
     Q = _load_quandle(args)
     if args.action == "build":
         if args.format == "json":
-            payload = json.dumps(Q.to_json(), indent=2)
+            _dump(Q.to_json(), args.output)
         else:
-            payload = quandle_to_text(Q).rstrip("\n")
-        _emit(payload, args.output)
+            _emit(quandle_to_text(Q).rstrip("\n"), args.output)
         return 0
     info = _quandle_info(Q)
     if args.format == "json":
-        payload = json.dumps(info, indent=2)
+        _dump(info, args.output)
     else:
         scalars = {k: v for k, v in info.items() if not isinstance(v, list)}
-        payload = "\n".join(f"{key}: {value}" for key, value in scalars.items())
-    _emit(payload, args.output)
+        _emit("\n".join(f"{key}: {value}" for key, value in scalars.items()), args.output)
     return 0
 
 
@@ -231,22 +225,14 @@ def cmd_aut(args) -> int:
         oracle_note = " (oracle cross-check ok)"
     shown = maps[: max(args.limit, 0)]
     if args.format == "json":
-        payload = json.dumps(
-            {
-                "quandle": Q.name,
-                "kind": kind,
-                "count": len(maps),
-                "maps": [m.to_json() for m in shown],
-            },
-            indent=2,
-        )
-    else:
-        lines = [f"{Q.name}: {len(maps)} {kind}{oracle_note}"]
-        lines.extend(str(list(map(int, m.images))) for m in shown)
-        if len(maps) > len(shown):
-            lines.append(f"... {len(maps) - len(shown)} more")
-        payload = "\n".join(lines)
-    _emit(payload, args.output)
+        _dump({"quandle": Q.name, "kind": kind, "count": len(maps), "maps": [m.to_json() for m in shown]},
+              args.output)
+        return 0
+    lines = [f"{Q.name}: {len(maps)} {kind}{oracle_note}"]
+    lines.extend(str(list(map(int, m.images))) for m in shown)
+    if len(maps) > len(shown):
+        lines.append(f"... {len(maps) - len(shown)} more")
+    _emit("\n".join(lines), args.output)
     return 0
 
 

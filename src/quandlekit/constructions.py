@@ -38,7 +38,7 @@ from .groupmaps import (
     _flat_table,
     _products,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _in_range
 from .quandles import Quandle, trivial
 
 __all__ = [
@@ -78,17 +78,6 @@ def _require_compatible(G: FiniteGroup, psi: np.ndarray) -> None:
     if bad.any():
         x, y = map(int, np.argwhere(bad)[0])
         raise CompatibilityFail(x, y)
-
-
-# What each index parameter counts, as its range error names it.
-_INDEXES = {"phi": "phi index into Aut(G)", "psi": "psi index into AAut(G)", "c": "c (an element of G)"}
-
-
-def _in_range(param: str, index: int, size: int) -> int:
-    """``index`` when it lies in 0..size-1; otherwise a spec error naming the parameter."""
-    if not 0 <= index < size:
-        raise ConstructionSpecError(f"{_INDEXES[param]} {index} is out of range 0..{size - 1}")
-    return index
 
 
 # --- the table entries ---
@@ -296,17 +285,21 @@ def _reads(kind: str) -> str:
     return "group " + ("map" if row.law else row.param)
 
 
+def _reject_unread(what: str, given: dict, reads: str) -> None:
+    """Raise a spec error naming each parameter of ``given`` that is set but not in ``reads``, what ``what`` reads."""
+    unread = [name for name, value in given.items() if value is not None and name not in reads.split()]
+    if unread:
+        raise ConstructionSpecError(f"{what} does not read {', '.join(unread)}; it reads: {reads}")
+
+
 def build(spec: ConstructionSpec) -> Quandle:
     """Dispatch a ConstructionSpec to its constructor.
 
     A field that the kind does not read is a spec error.
     """
     kind = spec.kind
-    reads = _reads(kind)
     given = {"group": spec.group, "n": spec.n, "m": spec.m, "map": spec.map, "c": spec.c}
-    unread = [name for name, value in given.items() if value is not None and name not in reads.split()]
-    if unread:
-        raise ConstructionSpecError(f"{kind} does not read {', '.join(unread)}; it reads: {reads}")
+    _reject_unread(kind, given, _reads(kind))
     if kind not in _KINDS:
         if spec.n is None:
             raise ConstructionSpecError(f"{kind} needs n")

@@ -36,6 +36,7 @@ from .groups import (
     _check_associativity,
     _distinct,
     _generator_levels,
+    _in_range,
     _stored,
     direct_product,
     opposite,
@@ -362,19 +363,20 @@ class _SearchPlan:
     """What every search from one source table t1 needs, whatever the target.
 
     The point profiles (``_profiles``) are built with the plan.  The
-    generator levels (``groups._generator_levels``) and their index blocks
-    are built on first use, so a target that the profiles reject costs no
-    levels.  A plan has two generator sequences.  The least-index one
-    (``_ranked``) serves the first hit, whose first leaf it makes the least
-    isomorphism.  Full enumeration walks the growth-ordered one
-    (``_ranked_by_growth``), but only when the least-index one stalls:
-    some level after the first adds nothing but its generator, as the
-    points of a trivial subquandle do, while some point outside S_{i-1}
-    would reach a new point (``_reaches_past``).  Where no point would, the
-    growth pick is the least index too.  A group stalls only so, at its
-    second level when g_1 is an involution, as every c outside a subgroup
-    S other than {e} reaches c*S.  When it does not stall, or the growth
-    pick returns the same generators, the two share one ranking.
+    generator levels (``groups._generator_levels``, cut into ``_Level``
+    index blocks by ``_ranking``) are built on first use and kept, so a
+    target that the profiles reject costs no levels and every later search
+    reads the same blocks.  A plan has two level sequences.  The
+    least-index one (``levels``) serves the first hit, whose first leaf it
+    makes the least isomorphism.  Full enumeration walks the growth-ordered
+    one (``full_levels``), but only when the least-index one stalls: some
+    level after the first adds nothing but its generator, as the points of
+    a trivial subquandle do, while some point outside S_{i-1} would reach a
+    new point (``_reaches_past``).  Where no point would, the growth pick
+    is the least index too.  A group stalls only so, at its second level
+    when g_1 is an involution, as every c outside a subgroup S other than
+    {e} reaches c*S.  When it does not stall, or the growth pick returns
+    the same generators, ``full_levels`` is ``levels`` itself.
     A quandle keeps its plan in its store (``Quandle._store``); Aut(Q),
     the antiautomorphisms and ``are_isomorphic(Q, ...)`` all read it.
 
@@ -389,25 +391,24 @@ class _SearchPlan:
         self.sorted_profiles = self.profiles[np.lexsort(self.profiles.T)]
 
     @cached_property
-    def _ranked(self) -> "_Ranking":
-        """The least-index ranking (``_ranking``)."""
+    def levels(self) -> Tuple[_Level, ...]:
+        """The least-index levels (``_ranking``)."""
         return _ranking(self.table, _generator_levels(self.table), self.group)
 
     @property
     def generators(self) -> List[int]:
         """The least-index generators g_0, g_1, ... of t1."""
-        return [g for g, _ in self._ranked.steps]
+        return [lv.g for lv in self.levels]
 
     @cached_property
-    def _ranked_by_growth(self) -> "_Ranking":
-        """The ranking full enumeration walks: by growth on a stall, else ``_ranked`` itself."""
-        least = self._ranked
-        steps, starts, order = least.steps, least.starts, least.order
-        stalls = [i for i in range(1, len(steps)) if not steps[i][1]]
-        if not any(self._reaches_past(order[: starts[i]]) for i in reversed(stalls)):  # the last is live most often
+    def full_levels(self) -> Tuple[_Level, ...]:
+        """The levels full enumeration walks: by growth on a stall, else ``levels`` itself."""
+        least = self.levels
+        stalls = [i for i in range(1, len(least)) if not least[i].batches]
+        if not any(self._reaches_past(least[i].seen) for i in reversed(stalls)):  # the last is live most often
             return least
         grown = _generator_levels(self.table, by_growth=True)
-        if [g for g, _ in grown] == [g for g, _ in steps]:
+        if [g for g, _ in grown] == self.generators:
             return least
         return _ranking(self.table, grown, self.group)
 
@@ -420,33 +421,9 @@ class _SearchPlan:
         reached = np.concatenate((t[out, known], t[known[:, None], out.T].T), axis=1)  # [c, s]: c*s, then s*c
         return bool((~inside[reached] & (reached != out)).any())
 
-    @property
-    def levels(self) -> Tuple[_Level, ...]:
-        """The least-index levels, cut on each read (``_cut``)."""
-        return _cut(self._ranked)
 
-    @property
-    def full_levels(self) -> Tuple[_Level, ...]:
-        """The levels full enumeration walks, cut on each read (``_cut``)."""
-        return _cut(self._ranked_by_growth)
-
-
-class _Ranking(NamedTuple):
-    """Generator levels, where each starts, where each one's law pairs start, and the pair arrays all levels cut."""
-
-    steps: list  # (g_i, batches) per level, ``groups._generator_levels``
-    starts: List[int]  # level i holds the ranks starts[i] .. starts[i+1] - 1
-    bounds: List[int]  # level i holds the law pairs bounds[i] .. bounds[i+1] - 1
-    order: np.ndarray  # the points by rank
-    left: np.ndarray
-    right: np.ndarray
-    product: np.ndarray
-    later: np.ndarray
-    earlier: np.ndarray
-
-
-def _ranking(table: np.ndarray, steps: list, group: bool = False) -> _Ranking:
-    """The ranking of a table's generator levels.
+def _ranking(table: np.ndarray, steps: list, group: bool = False) -> Tuple[_Level, ...]:
+    """A table's generator levels, each with its index blocks.
 
     Number the points in the order the levels reach them; level i then
     holds the ranks from a_i (g_i) up to a_{i+1}.  Its law pairs are
@@ -456,7 +433,8 @@ def _ranking(table: np.ndarray, steps: list, group: bool = False) -> _Ranking:
     triangle, taken row by row, from r = a_i + 1 on.  With ``group`` a
     level keeps only the law pairs (x, g_j) whose right point is a
     generator: x in S_i outside S_{i-1} with j < i, and x in S_i with j = i,
-    the columns that ``_table_isos`` needs on an associative table.
+    the columns that ``_table_isos`` needs on an associative table.  Each
+    level's blocks are views of one array per kind.
     """
     n = table.shape[0]
     pieces, starts = [], [0]
@@ -478,16 +456,6 @@ def _ranking(table: np.ndarray, steps: list, group: bool = False) -> _Ranking:
         bounds = np.searchsorted(np.maximum(row, col), starts).tolist()
     left, right = order[row], order[col]  # by the larger rank of the pair, ascending
     product = table[left, right].astype(order.dtype)
-    return _Ranking(steps, starts, bounds, order, left, right, product, later, earlier)
-
-
-def _cut(ranking: _Ranking) -> Tuple[_Level, ...]:
-    """A ranking's levels, their index blocks cut from its arrays.
-
-    The cuts are views, made per search and not kept: per-level array
-    objects would outweigh the arrays of a small plan.
-    """
-    steps, starts, bounds, order, left, right, product, later, earlier = ranking
     levels = []
     for (g, batches), a, b, lo, hi in zip(steps, starts, starts[1:], bounds, bounds[1:]):
         law, inj = slice(lo, hi), slice(a * (a + 1) // 2, b * (b - 1) // 2)
@@ -524,8 +492,10 @@ def _table_isos(
     tables whose profile rows differ as multisets have none, and neither
     the levels nor a search are built.  The search branches only on the
     images of t1's generators g_1..g_k, which the mode chooses: the first
-    hit takes the plan's least-index levels, full enumeration its
+    hit takes the plan's least-index ``levels``, full enumeration its
     ``full_levels``, ordered by growth when the least-index ones stall.
+    The plan keeps both, so only its first search builds them; the leaves
+    come out in order when ``full_levels`` is ``levels``.
     Level i extends partial maps on S_{i-1} to S_i, the closure of
     g_1..g_i: each parent tries every image of g_i whose profile matches
     and that no point of S_{i-1} has, derives the rest of S_i through t2,
@@ -573,7 +543,7 @@ def _table_isos(
     if first_only:
         levels, in_order = plan.levels, True
     else:
-        levels, in_order = plan.full_levels, plan._ranked_by_growth is plan._ranked
+        levels, in_order = plan.full_levels, plan.full_levels is plan.levels
     # [level, point]: the point's profile is that of the level's generator
     matches = (prof2 == plan.profiles[[lv.g for lv in levels], None]).all(axis=2)
     cands = [np.flatnonzero(row).astype(dtype) for row in matches]
@@ -743,9 +713,13 @@ def closure_of_point_maps(maps: Sequence[PointMap], cap: Optional[int] = None) -
     undirected, so a product of the current level lies in the previous, the
     current or the next level, and only the last two levels are searched.
     The default ``cap``, ``config.MAX_CLOSURE_SIZE``, is read at each call.
+    Maps of different carriers raise CarrierMismatch.
     """
     if not maps:
         raise ValueError("closure needs at least one map")
+    for pm in maps:
+        if pm.n != maps[0].n:
+            raise CarrierMismatch(maps[0].n, pm.n)
     cap = config.MAX_CLOSURE_SIZE if cap is None else cap
     gens = _stack_of(maps)
     n = gens.shape[1]
@@ -881,12 +855,12 @@ def _hol_generators(G: FiniteGroup, group: np.ndarray) -> Tuple[np.ndarray, np.n
 
 def f_ab(G: FiniteGroup, a: int, b: int) -> PointMap:
     """The two-sided translation x -> a*x*b."""
-    return PointMap(G.table[G.table[a, :], b])
+    return PointMap(G.table[G.table[_in_range("a", a, G.n), :], _in_range("b", b, G.n)])
 
 
 def left_translation(G: FiniteGroup, a: int) -> PointMap:
     """The map t_a: x -> a*x."""
-    return PointMap(G.table[a])
+    return PointMap(G.table[_in_range("a", a, G.n)])
 
 
 # Each family below is a private function returning its sorted compact stack;

@@ -211,10 +211,11 @@ class FiniteGroup:
 
     ``_store`` is a dict of what the checks of ``harness`` derive from G
     and read more than once, filled through ``_stored``, as a ``Quandle``'s
-    store of its search plan and map stacks is:
+    store of its search plan, Inn(Q) and law masks is:
     - Aut(G) and AAut(G) as read-only stacks (``groupmaps._auts``);
-    - the quandles built on G, keyed by constructor name plus m, c or the
-      image bytes of the map (``harness._quandle``);
+    - every quandle a check builds on G, Q_i included, keyed by constructor
+      name plus m, c or the image bytes of the map, and by its table's
+      compact bytes (``harness._quandle``);
     - C_Aut(phi) and C_AAut(phi), keyed by family plus phi's image bytes;
     - what ``quandlemaps.semidirect_verify`` decides without Q: the
       membership clauses of one part, keyed by its distinct rows as bytes,
@@ -372,6 +373,20 @@ def _stored(owner: Union[FiniteGroup, "Quandle"], key: tuple, build: Callable[[]
     if key not in owner._store:
         owner._store[key] = build()
     return owner._store[key]
+
+
+# What each index parameter counts, as its range error names it.
+_INDEXES = {
+    "phi": "phi index into Aut(G)", "psi": "psi index into AAut(G)",
+    "a": "a (an element of G)", "b": "b (an element of G)", "c": "c (an element of G)", "y": "y (an element of Q)",
+}
+
+
+def _in_range(param: str, index: int, size: int) -> int:
+    """``index`` when it lies in 0..size-1; otherwise a spec error naming the parameter."""
+    if not 0 <= index < size:
+        raise ConstructionSpecError(f"{_INDEXES[param]} {index} is out of range 0..{size - 1}")
+    return index
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tupl
 import numpy as np
 
 from . import config, groupmaps
-from .constructions import _KINDS, _in_range, _map_label, dihedral_quandle
+from .constructions import _KINDS, _map_label, _reject_unread, dihedral_quandle
 from .errors import CompatibilityFail, ConstructionSpecError
 from .groupmaps import (
     _all_f_ab_stack,
@@ -57,7 +57,7 @@ from .groupmaps import (
     preserving_mask,
     verify_F_iso,
 )
-from .groups import FiniteGroup, _distinct, _stored, named_group
+from .groups import FiniteGroup, _distinct, _in_range, _stored, named_group
 from .quandlemaps import (
     SemidirectReport,
     _inn_stack,
@@ -123,32 +123,23 @@ def _table(G: FiniteGroup, kind: str, param=None) -> np.ndarray:
     return _KINDS[kind].table(G, param)
 
 
-def _on_table(G: FiniteGroup, op: np.ndarray, keep: bool) -> Quandle:
-    """The quandle on the table ``op`` of a construction on G: the one in G's store, or a new one.
-
-    The store key is the table's compact bytes.  A new quandle is validated,
-    and stored under the key only with ``keep``.
-    """
-    key = ("table", _compact(op).tobytes())
-    if key in G._store:
-        return G._store[key]
-    Q = Quandle(op)
-    if keep:
-        G._store[key] = Q
-    return Q
-
-
 def _quandle(G: FiniteGroup, kind: str, param=None) -> Quandle:
     """The quandle of construction ``kind`` on G at ``param``, from G's store: built on first use.
 
     The first key is the kind plus ``param``: m, c, or a map's image bytes.
-    It resolves to the second, the table's compact bytes (``_on_table``), so
-    constructions that give equal tables share one validated quandle, and
-    with it the law masks in its store.
+    It resolves to the second, the table's compact bytes, so constructions
+    that give equal tables share one validated quandle, and with it the law
+    masks in its store.  Every quandle stays until ``run_census`` clears
+    the store.
     """
     tag = param.tobytes() if _KINDS[kind].law else param
     key = (kind,) if param is None else (kind, tag)
-    return _stored(G, key, lambda: _on_table(G, _table(G, kind, param), keep=True))
+
+    def build() -> Quandle:
+        op = _table(G, kind, param)
+        return _stored(G, ("table", _compact(op).tobytes()), lambda: Quandle(op))
+
+    return _stored(G, key, build)
 
 
 def _laws(Q: Quandle, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,16 +166,14 @@ def _generated(Q: Quandle, stack: np.ndarray, gens: np.ndarray) -> np.ndarray:
     Aut(Q) is a group, so the stack lies in it once every generator does:
     the mask is then all true, with no gather over the stack.  Otherwise it
     is the stack's own mask (``_laws``), so ``_members`` names the first
-    row that fails, as a full gather would.  A stack whose masks Q's store
-    already holds, as another check on the same table gathered them, is
-    read there.  The translations of G are generated by those by G's
-    generators (``_f_generators``), as f_(1,b) o f_(1,c) = f_(1,cb),
-    f_(a,1) o f_(c,1) = f_(ac,1) and f_(a,b) = f_(a,1) o f_(1,b).
+    row that fails, as a full gather would.  The translations of G are
+    generated by those by G's generators (``_f_generators``), as
+    f_(1,b) o f_(1,c) = f_(1,cb), f_(a,1) o f_(c,1) = f_(ac,1) and
+    f_(a,b) = f_(a,1) o f_(1,b).
     """
-    rows = _compact(stack)
-    if ("laws", rows.shape, rows.tobytes()) not in Q._store and _laws(Q, gens)[0].all():
+    if _laws(Q, gens)[0].all():
         return np.ones(len(stack), dtype=bool)
-    return _laws(Q, rows)[0]
+    return _laws(Q, stack)[0]
 
 
 def _f_generators(G: FiniteGroup, left: np.ndarray) -> np.ndarray:
@@ -670,10 +659,9 @@ def check_Qi(G: FiniteGroup, i: int, base: np.ndarray) -> Verdict:
     tid = "q-family"
     inputs = _q_inputs(G, i, base)
     try:
-        op = _table(G, f"q{i}", base)
+        Q = _quandle(G, f"q{i}", base)
     except CompatibilityFail as exc:
         return make_skipped(tid, inputs, "iff", f"construction rejected: {exc}")
-    Q = _on_table(G, op, keep=False)  # not stored: a new Q_i is freed with its masks on return
     a_stack = _centralizer_of(G, "aut", base)
     aa_stack = _centralizer_of(G, "aaut", base)
     if i <= 2:
@@ -954,9 +942,7 @@ def run_check(
         )
     reads, sweep = _SWEEPS[theorem_id]
     given = {"group": G, "m": m, "n": n, "c": c, "phi_index": phi_index, "psi_index": psi_index}
-    unread = [name for name, value in given.items() if value is not None and name not in reads.split()]
-    if unread:
-        raise ConstructionSpecError(f"{theorem_id} does not read {', '.join(unread)}; it reads: {reads}")
+    _reject_unread(theorem_id, given, reads)
     return sweep(_Sweep(theorem_id, G, m, n, c, phi_index, psi_index))
 
 

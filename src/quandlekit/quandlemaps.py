@@ -9,14 +9,15 @@ through the target table, a chunk of partial maps at a time.  One depth
 first walk over those chunks serves full enumeration and the first hit, so
 ``are_isomorphic`` returns the lexicographically least isomorphism without
 enumerating the rest.  Each quandle keeps its search plan (profiles,
-generator levels and index blocks, ``groupmaps._SearchPlan``), which its
-automorphisms, antiautomorphisms and isomorphisms from it all read, its
-enumerations, one per kind, and its inner automorphism group Inn(Q) as
-read-only sorted compact stacks in its store, and builds no ``QuandleMap``
-but in the public enumerators.  Those sets, the closures and the Inn/Out
-report are keyed by whole rows; ``semidirect_verify`` admits only maps of
-Hol(G), keys them by their images on ``G.hol_base`` and keeps what it
-decides without Q in G's store.
+generator levels and their index blocks, ``groupmaps._SearchPlan``),
+which its automorphisms, antiautomorphisms and isomorphisms from it all
+read, and its inner automorphism group Inn(Q), a read-only sorted compact
+stack, in its store.  An enumeration is not kept: each call searches again
+on the kept plan, as no caller reads one enumeration twice.  No
+``QuandleMap`` is built but in the public enumerators.  Those sets, the
+closures and the Inn/Out report are keyed by whole rows;
+``semidirect_verify`` admits only maps of Hol(G), keys them by their
+images on ``G.hol_base`` and keeps what it decides without Q in G's store.
 """
 
 from __future__ import annotations
@@ -130,11 +131,7 @@ def _is_trivial_table(op: np.ndarray) -> bool:
 
 
 def _enumerate(Q: Quandle, kind: str) -> np.ndarray:
-    """The maps of one kind on Q as a read-only sorted stack, enumerated once and kept in Q's store."""
-    return _stored(Q, (kind,), lambda: _search(Q, kind))
-
-
-def _search(Q: Quandle, kind: str) -> np.ndarray:
+    """The maps of one kind on Q as a sorted stack, searched anew at each call on Q's stored plan."""
     if Q.n > config.MAX_QUANDLE_ENUM_ORDER:
         raise CapExceeded("quandle map enumeration", Q.n, config.MAX_QUANDLE_ENUM_ORDER)
     if kind == "automorphism":
@@ -144,7 +141,7 @@ def _search(Q: Quandle, kind: str) -> np.ndarray:
         target = Q.op
     else:
         target = np.ascontiguousarray(Q.op.T)
-    return _read_only(_table_isos(Q.op, target, plan=_plan(Q)))
+    return _table_isos(Q.op, target, plan=_plan(Q))
 
 
 def _read_only(stack: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import config
-from .errors import BadShape, NotClosed, Q1Fail, Q2Fail, Q3Fail, TooLarge
+from .errors import BadShape, ConstructionSpecError, NotClosed, Q1Fail, Q2Fail, Q3Fail, TooLarge
 from .groupmaps import (
     PointMap,
     _block_rows,
@@ -21,6 +21,7 @@ from .groupmaps import (
     _products,
     closure_of_point_maps,
 )
+from .groups import _in_range
 
 __all__ = [
     "Quandle",
@@ -101,8 +102,8 @@ class Quandle:
         self.n = n
         self.name = name if name is not None else f"Q{n}"
         self.dual = _dual_table(arr)
-        # ("plan",) -> search plan, (kind,) -> enumeration, ("inner",) -> Inn(Q),
-        # ("laws", shape, stack bytes) -> the stack's law masks (harness._laws); no map objects
+        # ("plan",) -> search plan, ("inner",) -> Inn(Q), ("laws", shape, stack bytes) ->
+        # the stack's law masks (harness._laws); no enumeration and no map objects
         self._store: dict = {}
         self.op.setflags(write=False)
         self.dual.setflags(write=False)
@@ -150,6 +151,8 @@ def quandle_from_table(table, name: Optional[str] = None) -> Quandle:
 
 def trivial(n: int) -> Quandle:
     """The trivial quandle: x*y = x."""
+    if n < 1:
+        raise ConstructionSpecError("trivial(n) needs n >= 1")
     op = np.tile(np.arange(n)[:, None], (1, n))
     return Quandle(op, name=f"T{n}", validate=False)
 
@@ -174,7 +177,7 @@ def is_involutory(Q: Quandle) -> bool:
 
 def right_translation(Q: Quandle, y: int) -> PointMap:
     """The permutation S_y: x -> x*y (an automorphism of Q, by Q2 + Q3)."""
-    return PointMap(Q.op[:, y])
+    return PointMap(Q.op[:, _in_range("y", y, Q.n)])
 
 
 def inn_group(Q: Quandle) -> List[PointMap]:

@@ -7,8 +7,23 @@ import jsonschema
 import numpy as np
 import pytest
 
-from quandlekit import REPORT_SCHEMA, group_from_text, quandle_from_text, report_json, run_check, symmetric
-from quandlekit.cli import main
+from quandlekit import (
+    REPORT_SCHEMA, core, enumerate_quandle_antis, group_from_text, quandle_from_text, report_json, run_check, symmetric,
+)
+from quandlekit.cli import _group_info, _quandle_info, main
+
+# Each command that writes JSON, with the report it writes.
+_JSON_COMMANDS = [
+    (["verify", "conj-aaut", "--group", "S3"], lambda: report_json(["S3"], run_check("conj-aaut", symmetric(3)))),
+    (["group", "export", "--group", "S3"],
+     lambda: {"name": "S3", "order": 6, "table": symmetric(3).table.tolist()}),
+    (["group", "info", "--group", "S3"], lambda: _group_info(symmetric(3))),
+    (["quandle", "build", "--quandle", "core", "--group", "S3"], lambda: core(symmetric(3)).to_json()),
+    (["quandle", "info", "--quandle", "core", "--group", "S3"], lambda: _quandle_info(core(symmetric(3)))),
+    (["aut", "--quandle", "core", "--group", "S3", "--anti", "--limit", "2"], lambda: {
+        "quandle": "Core(S3)", "kind": "antiautomorphisms", "count": len(enumerate_quandle_antis(core(symmetric(3)))),
+        "maps": [m.to_json() for m in enumerate_quandle_antis(core(symmetric(3)))[:2]]}),
+]
 
 
 class TestGroupCommand:
@@ -169,10 +184,11 @@ class TestVerifyCommand:
         report = json.loads(target.read_text())
         assert report["summary"]["failed"] == 0
 
-    def test_json_report_is_written_as_json_dumps_writes_it(self, tmp_path, capsys):
-        want = json.dumps(report_json(["S3"], run_check("conj-aaut", symmetric(3))), indent=2) + "\n"
+    @pytest.mark.parametrize("args, report", _JSON_COMMANDS, ids=["-".join(a[:2]) for a, _ in _JSON_COMMANDS])
+    def test_json_report_is_written_as_json_dumps_writes_it(self, tmp_path, capsys, args, report):
+        want = json.dumps(report(), indent=2) + "\n"
         target = tmp_path / "v.json"
-        args = ["verify", "conj-aaut", "--group", "S3", "--format", "json"]
+        args = [*args, "--format", "json"]
         assert main([*args, "-o", str(target)]) == 0
         assert target.read_bytes() == want.encode()
         assert capsys.readouterr().out == ""

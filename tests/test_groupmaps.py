@@ -11,6 +11,7 @@ from quandlekit import (
     CapExceeded,
     CarrierMismatch,
     ClassifiedMap,
+    ConstructionSpecError,
     FiniteGroup,
     NotAutomorphism,
     PLAIN,
@@ -182,7 +183,7 @@ class TestGeneratorColumns:
         for group in (True, False):
             plan = _SearchPlan(G.table, group=group)
             _table_isos(G.table, G.table, plan=plan)
-            assert plan._ranked_by_growth is plan._ranked
+            assert plan.full_levels is plan.levels
         assert built == [False, False]
 
     def test_a_non_associative_table_gets_no_aut_stack(self):
@@ -336,6 +337,18 @@ class TestTranslationFamilies:
         for a in range(G.n):
             assert left_translation(G, a) == f_ab(G, a, G.identity)
 
+    @pytest.mark.parametrize("a", [-1, -6, 6, 7])
+    def test_left_translation_rejects_a_point_outside_g(self, a):
+        """A negative index would wrap to another element; one past the end would be numpy's IndexError."""
+        with pytest.raises(ConstructionSpecError, match=rf"^a \(an element of G\) {a} is out of range 0\.\.5$"):
+            left_translation(symmetric(3), a)
+
+    @pytest.mark.parametrize("a,b,bad", [(-1, 0, "a"), (0, -1, "b"), (6, 0, "a"), (2, 6, "b"), (-1, 6, "a")])
+    def test_f_ab_rejects_a_point_outside_g(self, a, b, bad):
+        value = a if bad == "a" else b
+        with pytest.raises(ConstructionSpecError, match=rf"^{bad} \(an element of G\) {value} is out of range"):
+            f_ab(symmetric(3), a, b)
+
     def test_H_is_central_translations(self):
         G = dihedral(4)
         H = build_H(G)
@@ -458,6 +471,12 @@ class TestClosure:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             closure_of_point_maps([])
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 2), (4, 4, 5), (1, 3)])
+    def test_maps_of_different_carriers_are_a_carrier_mismatch(self, sizes):
+        maps = [PointMap(np.roll(np.arange(n), 1)) for n in sizes]
+        with pytest.raises(CarrierMismatch, match=f"expected {sizes[0]}, got {sizes[-1]}"):
+            closure_of_point_maps(maps)
 
 
 @st.composite

@@ -140,20 +140,17 @@ def _builds(monkeypatch):
 
 
 def _once_per_group(records, key) -> dict:
-    """The checks that made each key's records, in order, once it is asserted that only q-family repeats a key.
+    """The check that made each key's record, once it is asserted that no key repeats.
 
-    A stored quandle is validated once per group, and each of its (table,
-    stack) pairs gathered once.  q-family validates a Q_i table that G's
-    store does not hold, and gathers its masks, without storing it, so a
-    later build of that table in the same group repeats the work: every
-    record of a key but the last comes from q-family.
+    Every quandle a check builds stays in G's store until the census clears
+    it, so each distinct table is validated once per group and each of its
+    (table, stack) pairs gathered once.
     """
     by_key = collections.defaultdict(list)
     for record in records:
         by_key[key(record)].append(record[1])
-    for checks in by_key.values():
-        assert all(check == "q-family" for check in checks[:-1]), checks
-    return by_key
+    assert all(len(checks) == 1 for checks in by_key.values()), [c for c in by_key.values() if len(c) > 1]
+    return {k: checks[0] for k, checks in by_key.items()}
 
 
 class TestIndividualChecks:
@@ -433,8 +430,6 @@ class TestGroupStore:
         assert S3._store == {} and S4._store == {}  # Aut(G) and AAut(G) went with the rest
         tables = _once_per_group(validations, lambda r: (r[0], r[2]))
         assert set(tables) == wanted  # every distinct table the census decides on, validated once per group
-        stored = [r for r in validations if r[1] != "q-family"]
-        assert len(stored) == len({(r[0], r[2]) for r in stored})
         _once_per_group(gathers, lambda r: (r[0], *r[2:]))
 
     def test_census_validates_and_gathers_each_key_once(self, monkeypatch):
@@ -443,16 +438,10 @@ class TestGroupStore:
         validations, gathers = _builds(monkeypatch)
         assert run_census(catalog)["summary"]["failed"] == 0
         tables = _once_per_group(validations, lambda r: (r[0], r[2]))
-        pairs = _once_per_group(gathers, lambda r: (r[0], *r[2:]))
+        _once_per_group(gathers, lambda r: (r[0], *r[2:]))
         assert {key for key in tables if key[0] is not None} == wanted
-        # Only a table that q-family built and did not keep is validated or gathered again.
-        rebuilt = sum(len(checks) - 1 for checks in tables.values())
-        regathered = sum(len(checks) - 1 for checks in pairs.values())
-        assert len(validations) == len(tables) + rebuilt and len(gathers) == len(pairs) + regathered
-        stored = [r for r in gathers if r[1] != "q-family"]
-        assert len(stored) == len({(r[0], *r[2:]) for r in stored})
-        # Z6 is abelian: each of its Q_i tables is an Alexander table, stored before q-family runs.
-        assert all(len(checks) == 1 for (group, _), checks in tables.items() if group == "Z6")
+        # Z6 is abelian: each of its Q_i tables is an Alexander table, built by alex before q-family runs.
+        assert all(check != "q-family" for (group, _), check in tables.items() if group == "Z6")
 
     def test_standalone_checks_share_the_alex_build(self, monkeypatch):
         S3 = symmetric(3)
@@ -494,7 +483,7 @@ class TestGroupStore:
             assert_all_hold(run_check("core-abelian-aut", Z5))
             refs = []
             for Q in (_quandle(S3, "conj", 1), _quandle(Z5, "core")):
-                assert ("automorphism",) in Q._store  # the check enumerated Aut(Q)
+                assert ("plan",) in Q._store  # the check searched Aut(Q) on Q's plan
                 reached = [obj for value in Q._store.values() for obj in _reachable(value)]
                 assert not any(obj is Q or isinstance(obj, QuandleMap) for obj in reached)
                 refs.append(weakref.ref(Q))

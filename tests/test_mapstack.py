@@ -25,6 +25,7 @@ from quandlekit import (
     AUTOMORPHISM,
     CATALOG_SPECS,
     CapExceeded,
+    CarrierMismatch,
     PointMap,
     build_F,
     build_F_prime,
@@ -248,6 +249,12 @@ class TestClosure:
         rows = [m.as_tuple() for m in closed]
         index = {row: i for i, row in enumerate(rows)}
         assert G.table.tolist() == [[index[compose(a, b)] for b in rows] for a in rows]
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 2), (4, 4, 5), (1, 3)])
+    def test_closure_group_of_maps_of_different_carriers_is_a_carrier_mismatch(self, sizes):
+        maps = [PointMap(np.roll(np.arange(n), 1)) for n in sizes]
+        with pytest.raises(CarrierMismatch, match=f"expected {sizes[0]}, got {sizes[-1]}"):
+            closure_group(maps)
 
 
 # --- Hol(G) keys ---

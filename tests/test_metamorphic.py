@@ -1,28 +1,48 @@
-"""A relabelled group gets the same census verdicts.
+"""Relabelled groups and quandles get the same verdicts and the conjugated maps.
 
 Every construction and claim of the census is a formula in G's operations
 and one map or element, so no verdict can depend on how G's points are
 numbered.  Let pi rename G's points.  The verdict at phi (or psi) on G must
 equal the verdict at pi o phi o pi^-1 on the renamed group, and the verdict
 at c the one at pi(c): holds, lhs, rhs, vacuous and skipped, on every node.
-Inputs and notes name maps and elements by their numbers and are left out.
-A fault that reads the numbering, such as a table entry that takes the
-identity for point 0, breaks this.
+Sweep members are matched by position: the member at phi's index on G
+against the one at the index of pi o phi o pi^-1 in the renamed group's
+sorted stack.  Inputs and notes name maps and elements by their numbers and
+are left out.  A fault that reads the numbering, such as a table entry that
+takes the identity for point 0, breaks this.
+
+Likewise the automorphisms and antiautomorphisms of a renamed quandle are
+the conjugated maps, whatever levels its search plan walks.
 """
 
-import re
+import collections
 
 import numpy as np
 import pytest
 
-from quandlekit import FiniteGroup, named_group, run_census
-from quandlekit.groupmaps import _auts, _unique_rows
+from quandlekit import (
+    FiniteGroup,
+    Quandle,
+    alex,
+    are_isomorphic,
+    conj_m,
+    core,
+    enumerate_aut,
+    enumerate_quandle_antis,
+    enumerate_quandle_auts,
+    is_quandle_anti,
+    is_quandle_auto,
+    named_group,
+    run_census,
+)
+from quandlekit.groupmaps import _auts, _compact, _orbits
+from quandlekit.harness import CATALOG_SPECS, M_RANGE
+from quandlekit.quandlemaps import _plan
 
-SPECS = ("Z6", "S3", "Q8", "D4")
 SEEDS = (5, 11)
 
-MAP = re.compile(r"\b(phi|base)=\[([0-9,]+)\]")
-POINT = re.compile(r"\bc=(\d+)")
+# check id -> the family a sweep's members run over; q-family is Q1 per phi, then Q2, Q3, Q4 per psi
+SWEPT = {"alex": "aut", "alex-semidirect": "aut", "f-structure": "aut", "p-family-aut": "point", "p-family-anti": "point"}
 
 
 def relabelling(G, seed):
@@ -31,11 +51,16 @@ def relabelling(G, seed):
     return perm if perm[G.identity] != G.identity else np.roll(perm, 1)
 
 
+def relabelled_table(table, perm):
+    """The table with each point x renamed perm[x]: out[perm x, perm y] = perm[table[x, y]]."""
+    out = np.empty_like(table)
+    out[perm[:, None], perm[None, :]] = perm[table]
+    return out
+
+
 def relabelled(G, perm):
-    """G with each point x renamed perm[x], under G's name, so inputs differ only in numbers."""
-    table = np.empty_like(G.table)
-    table[perm[:, None], perm[None, :]] = perm[G.table]
-    return FiniteGroup(table, name=G.name)
+    """G with each point x renamed perm[x], under G's name."""
+    return FiniteGroup(relabelled_table(G.table, perm), name=G.name)
 
 
 def conjugated(images, perm):
@@ -45,10 +70,28 @@ def conjugated(images, perm):
     return out
 
 
-def renamed(inputs, perm):
-    """The inputs at pi's image of a verdict's parameter: phi or psi conjugated, c renamed."""
-    inputs = MAP.sub(lambda m: f"{m[1]}=[{','.join(map(str, conjugated(m[2].split(','), perm)))}]", inputs)
-    return POINT.sub(lambda m: f"c={perm[int(m[1])]}", inputs)
+def positions(G, H, perm):
+    """Per family, the index on H = pi G of each member of G's: of pi phi pi^-1 in H's sorted stack, or pi(c)."""
+    out = {"point": perm}
+    for family in ("aut", "aaut"):
+        theirs = getattr(_auts(H), family)
+        index = {row.tobytes(): i for i, row in enumerate(theirs)}
+        moved = _compact(np.stack([conjugated(row, perm) for row in getattr(_auts(G), family)]))
+        out[family] = np.array([index[row.tobytes()] for row in moved])
+        assert sorted(out[family]) == list(range(len(theirs))), family  # the sweep ranges correspond
+    return out
+
+
+def moved_position(theorem_id, k, at, n_aut):
+    """The position on H of a check's k-th verdict on G, sweep members moved by ``positions``."""
+    if theorem_id in SWEPT:
+        return int(at[SWEPT[theorem_id]][k])
+    if theorem_id == "q-family":
+        if k < n_aut:
+            return int(at["aut"][k])
+        j, i = divmod(k - n_aut, 3)
+        return n_aut + 3 * int(at["aaut"][j]) + i
+    return k  # one verdict, or one per m or n
 
 
 def shape(node):
@@ -57,22 +100,72 @@ def shape(node):
             [shape(part) for part in node.get("parts", [])])
 
 
-@pytest.mark.parametrize("spec", SPECS)
-def test_a_relabelled_group_gets_the_same_verdicts(spec):
-    G = named_group(spec)
-    report = run_census([G])
-    stacks = {family: getattr(_auts(G), family) for family in ("aut", "aaut")}
-    for seed in SEEDS:
+def by_check(report):
+    """The report's verdicts per check id, in order."""
+    out = collections.defaultdict(list)
+    for verdict in report["checks"]:
+        out[verdict["theorem_id"]].append(verdict)
+    return out
+
+
+def assert_relabelled_census_matches(G, seeds=SEEDS):
+    """Every census verdict on G equals the one at the matching position on G relabelled by each seed's pi."""
+    census = run_census([G])
+    report = by_check(census)
+    for seed in seeds:
         perm = relabelling(G, seed)
         H = relabelled(G, perm)
         assert H.identity == perm[G.identity] != G.identity
-        for family, stack in stacks.items():  # the sweep ranges correspond under phi -> pi phi pi^-1
-            moved = _unique_rows(np.stack([conjugated(row, perm) for row in stack]))
-            assert moved.tobytes() == getattr(_auts(H), family).tobytes(), (seed, family)
-        other = run_census([H])
-        assert other["summary"] == report["summary"], seed
-        checks = {(c["theorem_id"], c["inputs"]): c for c in other["checks"]}
-        assert len(checks) == len(other["checks"]) == len(report["checks"])
-        for c in report["checks"]:
-            key = (c["theorem_id"], renamed(c["inputs"], perm))
-            assert shape(checks[key]) == shape(c), (seed, c["theorem_id"], c["inputs"], key[1])
+        at = positions(G, H, perm)
+        n_aut = len(_auts(G).aut)
+        relabelled_census = run_census([H])
+        assert relabelled_census["summary"] == census["summary"], seed
+        other = by_check(relabelled_census)
+        assert other.keys() == report.keys(), seed
+        for tid, verdicts in report.items():
+            assert len(other[tid]) == len(verdicts), (seed, tid)
+            for k, verdict in enumerate(verdicts):
+                match = other[tid][moved_position(tid, k, at, n_aut)]
+                assert shape(match) == shape(verdict), (seed, tid, k, verdict["inputs"])
+
+
+@pytest.mark.parametrize("spec", [spec for spec in CATALOG_SPECS if spec != "heisenberg3"])
+def test_a_relabelled_group_gets_the_same_verdicts(spec):
+    assert_relabelled_census_matches(named_group(spec))
+
+
+def catalog_quandles():
+    """The distinct non-trivial tables of Conj_m(G), Core(G) and Alex(G, phi), phi an Aut(G)-orbit
+    representative, over the catalog groups of order 8-12."""
+    tables = {}
+    for spec in CATALOG_SPECS:
+        G = named_group(spec)
+        if not 8 <= G.n <= 12:
+            continue
+        auts, rep = enumerate_aut(G), _orbits(G, "aut").rep
+        built = [conj_m(G, m) for m in M_RANGE] + [core(G)]
+        built += [alex(G, auts[k]) for k in np.flatnonzero(rep == np.arange(len(rep)))]
+        for Q in built:
+            if not (Q.op == np.arange(Q.n)[:, None]).all():
+                tables.setdefault(Q.op.tobytes(), Q)
+    return list(tables.values())
+
+
+def test_relabelled_quandles_give_conjugated_maps():
+    quandles = catalog_quandles()
+    assert len(quandles) == 59
+    kinds = ((enumerate_quandle_auts, is_quandle_auto), (enumerate_quandle_antis, is_quandle_anti))
+    for k, Q in enumerate(quandles):
+        mine = [enumerate_maps(Q) for enumerate_maps, _ in kinds]
+        for seed in SEEDS:
+            perm = np.random.default_rng((seed, k)).permutation(Q.n)
+            R = Quandle(relabelled_table(Q.op, perm), name=f"{Q.name} relabelled")
+            for maps, (enumerate_maps, replay) in zip(mine, kinds):
+                theirs = enumerate_maps(R)
+                want = sorted(tuple(map(int, conjugated(f.images, perm))) for f in maps)
+                assert [f.map.as_tuple() for f in theirs] == want, (Q.name, seed, enumerate_maps.__name__)
+                assert all(replay(R, f.map) for f in theirs), (Q.name, seed)
+            f = are_isomorphic(Q, R).images
+            assert np.array_equal(f[Q.op], R.op[f[:, None], f[None, :]]), (Q.name, seed)
+    # both kinds of plan were searched: least-index levels only, and growth-ordered ones for full enumeration
+    assert {[lv.g for lv in _plan(Q).full_levels] == _plan(Q).generators for Q in quandles} == {True, False}

@@ -167,25 +167,23 @@ class TestTableIsoEngine:
             maps = enumerate_quandle_auts(Q) + enumerate_quandle_antis(Q)
             assert len(maps) == 12 and all(m.quandle is Q for m in maps)
 
-    def test_enumerated_stack_is_cached_and_read_only(self, monkeypatch):
-        searches = _count_calls(monkeypatch, "_table_isos", quandlemaps)
+    def test_enumerated_maps_are_fresh_and_read_only(self):
         Q = dihedral_quandle(6)
         first, second = enumerate_quandle_auts(Q), enumerate_quandle_auts(Q)
-        assert searches == [Q.n]
         assert first is not second and first == second
         assert all(not m.images.flags.writeable for m in first)
 
 
-def _count_calls(mp, name, module=groupmaps):
-    """Wrap ``module.<name>`` so that each call is recorded; returns the record."""
+def _count_calls(mp, name):
+    """Wrap ``groupmaps.<name>`` so that each call is recorded; returns the record."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(groupmaps, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape[0])
         return real(*args, **kwargs)
 
-    mp.setattr(module, name, counted)
+    mp.setattr(groupmaps, name, counted)
     return calls
 
 
@@ -235,7 +233,7 @@ class TestSearchPlan:
         # each sequence at most once, and the growth one only on a stall that a growth pick could avoid
         assert built.count(False) == 1 and built.count(True) == int(stalls)
         same = [g for g, _ in real(Q.op, by_growth=True)] == [g for g, _ in least]
-        assert (plan._ranked_by_growth is plan._ranked) == (same or not stalls)
+        assert (plan.full_levels is plan.levels) == (same or not stalls)
 
     def test_automorphisms_read_one_table_profile(self, monkeypatch):
         profiles = _count_calls(monkeypatch, "_profiles")
@@ -302,7 +300,7 @@ class TestGrowthWalk:
         return list(out.values())
 
     def test_the_corpus_has_stalls_that_change_the_levels(self, stalling):
-        changed = {label for label, _, plan, _ in stalling if plan._ranked_by_growth is not plan._ranked}
+        changed = {label for label, _, plan, _ in stalling if plan.full_levels is not plan.levels}
         assert "Core(S3)" in changed and len(changed) >= 5
         assert {"T7", "Core(S3)"} <= {label for label, *_ in stalling}
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quandlekit import (
+    ConstructionSpecError,
     Q1Fail,
     Q2Fail,
     Q3Fail,
@@ -113,6 +114,12 @@ class TestInnerGroup:
         for y in range(Q.n):
             assert right_translation(Q, y) in members
 
+    @pytest.mark.parametrize("y", [-1, -6, 6, 9])
+    def test_right_translation_rejects_a_point_outside_q(self, y):
+        """A negative index would wrap to another point; one past the end would be numpy's IndexError."""
+        with pytest.raises(ConstructionSpecError, match=rf"^y \(an element of Q\) {y} is out of range 0\.\.5$"):
+            right_translation(dihedral_quandle(6), y)
+
 
 class TestTextFormat:
     def test_round_trip(self):
@@ -129,6 +136,12 @@ class TestTextFormat:
 class TestConstructionBasics:
     def test_named_quandle_reprs_are_stable(self):
         assert repr(trivial(3)) == "Quandle('T3', order=3)"
+
+    @pytest.mark.parametrize("n", [0, -1, -4])
+    def test_trivial_needs_a_positive_order(self, n):
+        """As ``dihedral_quandle`` does, not numpy's error or BadShape."""
+        with pytest.raises(ConstructionSpecError, match=r"^trivial\(n\) needs n >= 1$"):
+            trivial(n)
 
     def test_quandle_equality_ignores_name(self):
         a = Quandle(trivial(3).op, name="one")
