@@ -80,13 +80,13 @@ PLAIN = "plain-bijection"
 
 
 class PointMap:
-    """A bijection of {0..n-1}, stored as its (read-only) images array."""
+    """A bijection of {0..n-1}, n >= 1, stored as its (read-only) images array."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
         arr = np.array(images, dtype=np.int64)
-        if arr.ndim != 1 or not np.array_equal(np.sort(arr), np.arange(arr.size)):
+        if arr.ndim != 1 or not arr.size or not np.array_equal(np.sort(arr), np.arange(arr.size)):
             raise NotBijective(images)
         arr.setflags(write=False)
         self.images = arr
@@ -517,9 +517,13 @@ def _table_isos(
     f(x)*f(y1*y2), so they are all of S_i once they hold g_0..g_i.  The
     parent has checked x in S_{i-1} against g_0..g_{i-1}.
 
-    One walk serves both modes.  It goes depth first over chunks of
-    parents, at most budget / |candidates| of them per extend
-    (``_walk_budget``), so each level holds at most one chunk's children.
+    One walk serves both modes.  Its level 0 is seeded directly: the
+    children of the one map on the empty set are g_0's candidates, one row
+    each with the candidate at g_0, and they pass the same derivation and
+    law check as every other level's; that map itself is never built.  From
+    depth 1 on, the walk goes depth first over chunks of parents, at most
+    budget / |candidates| of them per extend (``_walk_budget``), so each
+    level holds at most one chunk's children.
     With least-index levels every point below g_{i+1} lies in S_i, so the
     order of generator images is that of the maps: children in parent
     order, candidates ascending, and chunks in order make the leaves come
@@ -556,6 +560,13 @@ def _table_isos(
             kids = kids[(kids[:, lv.later] != kids[:, lv.earlier]).all(axis=1)]
         return kids[(kids[:, lv.product] == _products(flat2, n, kids[:, lv.left], kids[:, lv.right])).all(axis=1)]
 
+    def checked(lv: _Level, kids: np.ndarray) -> np.ndarray:
+        """``survivors`` over row blocks of the children, in order."""
+        step = max(1, _LAW_ENTRIES // lv.left.size)  # rows whose law pairs fill one block
+        if len(kids) <= step:
+            return survivors(lv, kids)
+        return np.concatenate([survivors(lv, kids[i : i + step]) for i in range(0, len(kids), step)])
+
     def extend(depth: int, parents: np.ndarray) -> np.ndarray:
         """The children of ``parents`` at one level, in parent order, candidates ascending."""
         lv, cs = levels[depth], cands[depth]
@@ -563,21 +574,22 @@ def _table_isos(
         rows, picks = np.nonzero(free)
         kids = parents[rows]
         kids[:, lv.g] = cs[picks]
-        step = max(1, _LAW_ENTRIES // lv.left.size)  # rows whose law pairs fill one block
-        if len(kids) <= step:
-            return survivors(lv, kids)
-        return np.concatenate([survivors(lv, kids[i : i + step]) for i in range(0, len(kids), step)])
+        return checked(lv, kids)
 
+    seeds = np.zeros((len(cands[0]), n), dtype=dtype)  # level 0: g_0's candidates, one row each
+    seeds[:, levels[0].g] = cands[0]
+    top = checked(levels[0], seeds)
     budget = _walk_budget(n, first_only)
-    root = np.zeros((1, n), dtype=dtype)  # the one map on the empty set
     leaves = []
-    path = [[root, 0]]  # per depth: rows at that depth, next parent to extend
+    path = [[top, 0]]  # per depth from 0: rows at that depth, next parent to extend
+    if len(levels) == 1:  # level 0 is the last
+        leaves, path = [top[:1] if first_only else top], []
     while path:
         rows, i = path[-1]
         if i >= len(rows):
             path.pop()
             continue
-        depth = len(path) - 1
+        depth = len(path)  # the level of the children
         step = max(1, budget // max(1, len(cands[depth])))
         path[-1][1] = i + step
         kids = extend(depth, rows[i : i + step])
@@ -587,7 +599,7 @@ def _table_isos(
             leaves.append(kids[:1] if first_only else kids)
             if first_only:
                 break
-    stack = np.concatenate(leaves) if leaves else root[:0]
+    stack = np.concatenate(leaves) if leaves else top[:0]
     if not in_order:
         stack = stack[np.lexsort(stack.T[::-1])]
     for lhs, rhs in _law_blocks(t1, t2, stack):

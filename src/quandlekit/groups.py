@@ -251,10 +251,10 @@ class FiniteGroup:
     # --- basic arithmetic ---
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return int(self.table[_in_range("a", a, self.n), _in_range("b", b, self.n)])
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return int(self.inverse[_in_range("a", a, self.n)])
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -378,12 +378,20 @@ def _stored(owner: Union[FiniteGroup, "Quandle"], key: tuple, build: Callable[[]
 # What each index parameter counts, as its range error names it.
 _INDEXES = {
     "phi": "phi index into Aut(G)", "psi": "psi index into AAut(G)",
-    "a": "a (an element of G)", "b": "b (an element of G)", "c": "c (an element of G)", "y": "y (an element of Q)",
+    "a": "a (an element of G)", "b": "b (an element of G)", "c": "c (an element of G)",
+    "x": "x (an element of Q)", "y": "y (an element of Q)",
 }
 
 
 def _in_range(param: str, index: int, size: int) -> int:
-    """``index`` when it lies in 0..size-1; otherwise a spec error naming the parameter."""
+    """``index`` when it is an integer in 0..size-1; otherwise a spec error naming the parameter.
+
+    Python and numpy integers pass; a bool, a float or anything else does
+    not, as numpy would read it as a mask, a shape or an error of its own.
+    A negative index is out of range: it must not wrap to another element.
+    """
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ConstructionSpecError(f"{_INDEXES[param]} {index!r} is not an integer")
     if not 0 <= index < size:
         raise ConstructionSpecError(f"{_INDEXES[param]} {index} is out of range 0..{size - 1}")
     return index

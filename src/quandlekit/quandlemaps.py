@@ -22,7 +22,7 @@ images on ``G.hol_base`` and keeps what it decides without Q in G's store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +41,6 @@ from .groupmaps import (
     _is_map_group,
     _keys,
     _oracle_rows,
-    _point_maps,
     _product_counts,
     _stack_of,
     _table_isos,
@@ -71,8 +70,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuandleMap:
+    """A map of a quandle's carrier with the law it obeys on that quandle.
+
+    Slotted: an instance has no ``__dict__``, only its three fields.  The
+    public enumerators fill those fields in one pass (``_quandle_maps``);
+    every other maker goes through the constructor.
+    """
+
     map: PointMap
     kind: str  # "automorphism" | "antiautomorphism"
     quandle: Quandle
@@ -86,6 +92,22 @@ class QuandleMap:
 
     def to_json(self) -> dict:
         return {"images": [int(v) for v in self.images], "kind": self.kind}
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# ``slots=True`` builds a second class, and the frozen methods dataclass
+# generates still name the first, so with Python 3.11 any name but a field's
+# raised TypeError from ``super()``.  These raise FrozenInstanceError for
+# every name, as a frozen dataclass without slots does.
+QuandleMap.__setattr__ = _frozen_setattr
+QuandleMap.__delattr__ = _frozen_delattr
 
 
 def is_quandle_auto(Q: Quandle, pm: PointMap) -> bool:
@@ -154,14 +176,41 @@ def _inn_stack(Q: Quandle) -> np.ndarray:
     return _stored(Q, ("inner",), lambda: _read_only(_stack_of(inn_group(Q))))
 
 
+_FIELDS = tuple(QuandleMap.__dict__[name].__set__ for name in ("map", "kind", "quandle"))
+
+
+def _quandle_maps(Q: Quandle, kind: str) -> List[QuandleMap]:
+    """The maps of one kind on Q (``_enumerate``), built in one pass over their rows.
+
+    Each row becomes a PointMap as in ``groupmaps._point_maps``, with no
+    bijection check, and each QuandleMap gets its three fields through the
+    class's slot descriptors, so neither ``__init__`` nor the frozen
+    ``__setattr__`` runs.  The rows are read-only views of one int64 copy
+    of the stack.
+    """
+    rows = _enumerate(Q, kind).astype(np.int64)
+    rows.setflags(write=False)
+    set_map, set_kind, set_quandle = _FIELDS
+    out = []
+    for row in rows:
+        pm = PointMap.__new__(PointMap)
+        pm.images = row
+        qm = object.__new__(QuandleMap)
+        set_map(qm, pm)
+        set_kind(qm, kind)
+        set_quandle(qm, Q)
+        out.append(qm)
+    return out
+
+
 def enumerate_quandle_auts(Q: Quandle) -> List[QuandleMap]:
     """Complete Aut(Q), lexicographically sorted."""
-    return [QuandleMap(pm, "automorphism", Q) for pm in _point_maps(_enumerate(Q, "automorphism"))]
+    return _quandle_maps(Q, "automorphism")
 
 
 def enumerate_quandle_antis(Q: Quandle) -> List[QuandleMap]:
     """Complete set of antiautomorphisms of Q, lexicographically sorted."""
-    return [QuandleMap(pm, "antiautomorphism", Q) for pm in _point_maps(_enumerate(Q, "antiautomorphism"))]
+    return _quandle_maps(Q, "antiautomorphism")
 
 
 def quandle_aut_oracle(Q: Quandle) -> List[QuandleMap]:

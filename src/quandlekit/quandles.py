@@ -109,7 +109,7 @@ class Quandle:
         self.dual.setflags(write=False)
 
     def apply(self, x: int, y: int) -> int:
-        return int(self.op[x, y])
+        return int(self.op[_in_range("x", x, self.n), _in_range("y", y, self.n)])
 
     @cached_property
     def is_commutative(self) -> bool:

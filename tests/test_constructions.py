@@ -311,3 +311,18 @@ class TestPublicEdge:
                      lambda: {"q2": q2, "q3": q3, "q4": q4}[kind](G, phi)):
             with pytest.raises(WrongMapKind, match=f"^{re.escape(message)}$"):
                 call()
+
+
+class TestPointIndices:
+    """The pointed families take c as an integer element of G; a bool or a float is none."""
+
+    @pytest.mark.parametrize("ctor", [p1, p2, p3, p4])
+    @pytest.mark.parametrize("c", [True, np.bool_(False), 1.0, "1", None])
+    def test_pointed_families_reject_a_c_that_is_not_an_integer(self, ctor, c):
+        with pytest.raises(ConstructionSpecError, match=r"^c \(an element of G\) .* is not an integer$"):
+            ctor(symmetric(3), c)
+
+    @pytest.mark.parametrize("ctor", [p1, p2, p3, p4])
+    def test_numpy_integer_c_keeps_working(self, ctor):
+        G = symmetric(3)
+        assert ctor(G, np.int64(3)) == ctor(G, np.uint8(3)) == ctor(G, 3)

@@ -14,6 +14,7 @@ from quandlekit import (
     ConstructionSpecError,
     FiniteGroup,
     NotAutomorphism,
+    NotBijective,
     PLAIN,
     PointMap,
     aut_oracle,
@@ -509,3 +510,35 @@ class TestPointMapLaws:
         f = PointMap([1, 0])
         with pytest.raises(ValueError):
             f.images[0] = 0
+
+
+class TestElementIndices:
+    """The translations take elements of G as integers in 0..n-1; numpy's would read a bool or a float."""
+
+    @pytest.mark.parametrize("a", [1.0, True, np.bool_(True), "1", None])
+    def test_left_translation_rejects_an_index_that_is_not_an_integer(self, a):
+        with pytest.raises(ConstructionSpecError, match=r"^a \(an element of G\) .* is not an integer$"):
+            left_translation(symmetric(3), a)
+
+    @pytest.mark.parametrize("a,b,bad", [(True, 0, "a"), (0, False, "b"), (2.0, 1, "a"), (0, 1.5, "b")])
+    def test_f_ab_rejects_an_index_that_is_not_an_integer(self, a, b, bad):
+        with pytest.raises(ConstructionSpecError, match=rf"^{bad} \(an element of G\) .* is not an integer$"):
+            f_ab(symmetric(3), a, b)
+
+    def test_numpy_integer_indices_keep_working(self):
+        G = symmetric(3)
+        assert left_translation(G, np.int64(4)) == left_translation(G, 4)
+        assert f_ab(G, np.uint8(2), np.intp(5)) == f_ab(G, 2, 5)
+
+
+class TestEmptyPointMap:
+    """A map needs at least one point: the empty array is no permutation of 0..n-1 for any n >= 1."""
+
+    @pytest.mark.parametrize("images", [[], (), np.empty(0, dtype=np.int64)])
+    def test_point_map_rejects_an_empty_images_array(self, images):
+        with pytest.raises(NotBijective):
+            PointMap(images)
+
+    def test_closure_of_an_empty_map_fails_at_the_map(self):
+        with pytest.raises(NotBijective):
+            closure_of_point_maps([PointMap([])])

@@ -396,3 +396,28 @@ class TestGeneratorLevels:
         Q = alex(D6, enumerate_aut(D6)[1])  # 0..5 are a trivial subquandle
         assert [g for g, _ in _generator_levels(Q.op)] == [0, 1, 2, 3, 4, 5, 6]
         assert [g for g, _ in _generator_levels(Q.op, by_growth=True)] == [0, 6]
+
+
+class TestElementIndices:
+    """mul and inv take element indices as the public edge does: integers in 0..n-1, nothing else."""
+
+    @pytest.mark.parametrize(
+        "a,b,bad",
+        [(-1, 0, "a"), (0, -1, "b"), (6, 0, "a"), (0, 6, "b"), (True, 0, "a"), (0, False, "b"), (1.0, 0, "a"),
+         ("1", 0, "a"), (np.int64(-6), 0, "a")],
+    )
+    def test_mul_rejects_an_index_that_is_not_an_element(self, a, b, bad):
+        """-1 would wrap to element 5 and 6 would be numpy's IndexError; a bool or float is no element."""
+        with pytest.raises(ConstructionSpecError, match=rf"^{bad} \(an element of G\) "):
+            named_group("S3").mul(a, b)
+
+    @pytest.mark.parametrize("a", [-1, 6, True, 2.0, None, np.uint8(6)])
+    def test_inv_rejects_an_index_that_is_not_an_element(self, a):
+        with pytest.raises(ConstructionSpecError, match=r"^a \(an element of G\) "):
+            named_group("S3").inv(a)
+
+    def test_numpy_integer_indices_keep_working(self):
+        G = named_group("S3")
+        for a, b in [(np.int64(3), np.uint8(4)), (np.intp(5), np.int32(0)), (np.uint16(1), 2)]:
+            assert G.mul(a, b) == G.mul(int(a), int(b)) and type(G.mul(a, b)) is int
+            assert G.inv(a) == G.inv(int(a))

@@ -1,5 +1,6 @@
 """Quandle maps: enumeration vs oracle, isomorphism search, inner structure."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,9 +12,11 @@ from quandlekit import (
     CarrierMismatch,
     PointMap,
     Quandle,
+    QuandleMap,
     SemidirectReport,
     alex,
     are_isomorphic,
+    aut_oracle,
     conj_m,
     core,
     cyclic,
@@ -22,6 +25,7 @@ from quandlekit import (
     enumerate_quandle_antis,
     enumerate_quandle_auts,
     find_table_iso,
+    group_from_table,
     induced,
     closure_group,
     closure_of_point_maps,
@@ -669,3 +673,94 @@ class TestMapGroupPredicate:
     def test_duplicate_rows_are_rejected(self):
         rows = np.array([[0, 1, 2, 3], [0, 1, 2, 3]])
         assert not _is_map_group(cyclic(4), rows)
+
+
+class TestEnumeratedMapObjects:
+    """The public enumerators fill their slotted QuandleMaps in one pass; each behaves as a constructed one."""
+
+    @pytest.fixture(scope="class")
+    def enumerated(self):
+        """(Q, kind, maps) for both enumerators on the 59 distinct non-trivial catalog tables of order 8-12."""
+        from test_metamorphic import catalog_quandles
+
+        return [(Q, kind, enumerate_maps(Q)) for Q in catalog_quandles()
+                for enumerate_maps, kind in ((enumerate_quandle_auts, "automorphism"),
+                                             (enumerate_quandle_antis, "antiautomorphism"))]
+
+    def test_every_map_behaves_as_a_constructed_one(self, enumerated):
+        checked = 0
+        for Q, kind, maps in enumerated:
+            built = [QuandleMap(PointMap(m.images), kind, Q) for m in maps]
+            assert maps == built and sorted(built) == built, (Q.name, kind)
+            for m, b in zip(maps, built):
+                assert hash(m) == hash(b) and repr(m) == repr(b) and m.to_json() == b.to_json()
+                assert not m.images.flags.writeable and m.quandle is Q and m.kind == kind
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    m.kind = "plain-bijection"
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    m.extra = 1
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    del m.map
+                other = dataclasses.replace(m, kind="other")
+                assert other.map is m.map and other.quandle is Q and other.kind == "other"
+            checked += len(maps)
+        assert checked > 1000
+
+    def test_every_map_is_slotted(self, enumerated):
+        assert QuandleMap.__slots__ == ("map", "kind", "quandle")
+        assert not any(hasattr(m, "__dict__") for _, _, maps in enumerated for m in maps)
+        Q = dihedral_quandle(5)
+        m = QuandleMap(PointMap([0, 4, 3, 2, 1]), "automorphism", Q)
+        assert not hasattr(m, "__dict__") and m in enumerate_quandle_auts(Q) and m in quandle_aut_oracle(Q)
+
+
+def _seeded_walk_rows(t, plan):
+    """Full enumeration and the first hit of t onto itself on a plan, as sorted tuples."""
+    every = _table_isos(t, t, plan=plan)
+    first = _table_isos(t, t, first_only=True, plan=plan)
+    return [tuple(map(int, row)) for row in every], [tuple(map(int, row)) for row in first]
+
+
+class TestSeededLevelZero:
+    """Level 0 starts from g_0's candidates, one row each, and passes the same checks as every level."""
+
+    @pytest.mark.parametrize("spec", ["Z6", "S3", "D4", "Q8"])
+    def test_a_group_whose_point_zero_is_not_the_identity(self, spec):
+        G = named_group(spec)
+        H = group_from_table(_relabel(G.table, np.roll(np.arange(G.n), 1)))  # x -> x - 1 mod n
+        assert H.identity == G.n - 1
+        powers, x = {0}, 0
+        while x != H.identity:
+            x = H.mul(x, 0)
+            powers.add(x)
+        expected = _oracle_isos(H.table, H.table)
+        if H.n <= 7:
+            assert expected == [m.map.as_tuple() for m in aut_oracle(H)]
+        for plan in (_SearchPlan(H.table, group=True), _SearchPlan(H.table)):
+            g, batches = plan.levels[0].g, plan.levels[0].batches
+            assert g == 0 and {g, *(int(x) for xs, _, _ in batches for x in xs)} == powers  # S_0 = <0>
+            every, first = _seeded_walk_rows(H.table, plan)
+            assert every == expected and first == expected[:1]
+
+    def test_an_order_one_table_has_a_single_level(self):
+        t = np.zeros((1, 1), dtype=np.int64)
+        plan = _SearchPlan(t)
+        assert len(plan.levels) == 1 and plan.full_levels is plan.levels
+        assert _seeded_walk_rows(t, plan) == (_oracle_isos(t, t),) * 2 == ([(0,)],) * 2
+        assert [m.map.as_tuple() for m in enumerate_quandle_auts(trivial(1))] == [(0,)]
+        assert [m.map.as_tuple() for m in enumerate_quandle_antis(trivial(1))] == [(0,)]
+
+    @pytest.mark.parametrize("build", [lambda: dihedral_quandle(5), lambda: core(symmetric(3))])
+    def test_a_target_where_g0_has_no_candidate(self, build):
+        """A plan whose g_0 profile no point of the target shares: the seeds are empty, and so is the stack.
+
+        The plan's sorted profiles still equal the target's, so the search
+        gets past the profile test; only g_0's own profile is changed.
+        """
+        Q = build()
+        plan = _SearchPlan(Q.op)
+        plan.profiles = plan.profiles.copy()
+        plan.profiles[plan.levels[0].g] = -1
+        for first_only in (False, True):
+            hits = _table_isos(Q.op, _relabel(Q.op, np.roll(np.arange(Q.n), 2)), first_only=first_only, plan=plan)
+            assert hits.shape == (0, Q.n) and hits.dtype == np.uint8

@@ -14,6 +14,7 @@ from quandlekit import (
     dihedral_quandle,
     dual,
     inn_group,
+    named_group,
     quandle_from_table,
     quandle_from_text,
     quandle_to_text,
@@ -147,3 +148,28 @@ class TestConstructionBasics:
         a = Quandle(trivial(3).op, name="one")
         b = Quandle(trivial(3).op, name="two")
         assert a == b and hash(a) == hash(b)
+
+
+class TestElementIndices:
+    """apply and right_translation take points of Q as integers in 0..n-1, nothing else."""
+
+    @pytest.mark.parametrize(
+        "x,y,bad",
+        [(-1, 0, "x"), (0, -1, "y"), (6, 0, "x"), (0, 6, "y"), (True, 0, "x"), (0, True, "y"), (0.0, 1, "x"),
+         (0, 1.5, "y")],
+    )
+    def test_apply_rejects_an_index_that_is_not_a_point(self, x, y, bad):
+        """-1 would wrap to point 5 and 6 would be numpy's IndexError; a bool or float is no point."""
+        with pytest.raises(ConstructionSpecError, match=rf"^{bad} \(an element of Q\) "):
+            core(named_group("S3")).apply(x, y)
+
+    @pytest.mark.parametrize("y", [1.5, True, np.bool_(False), "2", None])
+    def test_right_translation_rejects_an_index_that_is_not_an_integer(self, y):
+        with pytest.raises(ConstructionSpecError, match=r"^y \(an element of Q\) .* is not an integer$"):
+            right_translation(core(named_group("S3")), y)
+
+    def test_numpy_integer_indices_keep_working(self):
+        Q = core(named_group("S3"))
+        for x, y in [(np.int64(3), np.uint8(4)), (np.intp(5), np.int32(0))]:
+            assert Q.apply(x, y) == Q.apply(int(x), int(y)) and type(Q.apply(x, y)) is int
+            assert right_translation(Q, y) == right_translation(Q, int(y))
