@@ -100,7 +100,7 @@ class PointMap:
         return int(self.images.size)
 
     def __call__(self, x: int) -> int:
-        return int(self.images[x])
+        return int(self.images[_in_range("x in a map", x, self.images.size)])
 
     def compose(self, other: "PointMap") -> "PointMap":
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -224,9 +224,10 @@ def _stack_of(maps: Sequence) -> np.ndarray:
 # one 1-D take on the flattened target table at f(x)*n + f(y)
 # (``_products``; the index is uint16 up to 256 points).  The reversing law
 # reads rhs transposed, so ``_law_masks`` gives both masks from one gather
-# pair, and the public masks, ``preserves_table``/``reverses_table``, the
-# Q3 check of ``quandles`` and the re-check of ``_table_isos`` read the
-# same gathers.  The search walk of ``_table_isos`` reads its per-level law
+# pair: it is the only law loop over a stack, and the public masks and
+# ``preserves_table``/``reverses_table`` are reads of it.  The Q3 check of
+# ``quandles`` and the re-check of ``_table_isos`` read the same gathers
+# (``_law_blocks``).  The search walk of ``_table_isos`` reads its per-level law
 # pairs and derived points through the same ``_products`` take.  Blocks, of
 # stack rows here and of the walk's children there, hold ``_LAW_ENTRIES``
 # entries, so the intp copy that ``np.take`` makes of its index stays
@@ -286,23 +287,21 @@ def _law_masks(table: np.ndarray, stack: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 def preserves_table(table: np.ndarray, images: np.ndarray) -> bool:
     """f(a.b) = f(a).f(b) for the given table."""
-    return all((lhs == rhs).all() for lhs, rhs in _law_blocks(table, table, np.asarray(images)[None]))
+    return bool(_law_masks(table, np.asarray(images)[None])[0][0])
 
 
 def reverses_table(table: np.ndarray, images: np.ndarray) -> bool:
     """f(a.b) = f(b).f(a) for the given table."""
-    blocks = _law_blocks(table, table, np.asarray(images)[None])
-    return all((lhs == rhs.transpose(0, 2, 1)).all() for lhs, rhs in blocks)
+    return bool(_law_masks(table, np.asarray(images)[None])[1][0])
 
 
 def preserving_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Boolean mask over a (m, n) stack of image arrays satisfying the law."""
-    return _joined([(lhs == rhs).all(axis=(1, 2)) for lhs, rhs in _law_blocks(table, table, stack)])
+    return _law_masks(table, stack)[0]
 
 
 def reversing_mask(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    blocks = _law_blocks(table, table, stack)
-    return _joined([(lhs == rhs.transpose(0, 2, 1)).all(axis=(1, 2)) for lhs, rhs in blocks])
+    return _law_masks(table, stack)[1]
 
 
 _LAW_TESTS = {AUTOMORPHISM: preserves_table, ANTIAUTOMORPHISM: reverses_table}
@@ -716,7 +715,7 @@ def enumerate_aaut(G: FiniteGroup) -> List[ClassifiedMap]:
 # --- closure of map sets ---
 
 
-def closure_of_point_maps(maps: Sequence[PointMap], cap: Optional[int] = None) -> List[PointMap]:
+def closure_of_point_maps(maps: Sequence[PointMap]) -> List[PointMap]:
     """Group generated by the given bijections, as a sorted list.
 
     Cayley-graph breadth-first search: each round composes only the frontier
@@ -724,7 +723,7 @@ def closure_of_point_maps(maps: Sequence[PointMap], cap: Optional[int] = None) -
     right multiplication alone).  Inverse-closed generators make the graph
     undirected, so a product of the current level lies in the previous, the
     current or the next level, and only the last two levels are searched.
-    The default ``cap``, ``config.MAX_CLOSURE_SIZE``, is read at each call.
+    The cap, ``config.MAX_CLOSURE_SIZE``, is read at each call.
     Maps of different carriers raise CarrierMismatch.
     """
     if not maps:
@@ -732,7 +731,7 @@ def closure_of_point_maps(maps: Sequence[PointMap], cap: Optional[int] = None) -
     for pm in maps:
         if pm.n != maps[0].n:
             raise CarrierMismatch(maps[0].n, pm.n)
-    cap = config.MAX_CLOSURE_SIZE if cap is None else cap
+    cap = config.MAX_CLOSURE_SIZE
     gens = _stack_of(maps)
     n = gens.shape[1]
     gens = _unique_rows(np.concatenate([gens, np.argsort(gens, axis=1)]))

@@ -211,7 +211,7 @@ class FiniteGroup:
 
     ``_store`` is a dict of what the checks of ``harness`` derive from G
     and read more than once, filled through ``_stored``, as a ``Quandle``'s
-    store of its search plan, Inn(Q) and law masks is:
+    store of its search plan, Inn(Q) and law masks (``quandlemaps._laws``) is:
     - Aut(G) and AAut(G) as read-only stacks (``groupmaps._auts``);
     - every quandle a check builds on G, Q_i included, keyed by constructor
       name plus m, c or the image bytes of the map, and by its table's
@@ -258,16 +258,17 @@ class FiniteGroup:
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        return int(self.table[self.table[g, x], self.inverse[g]])
+        g = _in_range("g", g, self.n)
+        return int(self.table[self.table[g, _in_range("x in G", x, self.n)], self.inverse[g]])
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 * b^-1 * a * b."""
-        t = self.table
+        t, a, b = self.table, _in_range("a", a, self.n), _in_range("b", b, self.n)
         return int(t[t[self.inverse[a], self.inverse[b]], t[a, b]])
 
     def power(self, a: int, k: int) -> int:
         """a^k for any integer k, negative exponents via inverses."""
-        k %= int(self.element_orders[a])
+        k %= self.element_order(a)
         out = self.identity
         for _ in range(k):
             out = int(self.table[out, a])
@@ -306,7 +307,7 @@ class FiniteGroup:
         return math.lcm(*(int(o) for o in self.element_orders))
 
     def element_order(self, a: int) -> int:
-        return int(self.element_orders[a])
+        return int(self.element_orders[_in_range("a", a, self.n)])
 
     @cached_property
     def has_2_torsion(self) -> bool:
@@ -380,6 +381,7 @@ _INDEXES = {
     "phi": "phi index into Aut(G)", "psi": "psi index into AAut(G)",
     "a": "a (an element of G)", "b": "b (an element of G)", "c": "c (an element of G)",
     "x": "x (an element of Q)", "y": "y (an element of Q)",
+    "g": "g (an element of G)", "x in G": "x (an element of G)", "x in a map": "x (a point of the map's carrier)",
 }
 
 

@@ -10,8 +10,10 @@ AAut(G) stack, so no map's law is checked here; the public constructors
 check it.  G's store (``FiniteGroup._store``) keys Aut(G)/AAut(G), the
 centralizers (family plus phi's image bytes), the quandles (construction
 kind plus m, c or image bytes, resolving to the op table's compact bytes)
-and facts of G; a quandle's store keys its law-mask pairs by the stack's
-compact bytes.  ``run_census`` empties a group's store after its checks.
+and facts of G.  A quandle's law-mask pairs are kept in its store,
+keyed by the stack's compact bytes, by ``quandlemaps._laws``: the member
+claims here read them there, as ``semidirect_verify`` does on its own.
+``run_census`` empties a group's store after its checks.
 
 Where a printed equivalence is provable in one direction only, the check
 asserts the provable implication and says so in its notes; the companion
@@ -45,7 +47,6 @@ from .groupmaps import (
     _in_sorted,
     _inner_stack,
     _keys,
-    _law_masks,
     _orbits,
     _out_reps,
     _product_counts,
@@ -61,8 +62,8 @@ from .groups import FiniteGroup, _distinct, _in_range, _stored, named_group
 from .quandlemaps import (
     SemidirectReport,
     _inn_stack,
+    _laws,
     _plan,
-    _semidirect_verify,
     enumerate_quandle_antis,
     enumerate_quandle_auts,
     inn_out_report,
@@ -140,24 +141,6 @@ def _quandle(G: FiniteGroup, kind: str, param=None) -> Quandle:
         return _stored(G, ("table", _compact(op).tobytes()), lambda: Quandle(op))
 
     return _stored(G, key, build)
-
-
-def _laws(Q: Quandle, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Which rows of a stack preserve Q's table and which reverse it, from Q's store.
-
-    One ``_law_masks`` gather pair per distinct stack: the key is the
-    stack's compact bytes and shape, so a stack of another integer type or
-    layout reads the same pair.  The masks are read-only.
-    """
-    rows = _compact(stack)
-
-    def gather() -> Tuple[np.ndarray, np.ndarray]:
-        masks = _law_masks(Q.op, rows)
-        for mask in masks:
-            mask.setflags(write=False)
-        return masks
-
-    return _stored(Q, ("laws", rows.shape, rows.tobytes()), gather)
 
 
 def _generated(Q: Quandle, stack: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -266,7 +249,7 @@ def _all_central(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> bool:
 def _derived_central_cubes(G: FiniteGroup) -> bool:
     """Whether [G,G] is central with every cube trivial."""
     derived = list(G.commutator_subgroup())
-    return bool(G.center_mask[derived].all()) and all(G.power(x, 3) == G.identity for x in derived)
+    return bool(G.center_mask[derived].all() and (G.power_all(3)[derived] == G.identity).all())
 
 
 # --- Conj_m checks ---
@@ -280,11 +263,10 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
     Q = _quandle(G, "conj", m)
     H = _H_stack(G)
     auts = _auts(G).aut
-    masks = _laws(Q, H)[0], _laws(Q, auts)[0]
     parts = [
-        _members(f"{tid}/H-members", inputs, masks[0], H,
+        _members(f"{tid}/H-members", inputs, _laws(Q, H)[0], H,
                  "every central translation t_a is an automorphism of Conj_m(G)"),
-        _members(f"{tid}/aut-members", inputs, masks[1], auts,
+        _members(f"{tid}/aut-members", inputs, _laws(Q, auts)[0], auts,
                  "every group automorphism is an automorphism of Conj_m(G)"),
     ]
     centre = np.flatnonzero(G.center_mask)
@@ -300,7 +282,7 @@ def check_conj_semidirect(G: FiniteGroup, m: int) -> Verdict:
         "phi t_a phi^-1 = t_phi(a) for a in Z(G)"))  # a fact of G: decided at the first m
     parts += [
         replace(identity, inputs=inputs),
-        _semidirect(f"{tid}/semidirect", inputs, _semidirect_verify(H, auts, Q, G, masks)),
+        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(H, auts, Q, G)),
     ]
     return combine(tid, inputs, "subgroup-embedding", parts)
 
@@ -437,14 +419,12 @@ def check_alex_semidirect(G: FiniteGroup, phi: np.ndarray) -> Verdict:
     Q = _quandle(G, "alex", phi)
     right_translations = G.table.T  # row b is f_{1,b}
     cent = _centralizer_of(G, "aut", phi)
-    masks = _generated(Q, right_translations, _f_generators(G, [])), _laws(Q, cent)[0]
     parts = [
-        _members(f"{tid}/gop-members", inputs, masks[0], right_translations,
-                 "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
-        _members(f"{tid}/centralizer-members", inputs, masks[1], cent,
+        _members(f"{tid}/gop-members", inputs, _generated(Q, right_translations, _f_generators(G, [])),
+                 right_translations, "every right translation f_{1,b} is an automorphism of Alex(G,phi)"),
+        _members(f"{tid}/centralizer-members", inputs, _laws(Q, cent)[0], cent,
                  "every member of C_Aut(phi) is an automorphism of Alex(G,phi)"),
-        _semidirect(f"{tid}/semidirect", inputs,
-                    _semidirect_verify(right_translations, cent, Q, G, masks)),
+        _semidirect(f"{tid}/semidirect", inputs, semidirect_verify(right_translations, cent, Q, G)),
     ]
     return combine(tid, inputs, "subgroup-embedding", parts)
 

@@ -11,9 +11,10 @@ first walk over those chunks serves full enumeration and the first hit, so
 enumerating the rest.  Each quandle keeps its search plan (profiles,
 generator levels and their index blocks, ``groupmaps._SearchPlan``),
 which its automorphisms, antiautomorphisms and isomorphisms from it all
-read, and its inner automorphism group Inn(Q), a read-only sorted compact
-stack, in its store.  An enumeration is not kept: each call searches again
-on the kept plan, as no caller reads one enumeration twice.  No
+read, its inner automorphism group Inn(Q), a read-only sorted compact
+stack, and the law masks of each stack asked about (``_laws``, their only
+keeper) in its store.  An enumeration is not kept: each call searches
+again on the kept plan, as no caller reads one enumeration twice.  No
 ``QuandleMap`` is built but in the public enumerators.  Those sets, the
 closures and the Inn/Out report are keyed by whole rows;
 ``semidirect_verify`` admits only maps of Hol(G), keys them by their
@@ -34,12 +35,14 @@ from .groupmaps import (
     PointMap,
     _SearchPlan,
     _bijective_mask,
+    _compact,
     _hol_generators,
     _hol_keys,
     _hol_mask,
     _in_sorted,
     _is_map_group,
     _keys,
+    _law_masks,
     _oracle_rows,
     _product_counts,
     _stack_of,
@@ -47,7 +50,6 @@ from .groupmaps import (
     _unique_rows,
     closure_of_point_maps,
     preserves_table,
-    preserving_mask,
     reverses_table,
 )
 from .groups import FiniteGroup, _stored
@@ -174,6 +176,17 @@ def _read_only(stack: np.ndarray) -> np.ndarray:
 def _inn_stack(Q: Quandle) -> np.ndarray:
     """Inn(Q) as a read-only sorted compact stack, built once and kept in Q's store."""
     return _stored(Q, ("inner",), lambda: _read_only(_stack_of(inn_group(Q))))
+
+
+def _laws(Q: Quandle, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Which rows of a stack preserve Q's table and which reverse it, from Q's store.
+
+    One ``_law_masks`` gather pair per distinct stack: the key is the
+    stack's compact bytes and shape, so a stack of another integer type or
+    layout reads the same pair.  The masks are read-only.
+    """
+    rows = _compact(stack)
+    return _stored(Q, ("laws", rows.shape, rows.tobytes()), lambda: tuple(map(_read_only, _law_masks(Q.op, rows))))
 
 
 _FIELDS = tuple(QuandleMap.__dict__[name].__set__ for name in ("map", "kind", "quandle"))
@@ -303,18 +316,33 @@ def semidirect_verify(
     that C normalizes N, the distinct-products and closure clauses follow.
     They are kept as independent cross-checks of the engine.
 
-    The preserving masks are the only clause that reads Q; this function
-    takes them itself.  The rest is kept in G's store
-    (``FiniteGroup._store``): per part, whether it is a bijective group of
-    Hol(G) maps, keyed by its distinct rows as bytes; per normal part that
-    passes, its sorted keys and T; per pair of parts that pass, the report
-    of the clauses past membership, keyed by both.  So a part or a pair
-    that several checks on one group share is tested once, and T is found
-    once however many complements meet it.
-    The harness hands in the masks its membership verdicts took
-    (``_semidirect_verify``).
+    Only the preserving clause reads Q, from the masks in Q's store
+    (``_laws``): on all rows of the complement, and of a normal part that
+    is not a group, so a part fails on its first broken clause; on T alone
+    for a normal group, which preserves Q once its generators do.  The
+    rest is kept in G's store (``FiniteGroup._store``): per part, whether
+    it is a bijective group of Hol(G) maps, keyed by its distinct rows as
+    bytes; per normal part that passes, its sorted keys and T; per pair of
+    parts that pass, the report of the clauses past membership, keyed by
+    both.  So a part or a pair that several checks on one group share is
+    tested once, and T is found once however many complements meet it.
     """
-    return _semidirect_verify(normal, complement, Q, G)
+    if Q.n != G.n:
+        raise CarrierMismatch(G.n, Q.n)
+    N = _unique_rows(normal)
+    C = _unique_rows(complement)
+    if N.size == 0 or C.size == 0:
+        return _failed(N, C, "a part is empty")
+    keys = N.tobytes(), C.tobytes()  # one bytes object each, shared by the keys a call stores
+    flaws = [_stored(G, ("semidirect part", key), lambda: _part_flaw(G, part)) for key, part in zip(keys, (N, C))]
+    gens = None if flaws[0] else _stored(G, ("semidirect normal", keys[0]), lambda: _hol_generators(G, N))
+    reads = N if gens is None else gens[1], C  # a group of maps preserves Q once its generators do
+    for label, read, flaw in zip(("normal", "complement"), reads, flaws):
+        if not _laws(Q, read)[0].all():
+            flaw = "contains a non-automorphism"
+        if flaw is not None:
+            return _failed(N, C, f"{label} part {flaw}")
+    return _stored(G, ("semidirect", *keys), lambda: _product_clauses(G, N, C, *gens))
 
 
 def _part_flaw(G: FiniteGroup, part: np.ndarray) -> Optional[str]:
@@ -326,32 +354,6 @@ def _part_flaw(G: FiniteGroup, part: np.ndarray) -> Optional[str]:
     if not _is_map_group(G, part):
         return "is not a group of maps"
     return None
-
-
-def _semidirect_verify(
-    normal: np.ndarray, complement: np.ndarray, Q: Quandle, G: FiniteGroup,
-    masks: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> SemidirectReport:
-    """``semidirect_verify``, given the preserving masks of Q over the rows of both parts, if taken."""
-    if Q.n != G.n:
-        raise CarrierMismatch(G.n, Q.n)
-    N = _unique_rows(normal)
-    C = _unique_rows(complement)
-    if N.size == 0 or C.size == 0:
-        return _failed(N, C, "a part is empty")
-    keys = N.tobytes(), C.tobytes()  # one bytes object each, shared by the keys a call stores
-    for i, (label, arr) in enumerate((("normal", N), ("complement", C))):
-        preserved = (preserving_mask(Q.op, arr) if masks is None else masks[i]).all()
-        flaw = (_stored(G, ("semidirect part", keys[i]), lambda: _part_flaw(G, arr))
-                if preserved else "contains a non-automorphism")
-        if flaw is not None:
-            return _failed(N, C, f"{label} part {flaw}")
-
-    def clauses() -> SemidirectReport:
-        normal = _stored(G, ("semidirect normal", keys[0]), lambda: _hol_generators(G, N))
-        return _product_clauses(G, N, C, *normal)
-
-    return _stored(G, ("semidirect", *keys), clauses)
 
 
 def _failed(

@@ -103,7 +103,7 @@ class Quandle:
         self.name = name if name is not None else f"Q{n}"
         self.dual = _dual_table(arr)
         # ("plan",) -> search plan, ("inner",) -> Inn(Q), ("laws", shape, stack bytes) ->
-        # the stack's law masks (harness._laws); no enumeration and no map objects
+        # the stack's law masks (quandlemaps._laws); no enumeration and no map objects
         self._store: dict = {}
         self.op.setflags(write=False)
         self.dual.setflags(write=False)

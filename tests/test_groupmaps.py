@@ -457,11 +457,6 @@ class TestClosure:
             for g in maps:
                 assert f.compose(g) in pool
 
-    def test_cap_is_enforced(self):
-        shift = PointMap([(i + 1) % 11 for i in range(11)])
-        with pytest.raises(CapExceeded):
-            closure_of_point_maps([shift], cap=5)
-
     def test_default_cap_is_read_at_each_call(self, monkeypatch):
         monkeypatch.setattr(config, "MAX_CLOSURE_SIZE", 5)
         cycle = PointMap([1, 2, 3, 4, 0])
@@ -510,6 +505,13 @@ class TestPointMapLaws:
         f = PointMap([1, 0])
         with pytest.raises(ValueError):
             f.images[0] = 0
+
+    @pytest.mark.parametrize("x", [-1, 2, True, 1.0])
+    def test_call_rejects_a_point_outside_the_carrier(self, x):
+        """-1 wrapped to the last point; a bool or a float is no point."""
+        with pytest.raises(ConstructionSpecError, match=r"^x \(a point of the map's carrier\) "):
+            PointMap([1, 0])(x)
+        assert PointMap([1, 0])(np.int64(1)) == 0
 
 
 class TestElementIndices:

@@ -416,6 +416,24 @@ class TestElementIndices:
         with pytest.raises(ConstructionSpecError, match=r"^a \(an element of G\) "):
             named_group("S3").inv(a)
 
+    @pytest.mark.parametrize(
+        "method,args,message",
+        [
+            ("conjugate", (-1, 0), r"g \(an element of G\) -1 is out of range 0\.\.5"),
+            ("conjugate", (0, 6), r"x \(an element of G\) 6 is out of range 0\.\.5"),
+            ("commutator", (True, 1), r"a \(an element of G\) True is not an integer"),
+            ("commutator", (1, -1), r"b \(an element of G\) -1 is out of range 0\.\.5"),
+            ("power", (-1, 2), r"a \(an element of G\) -1 is out of range 0\.\.5"),
+            ("power", (6, 2), r"a \(an element of G\) 6 is out of range 0\.\.5"),
+            ("element_order", (-1,), r"a \(an element of G\) -1 is out of range 0\.\.5"),
+            ("element_order", (2.0,), r"a \(an element of G\) 2\.0 is not an integer"),
+        ],
+    )
+    def test_element_operations_reject_an_index_that_is_not_an_element(self, method, args, message):
+        """conjugate(-1, 0) and power(-1, 2) wrapped to 0; power(6, 2) and commutator(True, 1) failed in numpy."""
+        with pytest.raises(ConstructionSpecError, match=f"^{message}$"):
+            getattr(named_group("S3"), method)(*args)
+
     def test_numpy_integer_indices_keep_working(self):
         G = named_group("S3")
         for a, b in [(np.int64(3), np.uint8(4)), (np.intp(5), np.int32(0)), (np.uint16(1), 2)]:

@@ -113,13 +113,13 @@ def _builds(monkeypatch):
 
     A validation is a call of ``quandles._check_q3``, which every validated
     quandle runs once: it is recorded as (group, check, table).  A gather is
-    a call of ``groupmaps._law_masks`` from ``harness._laws``: it is recorded
+    a call of ``groupmaps._law_masks`` from ``quandlemaps._laws``: it is recorded
     as (group, check, table, stack shape, stack).  The group and the check
     are those of the ``run_check`` that a census is running.
     """
     running = [None, None]
     validations, gathers = [], []
-    real_run, real_q3, real_masks = harness.run_check, quandles._check_q3, harness._law_masks
+    real_run, real_q3, real_masks = harness.run_check, quandles._check_q3, quandlemaps._law_masks
 
     def run(theorem_id, G=None, **params):
         running[:] = [None if G is None else G.name, theorem_id]
@@ -135,7 +135,7 @@ def _builds(monkeypatch):
 
     monkeypatch.setattr(harness, "run_check", run)
     monkeypatch.setattr(quandles, "_check_q3", q3)
-    monkeypatch.setattr(harness, "_law_masks", masks)
+    monkeypatch.setattr(quandlemaps, "_law_masks", masks)
     return validations, gathers
 
 
@@ -420,6 +420,23 @@ class TestGroupStore:
                 assert not report.verdict and report.failing_clause == clause
         assert semidirect_verify(H, auts, Q, D6).verdict
 
+    @pytest.mark.parametrize("spec", ["S3", "D4", "Q8"])
+    def test_planted_non_automorphisms_fail_the_semidirect_complement(self, monkeypatch, spec):
+        G = named_group(spec)
+        real = _auts(G)
+        Q = _quandle(G, "conj", 1)
+        rng = np.random.default_rng(G.n)
+        perms = np.array([rng.permutation(G.n) for _ in range(20)])
+        planted = np.concatenate([real.aut, perms[~preserving_mask(Q.op, perms)][:3], real.aut[::-1]])
+        monkeypatch.setattr(harness, "_auts", lambda H: real._replace(aut=planted.astype(np.uint8)))
+        (verdict,) = run_check("conj-semidirect", G, m=1)
+        parts = {p.theorem_id.split("/")[1]: p for p in verdict.parts}
+        members = parts["aut-members"]
+        assert not members.holds and is_quandle_auto(Q, PointMap(members.counterexample["images"])) is False
+        semidirect = parts["semidirect"]
+        assert not semidirect.holds
+        assert semidirect.counterexample == "complement part contains a non-automorphism"
+
     def test_census_builds_each_quandle_once_and_drops_the_store(self, monkeypatch):
         S3, S4 = symmetric(3), symmetric(4)
         wanted = {(G.name, table) for G in (S3, S4) for table in _census_tables(G)}
@@ -633,7 +650,7 @@ class TestClaimVocabulary:
         stack = S3.table.T
         by_generators = S3.table[:, S3.hol_base[1:]].T
         decided = _members("t", "Conj(S3)", harness._generated(conj_m(S3, 1), stack, by_generators), stack, "n")
-        full = _members("t", "Conj(S3)", harness._laws(conj_m(S3, 1), stack)[0], stack, "n")
+        full = _members("t", "Conj(S3)", quandlemaps._laws(conj_m(S3, 1), stack)[0], stack, "n")
         assert not full.holds and full.counterexample is not None
         assert decided.to_json() == full.to_json()
 

@@ -47,7 +47,8 @@ from quandlekit.groupmaps import (
     reverses_table,
     reversing_mask,
 )
-from quandlekit.harness import CATALOG_SPECS, _laws
+from quandlekit.harness import CATALOG_SPECS
+from quandlekit.quandlemaps import _laws
 from quandlekit.quandles import _check_q3
 
 # --- the broadcast formulas the kernel replaced ---
@@ -304,7 +305,7 @@ class TestCompatibilityWitness:
 
 
 class TestStoredLaws:
-    """``harness._laws`` keeps one mask pair per stack content in the quandle's store."""
+    """``quandlemaps._laws`` keeps one mask pair per stack content in the quandle's store."""
 
     FORMS = ("int64", "uint8", "table.T", "empty", "repeated")
 

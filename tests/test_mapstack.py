@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from quandlekit import (
     classify,
     closure_group,
     closure_of_point_maps,
+    config,
     cyclic,
     dihedral_quandle,
     enumerate_aaut,
@@ -202,8 +204,8 @@ class TestClosure:
     @given(gens=perms(), cap=st.integers(1, 200))
     def test_closure_and_cap_match_the_frozenset_reference(self, gens, cap):
         want = outcome(reference_closure, gens, cap)
-        got = outcome(lambda: [m.as_tuple() for m in closure_of_point_maps(
-            [PointMap(g) for g in gens], cap=cap)])
+        with mock.patch.object(config, "MAX_CLOSURE_SIZE", cap):
+            got = outcome(lambda: [m.as_tuple() for m in closure_of_point_maps([PointMap(g) for g in gens])])
         assert got == want
 
     @settings(max_examples=30, deadline=None)
@@ -214,8 +216,8 @@ class TestClosure:
             if cap < 1:
                 continue
             want = outcome(reference_closure, gens, cap)
-            got = outcome(lambda: [m.as_tuple() for m in closure_of_point_maps(
-                [PointMap(g) for g in gens], cap=cap)])
+            with mock.patch.object(config, "MAX_CLOSURE_SIZE", cap):
+                got = outcome(lambda: [m.as_tuple() for m in closure_of_point_maps([PointMap(g) for g in gens])])
             assert got == want, cap
 
     def test_wide_images_sort_by_value(self):

@@ -507,6 +507,17 @@ class TestSemidirectVerify:
         assert not report.verdict
         assert report.failing_clause == "normal part contains a non-automorphism"
 
+    def test_normal_group_is_read_on_its_generators(self):
+        # The right translations x -> x*b of S3 form a group of Hol(S3); those by a
+        # non-central b are no automorphisms of Conj(S3).
+        G = symmetric(3)
+        Q = conj_m(G, 1)
+        report = semidirect_verify(G.table.T, np.arange(G.n)[None, :], Q, G)
+        assert not report.verdict
+        assert report.failing_clause == "normal part contains a non-automorphism"
+        gathered = sorted(key[1][0] for key in Q._store if key[0] == "laws")  # rows of each stack gathered
+        assert gathered == [len(G.hol_base) - 1]  # T alone: not the 6 rows of the normal part, nor the complement
+
     def test_non_group_part_is_reported(self):
         Q = dihedral_quandle(4)
         report = semidirect_verify(_rows(_translations(4)[1:2]), _rows(_translations(4)), Q, cyclic(4))
