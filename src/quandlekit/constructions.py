@@ -38,7 +38,7 @@ from .groupmaps import (
     _flat_table,
     _products,
 )
-from .groups import FiniteGroup, _in_range
+from .groups import FiniteGroup, _in_range, _integer
 from .quandles import Quandle, trivial
 
 __all__ = [
@@ -91,7 +91,7 @@ def _require_compatible(G: FiniteGroup, psi: np.ndarray) -> None:
 
 
 def _conj_m_table(G: FiniteGroup, m: int) -> np.ndarray:
-    ym = G.power_all(m)
+    ym = G.power_all(_integer("m", m))
     return G.table[G.table[G.inverse[ym]], ym[:, None]].T  # [x, y] = y^-m x y^m
 
 

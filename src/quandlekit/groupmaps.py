@@ -85,9 +85,11 @@ class PointMap:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        arr = np.array(images, dtype=np.int64)
-        if arr.ndim != 1 or not arr.size or not np.array_equal(np.sort(arr), np.arange(arr.size)):
+        arr = np.array(images)  # a float, bool or object entry is no image: numpy would cast it
+        shaped = arr.dtype.kind in "iu" and arr.ndim == 1 and arr.size
+        if not shaped or not np.array_equal(np.sort(arr), np.arange(arr.size)):
             raise NotBijective(images)
+        arr = arr.astype(np.int64, copy=False)
         arr.setflags(write=False)
         self.images = arr
 

@@ -77,12 +77,20 @@ Derivation = np.ndarray
 _ROUND_ENTRIES = 1 << 16
 
 
-def _check_closure(table: np.ndarray) -> None:
-    n = table.shape[0]
-    bad = (table < 0) | (table >= n)
-    if bad.any():
-        a, b = map(int, np.argwhere(bad)[0])
-        raise NotClosed(a, b, int(table[a, b]))
+def _closed_table(table) -> np.ndarray:
+    """A nonempty square table of integers in 0..n-1 as contiguous int64; a float or bool entry is a BadShape."""
+    arr = np.asarray(table)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise BadShape(f"expected a nonempty square table, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise BadShape(f"expected a table of integers, got {arr.dtype} entries")
+    n = arr.shape[0]
+    if n > config.MAX_ORDER:
+        raise TooLarge(n, config.MAX_ORDER)
+    if arr.min() < 0 or arr.max() >= n:
+        a, b = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
+        raise NotClosed(a, b, int(arr[a, b]))
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def _generator_levels(table: np.ndarray, by_growth: bool = False) -> List[Tuple[int, List[Derivation]]]:
@@ -221,7 +229,7 @@ class FiniteGroup:
       membership clauses of one part, keyed by its distinct rows as bytes,
       a normal part's sorted keys and generating set, and the product
       clauses of two parts, keyed by both;
-    - facts of G that a check reads at every parameter, keyed by the claim.
+    - facts of G a check reads at every parameter, f-structure's too, keyed by the claim.
     No key is a map's label, a quandle's name or a table: maps with one
     label, and equal tables built from different parameters, get entries of
     their own.  ``harness.run_census`` empties the store once G's checks are
@@ -230,14 +238,9 @@ class FiniteGroup:
     """
 
     def __init__(self, table, name: Optional[str] = None, validate: bool = True):
-        arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise BadShape(f"expected a nonempty square table, got shape {arr.shape}")
+        arr = _closed_table(table)
         n = int(arr.shape[0])
-        if n > config.MAX_ORDER:
-            raise TooLarge(n, config.MAX_ORDER)
         if validate:
-            _check_closure(arr)
             _check_associativity(arr)
         self.table = arr
         self.n = n
@@ -376,25 +379,26 @@ def _stored(owner: Union[FiniteGroup, "Quandle"], key: tuple, build: Callable[[]
     return owner._store[key]
 
 
-# What each index parameter counts, as its range error names it.
+# What each integer parameter counts, as its error names it.
 _INDEXES = {
     "phi": "phi index into Aut(G)", "psi": "psi index into AAut(G)",
     "a": "a (an element of G)", "b": "b (an element of G)", "c": "c (an element of G)",
     "x": "x (an element of Q)", "y": "y (an element of Q)",
     "g": "g (an element of G)", "x in G": "x (an element of G)", "x in a map": "x (a point of the map's carrier)",
+    "m": "m (the exponent of Conj_m)",
 }
 
 
-def _in_range(param: str, index: int, size: int) -> int:
-    """``index`` when it is an integer in 0..size-1; otherwise a spec error naming the parameter.
+def _integer(param: str, value: int) -> int:
+    """``value`` when it is a Python or numpy integer, not a bool; otherwise a spec error naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConstructionSpecError(f"{_INDEXES[param]} {value!r} is not an integer")
+    return value
 
-    Python and numpy integers pass; a bool, a float or anything else does
-    not, as numpy would read it as a mask, a shape or an error of its own.
-    A negative index is out of range: it must not wrap to another element.
-    """
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise ConstructionSpecError(f"{_INDEXES[param]} {index!r} is not an integer")
-    if not 0 <= index < size:
+
+def _in_range(param: str, index: int, size: int) -> int:
+    """``index`` when it is an integer in 0..size-1 (no negative wrap); otherwise a spec error naming it."""
+    if not 0 <= _integer(param, index) < size:
         raise ConstructionSpecError(f"{_INDEXES[param]} {index} is out of range 0..{size - 1}")
     return index
 
@@ -422,7 +426,7 @@ class Subset:
 
 
 def _require_subgroup(G: FiniteGroup, members: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(sorted(set(int(x) for x in members)), dtype=np.int64)
+    arr = np.asarray(sorted(set(_in_range("x in G", x, G.n) for x in members)), dtype=np.int64)
     if arr.size == 0 or G.identity not in arr:
         raise NotSubgroup("subset lacks the identity")
     inside = np.zeros(G.n, dtype=bool)

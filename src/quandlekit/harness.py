@@ -3,17 +3,14 @@
 Each check evaluates the two sides of a claimed relationship independently
 (predicate side by group-theoretic scans, constructive side by building
 quandles and testing induced maps) and returns a Verdict with witnesses.
-Census mode sweeps every check over a catalog of small groups.
+Census mode sweeps every check over a catalog of small groups; a swept
+check decides one member, ``check(G, param)``, and ``_Sweep.over`` lists them.
 
 Every map a check takes is an int64 image row of the verified Aut(G) or
 AAut(G) stack, so no map's law is checked here; the public constructors
-check it.  G's store (``FiniteGroup._store``) keys Aut(G)/AAut(G), the
-centralizers (family plus phi's image bytes), the quandles (construction
-kind plus m, c or image bytes, resolving to the op table's compact bytes)
-and facts of G.  A quandle's law-mask pairs are kept in its store,
-keyed by the stack's compact bytes, by ``quandlemaps._laws``: the member
-claims here read them there, as ``semidirect_verify`` does on its own.
-``run_census`` empties a group's store after its checks.
+check it.  What the checks share on G, facts of G too, is kept in
+G's store (``FiniteGroup._store`` lists it), a quandle's law masks in its
+own (``quandlemaps._laws``).  ``run_census`` empties G's store after its checks.
 
 Where a printed equivalence is provable in one direction only, the check
 asserts the provable implication and says so in its notes; the companion
@@ -58,7 +55,7 @@ from .groupmaps import (
     preserving_mask,
     verify_F_iso,
 )
-from .groups import FiniteGroup, _distinct, _in_range, _stored, named_group
+from .groups import FiniteGroup, _distinct, _in_range, _integer, _stored, named_group
 from .quandlemaps import (
     SemidirectReport,
     _inn_stack,
@@ -119,11 +116,6 @@ def _first_failure(mask: np.ndarray, stack: np.ndarray) -> Optional[dict]:
     return {"index": i, "images": [int(v) for v in stack[i]]}
 
 
-def _table(G: FiniteGroup, kind: str, param=None) -> np.ndarray:
-    """The op table of construction ``kind`` on G at m, c or a map's images, read from ``_KINDS`` at call time."""
-    return _KINDS[kind].table(G, param)
-
-
 def _quandle(G: FiniteGroup, kind: str, param=None) -> Quandle:
     """The quandle of construction ``kind`` on G at ``param``, from G's store: built on first use.
 
@@ -137,7 +129,7 @@ def _quandle(G: FiniteGroup, kind: str, param=None) -> Quandle:
     key = (kind,) if param is None else (kind, tag)
 
     def build() -> Quandle:
-        op = _table(G, kind, param)
+        op = _KINDS[kind].table(G, param)
         return _stored(G, ("table", _compact(op).tobytes()), lambda: Quandle(op))
 
     return _stored(G, key, build)
@@ -429,31 +421,34 @@ def check_alex_semidirect(G: FiniteGroup, phi: np.ndarray) -> Verdict:
     return combine(tid, inputs, "subgroup-embedding", parts)
 
 
-def check_F_props(G: FiniteGroup, phis: Sequence[np.ndarray]) -> List[Verdict]:
-    """F inside Aut(Core(G)) and F = (GxG^op)/N, checked once for the group,
-    then F' inside Aut(Alex(G, phi)) for each phi, a row of Aut(G): one verdict per phi."""
+def check_F_props(G: FiniteGroup, phi: np.ndarray) -> Verdict:
+    """F' inside Aut(Alex(G, phi)), phi a row of Aut(G), with the facts of G:
+    F inside Aut(Core(G)), |F| = |G|^2/|Z(G)| and F = (GxG^op)/N."""
     tid = "f-structure"
-    F = _F_stack(G)
-    by_generators = _generated(_quandle(G, "core"), F, _f_generators(G, G.hol_base[1:]))
-    in_core = _members(f"{tid}/F-in-core-aut", G.name, by_generators, F, f"all {len(F)} maps f_(a,b) preserve Core(G)")
-    size = claim(f"{tid}/F-size", G.name, "iff", len(F) == G.n * G.n // int(G.center_mask.sum()),
-                 notes=f"|F| = {len(F)} = |G|^2/|Z(G)|")
-    iso = verify_F_iso(G)
-    out = []
-    for phi in phis:
-        inputs = _phi_inputs(G, phi)
-        fprime = _F_prime_stack(G, phi)
-        fixed = np.flatnonzero((phi == np.arange(G.n)) & ~G.center_mask)  # Fix(phi), its central points left out
-        parts = [
-            replace(in_core, inputs=inputs),
-            replace(size, inputs=inputs),
-            _members(f"{tid}/Fprime-in-alex-aut", inputs,
-                     _generated(_quandle(G, "alex", phi), fprime, _f_generators(G, fixed)), fprime,
-                     f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)"),
-            iso,
-        ]
-        out.append(combine(tid, inputs, "isomorphism", parts))
-    return out
+    inputs = _phi_inputs(G, phi)
+
+    def facts() -> Tuple[Verdict, Verdict, Verdict]:
+        F = _F_stack(G)
+        by_generators = _generated(_quandle(G, "core"), F, _f_generators(G, G.hol_base[1:]))
+        return (
+            _members(f"{tid}/F-in-core-aut", G.name, by_generators, F, f"all {len(F)} maps f_(a,b) preserve Core(G)"),
+            claim(f"{tid}/F-size", G.name, "iff", len(F) == G.n * G.n // int(G.center_mask.sum()),
+                  notes=f"|F| = {len(F)} = |G|^2/|Z(G)|"),
+            verify_F_iso(G),
+        )
+
+    in_core, size, iso = _stored(G, (f"{tid}/facts of G",), facts)  # decided at the first phi
+    fprime = _F_prime_stack(G, phi)
+    fixed = np.flatnonzero((phi == np.arange(G.n)) & ~G.center_mask)  # Fix(phi), its central points left out
+    parts = [
+        replace(in_core, inputs=inputs),
+        replace(size, inputs=inputs),
+        _members(f"{tid}/Fprime-in-alex-aut", inputs,
+                 _generated(_quandle(G, "alex", phi), fprime, _f_generators(G, fixed)), fprime,
+                 f"all {len(fprime)} maps f_(a,b) with a in Fix(phi) preserve Alex(G,phi)"),
+        iso,
+    ]
+    return combine(tid, inputs, "isomorphism", parts)
 
 
 # --- Core checks ---
@@ -768,34 +763,33 @@ def _transported(v: Verdict, inputs: str, via: dict) -> Verdict:
 
 def _per_orbit(
     G: FiniteGroup, family: str, params: list,
-    decide: Callable[[list], List[Verdict]], inputs: Callable[[FiniteGroup, object], str],
+    check: Callable[[FiniteGroup, object], Verdict], inputs: Callable[[FiniteGroup, object], str],
 ) -> List[Verdict]:
     """One verdict per parameter of a full sweep, one representative per Aut(G)-orbit decided.
 
     The parameters are the rows of Aut(G) ("aut") or AAut(G) ("aaut"), or
-    G's elements ("point"), in order; ``decide`` takes a list of them and
-    ``inputs`` gives one's inputs string.
-    Each theta in Aut(G) is an isomorphism Alex(G, phi) -> Alex(G, theta
-    phi theta^-1), Q_i(G, psi) -> Q_i(G, theta psi theta^-1) and P_i(G, c)
-    -> P_i(G, theta(c)), so a verdict whose every node holds, with no skip,
-    witness or counterexample, holds across its orbit
-    (``groupmaps._orbits``).  Each other member gets a copy with its own
-    inputs and ``via``: the representative's index and the conjugator's row
-    of Aut(G).  The members of every other orbit are decided directly, so
-    each counterexample and skip note is the member's own.
+    G's elements ("point"), in order; ``check(G, param)`` decides one and
+    ``inputs(G, param)`` names it.  Each theta in Aut(G) is an isomorphism
+    Alex(G, phi) -> Alex(G, theta phi theta^-1), Q_i(G, psi) -> Q_i(G, theta
+    psi theta^-1) and P_i(G, c) -> P_i(G, theta(c)), so a verdict whose
+    every node holds, with no skip, witness or counterexample, holds across
+    its orbit (``groupmaps._orbits``).  After the representatives, each
+    other member in order gets a copy of such a verdict, with its own inputs
+    and ``via`` (the representative's index and the conjugator's row of
+    Aut(G)), or else its own ``check`` call, so each counterexample and skip
+    note is the member's own.
     """
     orbits = _orbits(G, family)
     pairs = list(zip(orbits.rep.tolist(), orbits.theta.tolist()))
-    reps = [j for j, (r, _) in enumerate(pairs) if j == r]
-    out = dict(zip(reps, decide([params[r] for r in reps])))
-    movable = {r: _transportable(out[r]) for r in reps}
-    direct = [j for j, (r, _) in enumerate(pairs) if j != r and not movable[r]]
+    reps = {r: check(G, params[r]) for j, (r, _) in enumerate(pairs) if j == r}
+    movable = {r for r, v in reps.items() if _transportable(v)}
+    out = []
     for j, (r, t) in enumerate(pairs):
-        if j != r and movable[r]:
-            out[j] = _transported(out[r], inputs(G, params[j]), {"index": r, "conjugator": t})
-    if direct:
-        out.update(zip(direct, decide([params[j] for j in direct])))
-    return [out[j] for j in range(len(params))]
+        if j != r and r in movable:
+            out.append(_transported(reps[r], inputs(G, params[j]), {"index": r, "conjugator": t}))
+        else:
+            out.append(reps[j] if j == r else check(G, params[j]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -818,7 +812,7 @@ class _Sweep:
 
     @property
     def ms(self) -> List[int]:
-        return [self.m] if self.m is not None else list(M_RANGE)
+        return [_integer("m", self.m)] if self.m is not None else list(M_RANGE)
 
     @property
     def ns(self) -> List[int]:
@@ -848,14 +842,14 @@ class _Sweep:
     _FAMILIES = MappingProxyType({"aut": ("phi_index", "phis"), "aaut": ("psi_index", "psis"), "point": ("c", "cs")})
 
     def over(
-        self, family: str, decide: Callable[[list], List[Verdict]],
+        self, family: str, check: Callable[[FiniteGroup, object], Verdict],
         inputs: Callable[[FiniteGroup, object], str],
     ) -> List[Verdict]:
-        """``decide`` on the family's parameters: directly at a given index, per Aut(G)-orbit (``_per_orbit``) on a full sweep."""
+        """``check(G, param)`` per parameter: directly at a given index, per Aut(G)-orbit on a full sweep."""
         index, params = (getattr(self, name) for name in self._FAMILIES[family])
         if index is not None:
-            return decide(params)
-        return _per_orbit(self.G, family, params, decide, inputs)
+            return [check(self.G, p) for p in params]
+        return _per_orbit(self.G, family, params, check, inputs)
 
 
 class _Check(NamedTuple):
@@ -867,9 +861,9 @@ class _Check(NamedTuple):
 
 def _q_family(s: _Sweep) -> List[Verdict]:
     """Q1 at each phi, then Q2, Q3 and Q4 at each psi."""
-    q1 = s.over("aut", lambda phis: [check_Qi(s.G, 1, phi) for phi in phis], lambda G, phi: _q_inputs(G, 1, phi))
-    by_i = [s.over("aaut", lambda psis, i=i: [check_Qi(s.G, i, psi) for psi in psis],
-                   lambda G, psi, i=i: _q_inputs(G, i, psi)) for i in (2, 3, 4)]
+    q1 = s.over("aut", lambda G, phi: check_Qi(G, 1, phi), lambda G, phi: _q_inputs(G, 1, phi))
+    by_i = [s.over("aaut", lambda G, psi, i=i: check_Qi(G, i, psi), lambda G, psi, i=i: _q_inputs(G, i, psi))
+            for i in (2, 3, 4)]
     return q1 + [v for per_psi in zip(*by_i) for v in per_psi]
 
 
@@ -881,22 +875,17 @@ _SWEEPS: Mapping[str, _Check] = MappingProxyType({
     "conj-out": _Check("group", lambda s: [check_conj_out(s.G)]),
     "conj-aaut": _Check("group m", lambda s: [check_conj_aaut_intersection(s.G, m) for m in s.ms]),
     "conj-no-anti": _Check("group m", lambda s: [check_conj_no_anti(s.G, m) for m in s.ms]),
-    "alex": _Check("group phi_index", lambda s: s.over(
-        "aut", lambda phis: [check_alex(s.G, phi) for phi in phis], _phi_inputs)),
-    "alex-semidirect": _Check("group phi_index", lambda s: s.over(
-        "aut", lambda phis: [check_alex_semidirect(s.G, phi) for phi in phis], _phi_inputs)),
-    "f-structure": _Check("group phi_index", lambda s: s.over(
-        "aut", lambda phis: check_F_props(s.G, phis), _phi_inputs)),
+    "alex": _Check("group phi_index", lambda s: s.over("aut", check_alex, _phi_inputs)),
+    "alex-semidirect": _Check("group phi_index", lambda s: s.over("aut", check_alex_semidirect, _phi_inputs)),
+    "f-structure": _Check("group phi_index", lambda s: s.over("aut", check_F_props, _phi_inputs)),
     "core": _Check("group", lambda s: [check_core(s.G)]),
     "core-corollaries": _Check("group", lambda s: [check_core_corollaries(s.G)]),
     "dihedral-no-anti": _Check("n", lambda s: [check_dihedral_no_anti(k) for k in s.ns]),
     "core-semidirect": _Check("group", lambda s: [check_core_semidirect(s.G)]),
     "core-abelian-aut": _Check("group", lambda s: [check_core_abelian_full(s.G)]),
     "q-family": _Check("group phi_index psi_index", _q_family),
-    "p-family-aut": _Check("group c", lambda s: s.over(
-        "point", lambda cs: [check_Pi_aut(s.G, c) for c in cs], _c_inputs)),
-    "p-family-anti": _Check("group c", lambda s: s.over(
-        "point", lambda cs: [check_Pi_anti(s.G, c) for c in cs], _c_inputs)),
+    "p-family-aut": _Check("group c", lambda s: s.over("point", check_Pi_aut, _c_inputs)),
+    "p-family-anti": _Check("group c", lambda s: s.over("point", check_Pi_anti, _c_inputs)),
 })
 
 CHECK_IDS = tuple(_SWEEPS)

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import config
-from .errors import CapExceeded, CarrierMismatch
+from .errors import CapExceeded, CarrierMismatch, NotBijective
 from .groupmaps import (
     ClassifiedMap,
     PointMap,
@@ -52,7 +52,7 @@ from .groupmaps import (
     preserves_table,
     reverses_table,
 )
-from .groups import FiniteGroup, _stored
+from .groups import FiniteGroup, _closed_table, _stored
 from .quandles import Quandle, inn_group
 
 __all__ = [
@@ -128,10 +128,11 @@ def is_quandle_anti(Q: Quandle, pm: PointMap) -> bool:
 
 
 def find_table_iso(t1: np.ndarray, t2: np.ndarray) -> Optional[np.ndarray]:
-    """Lexicographically least table isomorphism, or None."""
+    """Lexicographically least table isomorphism, or None; each table square, of integers in 0..n-1."""
+    t1, t2 = _closed_table(t1), _closed_table(t2)
     if t1.shape != t2.shape:
         return None
-    return _least(_table_isos(np.asarray(t1), np.asarray(t2), first_only=True))
+    return _least(_table_isos(t1, t2, first_only=True))
 
 
 def _least(hits: np.ndarray) -> Optional[np.ndarray]:
@@ -295,7 +296,8 @@ def semidirect_verify(
     """Check that two map sets of Hol(G) realise an inner semidirect product in Aut(Q).
 
     Each set is an (m, n) image array on G's carrier; a repeated row counts
-    once.  Clauses: every member is a bijection that preserves Q; every
+    once, and a row of another width or with an image outside the carrier
+    raises.  Clauses: every member is a bijection that preserves Q; every
     member lies in Hol(G) (``groupmaps._hol_mask``); each set is a group;
     the complement normalizes the normal part; the intersection is trivial;
     the closure of the union has exactly |N| * |C| elements.  Past the
@@ -329,6 +331,13 @@ def semidirect_verify(
     """
     if Q.n != G.n:
         raise CarrierMismatch(G.n, Q.n)
+    for rows in map(np.asarray, (normal, complement)):  # unsigned, a negative image is too large
+        if rows.size and rows.shape[-1] != G.n:
+            raise CarrierMismatch(G.n, rows.shape[-1])
+        if rows.size and (rows.dtype.kind not in "iu" or rows.view(f"u{rows.itemsize}").max() >= G.n):
+            rows = rows.reshape(-1, G.n)
+            first = 0 if rows.dtype.kind not in "iu" else np.argmax(((rows < 0) | (rows >= G.n)).any(axis=1))
+            raise NotBijective(rows[first].tolist())
     N = _unique_rows(normal)
     C = _unique_rows(complement)
     if N.size == 0 or C.size == 0:

@@ -12,8 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import config
-from .errors import BadShape, ConstructionSpecError, NotClosed, Q1Fail, Q2Fail, Q3Fail, TooLarge
+from .errors import ConstructionSpecError, Q1Fail, Q2Fail, Q3Fail
 from .groupmaps import (
     PointMap,
     _block_rows,
@@ -21,7 +20,7 @@ from .groupmaps import (
     _products,
     closure_of_point_maps,
 )
-from .groups import _in_range
+from .groups import _closed_table, _in_range
 
 __all__ = [
     "Quandle",
@@ -82,16 +81,8 @@ class Quandle:
     """Immutable quandle on {0..n-1}; ``op`` and ``dual`` are read-only."""
 
     def __init__(self, op, name: Optional[str] = None, validate: bool = True):
-        arr = np.ascontiguousarray(np.asarray(op, dtype=np.int64))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise BadShape(f"expected a nonempty square table, got shape {arr.shape}")
+        arr = _closed_table(op)
         n = int(arr.shape[0])
-        if n > config.MAX_ORDER:
-            raise TooLarge(n, config.MAX_ORDER)
-        bad = (arr < 0) | (arr >= n)
-        if bad.any():
-            a, b = map(int, np.argwhere(bad)[0])
-            raise NotClosed(a, b, int(arr[a, b]))
         if validate:
             _check_q1(arr)
             _check_q2(arr)

@@ -326,3 +326,16 @@ class TestPointIndices:
     def test_numpy_integer_c_keeps_working(self, ctor):
         G = symmetric(3)
         assert ctor(G, np.int64(3)) == ctor(G, np.uint8(3)) == ctor(G, 3)
+
+
+class TestConjExponent:
+    """Conj_m takes m as an integer; a float is none, and a bool is no exponent either."""
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, "1", None])
+    def test_conj_m_rejects_an_m_that_is_not_an_integer(self, m):
+        with pytest.raises(ConstructionSpecError, match=r"^m \(the exponent of Conj_m\) .* is not an integer$"):
+            conj_m(symmetric(3), m)
+
+    def test_numpy_integer_m_keeps_working(self):
+        G = symmetric(3)
+        assert conj_m(G, np.int64(-2)) == conj_m(G, np.int8(-2)) == conj_m(G, -2)

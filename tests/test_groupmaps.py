@@ -544,3 +544,17 @@ class TestEmptyPointMap:
     def test_closure_of_an_empty_map_fails_at_the_map(self):
         with pytest.raises(NotBijective):
             closure_of_point_maps([PointMap([])])
+
+
+class TestIntegerImages:
+    """A map's images are integers: numpy would truncate a float and read a bool as 0 or 1."""
+
+    @pytest.mark.parametrize("images", [[1.5, 0.2], [1.0, 0.0], [True, False], np.array([1.0, 0.0]), [1, None], ["1", "0"]])
+    def test_point_map_rejects_entries_that_are_not_integers(self, images):
+        with pytest.raises(NotBijective):
+            PointMap(images)
+
+    @pytest.mark.parametrize("images", [[1, 0], np.array([1, 0], dtype=np.uint8), [np.int32(1), np.int64(0)]])
+    def test_python_and_numpy_integers_keep_working(self, images):
+        pm = PointMap(images)
+        assert pm.images.dtype == np.int64 and pm.as_tuple() == (1, 0)

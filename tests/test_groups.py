@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
+    BadShape,
     ConstructionSpecError,
     NoIdentity,
     NoInverse,
@@ -439,3 +440,36 @@ class TestElementIndices:
         for a, b in [(np.int64(3), np.uint8(4)), (np.intp(5), np.int32(0)), (np.uint16(1), 2)]:
             assert G.mul(a, b) == G.mul(int(a), int(b)) and type(G.mul(a, b)) is int
             assert G.inv(a) == G.inv(int(a))
+
+
+class TestIntegerTables:
+    """A group table holds integers: numpy would truncate 0.5 to 0 and read a bool as 0 or 1."""
+
+    @pytest.mark.parametrize(
+        "table", [[[0.0, 1.0], [1.0, 0.5]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]], [[0, "1"], [1, 0]]],
+    )
+    def test_group_from_table_rejects_entries_that_are_not_integers(self, table):
+        with pytest.raises(BadShape, match="expected a table of integers"):
+            group_from_table(table)
+
+    def test_numpy_integer_tables_keep_working(self):
+        table = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        assert group_from_table(table).table.tolist() == group_from_table(table.tolist()).table.tolist()
+
+
+class TestQuotientMembers:
+    """The members of N are elements of G: an index past the end is no IndexError, a float no element."""
+
+    @pytest.mark.parametrize(
+        "normal,message",
+        [([0, 9], r"9 is out of range 0\.\.5"), ([0, -1], r"-1 is out of range 0\.\.5"), ([0, 1.0], "is not an integer")],
+    )
+    def test_quotient_by_normal_rejects_a_member_outside_g(self, normal, message):
+        with pytest.raises(ConstructionSpecError, match=rf"^x \(an element of G\) .*{message}"):
+            quotient_by_normal(named_group("S3"), normal)
+
+    def test_numpy_integer_members_keep_working(self):
+        S3 = named_group("S3")
+        normal = [int(x) for x in S3.commutator_subgroup()]
+        quotient, projection = quotient_by_normal(S3, np.array(normal, dtype=np.uint8))
+        assert quotient.n == 2 and projection.tolist() == quotient_by_normal(S3, normal)[1].tolist()

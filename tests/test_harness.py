@@ -270,6 +270,21 @@ class TestRunCheckErrors:
         assert len(run_check("q-family", symmetric(3), phi_index=0, psi_index=5)) == 4
         assert len(run_check("p-family-aut", symmetric(3), c=5)) == 1
 
+    @pytest.mark.parametrize("theorem_id", ["conj-semidirect", "conj-aaut", "conj-no-anti"])
+    @pytest.mark.parametrize("m", [1.5, True, "1"])
+    def test_an_m_that_is_not_an_integer_is_rejected(self, theorem_id, m):
+        """m = True is no m = 1, even with Conj_1(G) already in G's store under the equal key."""
+        G = symmetric(3)
+        run_check(theorem_id, G, m=1)
+        with pytest.raises(ConstructionSpecError, match=r"^m \(the exponent of Conj_m\) .* is not an integer$"):
+            run_check(theorem_id, G, m=m)
+
+    def test_a_numpy_integer_m_runs(self):
+        G = symmetric(3)
+        assert [v.to_json() for v in run_check("conj-aaut", G, m=np.int8(-2))] == [
+            v.to_json() for v in run_check("conj-aaut", G, m=-2)
+        ]
+
 
 @pytest.fixture(scope="module")
 def s3_s4_census():
@@ -380,6 +395,34 @@ class TestOncePerSweep:
         assert len({v.inputs for v in verdicts}) == 6
         for v in verdicts:
             assert [p.inputs for p in v.parts[:3]] == [v.inputs] * 3
+
+    def test_f_structure_decides_the_facts_of_g_once_when_an_orbit_is_decided_directly(self, monkeypatch):
+        """A planted fault fails F' on one orbit of three automorphisms, so those members are decided
+        directly; F-in-core-aut, F-size and the iso subtree are still decided once for the group."""
+        G = named_group("S3")
+        rows = _auts(G).aut
+        rep = harness._orbits(G, "aut").rep
+        r = int(np.flatnonzero(np.bincount(rep) == 3)[0])
+        orbit = {rows[j].tobytes() for j in np.flatnonzero(rep == r)}
+        real_quandle, real_iso = harness._quandle, harness.verify_F_iso
+
+        def planted(H, kind, param=None):  # Conj_1(G) in place of Alex(G, phi) on the orbit
+            if kind == "alex" and np.asarray(param, dtype=rows.dtype).tobytes() in orbit:
+                return real_quandle(H, "conj", 1)
+            return real_quandle(H, kind, param)
+
+        calls = []
+        monkeypatch.setattr(harness, "_quandle", planted)
+        monkeypatch.setattr(harness, "verify_F_iso", lambda H: calls.append(H.name) or real_iso(H))
+        full = run_check("f-structure", G)
+        assert calls == ["S3"]
+        for j, v in enumerate(full):
+            if rep[j] == r:
+                assert v.via is None and not v.holds
+                assert [p.holds for p in v.parts] == [True, True, False, True]
+            else:
+                assert v.holds
+        assert any(v.via is not None for v in full)
 
 
 class TestGroupStore:

@@ -40,7 +40,7 @@ from quandlekit import (
     symmetric,
     trivial,
 )
-from quandlekit import Q3Fail, groupmaps, harness, quandlemaps
+from quandlekit import BadShape, NotBijective, NotClosed, Q3Fail, groupmaps, harness, quandlemaps
 from quandlekit.groupmaps import (
     _auts,
     _hol_keys,
@@ -471,6 +471,23 @@ class TestIsomorphismSearch:
     def test_size_mismatch_gives_none(self):
         assert find_table_iso(trivial(3).op, trivial(4).op) is None
 
+    def test_tables_that_are_not_square_raise(self):
+        """Two 2x3 tables would be numpy's broadcast ValueError."""
+        with pytest.raises(BadShape):
+            find_table_iso(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_an_entry_outside_the_carrier_raises(self, which):
+        """An entry of 5 at order 2 would be numpy's IndexError."""
+        tables = [trivial(2).op.copy(), trivial(2).op.copy()]
+        tables[which][0, 1] = 5
+        with pytest.raises(NotClosed):
+            find_table_iso(*tables)
+
+    def test_float_entries_raise(self):
+        with pytest.raises(BadShape):
+            find_table_iso(trivial(2).op.astype(float), trivial(2).op)
+
 
 class TestInnerStructure:
     def test_inn_out_report_on_even_dihedral_quandle(self):
@@ -536,6 +553,21 @@ class TestSemidirectVerify:
         report = semidirect_verify(_rows(_translations(4)), _rows(_translations(4)), Q, cyclic(4))
         assert not report.verdict
         assert report.failing_clause == "intersection is not trivial"
+
+    @pytest.mark.parametrize("image", [-1, 9, 2.0])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_a_row_with_an_image_outside_the_carrier_raises(self, image, part):
+        """-1 would wrap to 255 in the compact stack, 9 would be numpy's IndexError and 2.0 would truncate."""
+        S3 = named_group("S3")
+        parts = [harness._H_stack(S3).astype(type(image)), _auts(S3).aut.astype(type(image))]
+        parts[part][-1, 2] = image
+        with pytest.raises(NotBijective):
+            semidirect_verify(*parts, conj_m(S3, 1), S3)
+
+    def test_a_part_of_another_width_is_a_carrier_mismatch(self):
+        S3 = named_group("S3")
+        with pytest.raises(CarrierMismatch):
+            semidirect_verify(harness._H_stack(S3), _auts(S3).aut[:, :5], conj_m(S3, 1), S3)
 
     def test_empty_part_is_reported(self):
         report = semidirect_verify(_rows([]), _rows(_translations(4)), dihedral_quandle(4), cyclic(4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quandlekit import (
+    BadShape,
     ConstructionSpecError,
     Q1Fail,
     Q2Fail,
@@ -173,3 +174,15 @@ class TestElementIndices:
         for x, y in [(np.int64(3), np.uint8(4)), (np.intp(5), np.int32(0))]:
             assert Q.apply(x, y) == Q.apply(int(x), int(y)) and type(Q.apply(x, y)) is int
             assert right_translation(Q, y) == right_translation(Q, int(y))
+
+
+class TestIntegerTables:
+    """A quandle table holds integers: [[0.0, 0.5], [1.0, 1.0]] would truncate to the trivial quandle T2."""
+
+    @pytest.mark.parametrize("table", [[[0.0, 0.5], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]], [[False, False], [True, True]]])
+    def test_quandle_from_table_rejects_entries_that_are_not_integers(self, table):
+        with pytest.raises(BadShape, match="expected a table of integers"):
+            quandle_from_table(table)
+
+    def test_numpy_integer_tables_keep_working(self):
+        assert quandle_from_table(np.array([[0, 0], [1, 1]], dtype=np.int32)) == trivial(2)
